@@ -12,7 +12,6 @@ from .codes import (
     GroupCode,
     LcpReport,
     code_crt_combine,
-    code_crt_project,
     code_dual,
     code_from_generators,
     code_intersect,
@@ -77,7 +76,6 @@ __all__ = [
     "code_sum",
     "code_intersect",
     "code_dual",
-    "code_crt_project",
     "code_crt_combine",
     "lcp_check",
     "min_distance",

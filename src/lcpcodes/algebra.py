@@ -156,19 +156,6 @@ class GroupAlgebra:
             tuple(parts[j][i][0] for j in range(self.ring.s)) for i in range(n)
         )
 
-    # -- chain-vector view (for the s = 1 algebras used in linear algebra) ---------
-
-    def chain_vector(self, a):
-        """Unwrap a single-component element into a bare chain-ring vector."""
-        if self.ring.s != 1:
-            raise ValidationError("chain vectors exist only for s = 1 algebras")
-        return tuple(c[0] for c in a)
-
-    def from_chain_vector(self, v):
-        if self.ring.s != 1:
-            raise ValidationError("chain vectors exist only for s = 1 algebras")
-        return tuple((x,) for x in v)
-
     # -- display ------------------------------------------------------------------
 
     def format_element(self, a) -> str:

@@ -181,7 +181,7 @@ def load_config(path: str) -> InstanceConfig:
         elements = [parse_element(algebra, g) for g in gens]
         codes[name] = GroupCode.from_generators(algebra, elements)
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f"seed {seed!r} must be a non-negative integer")
     return InstanceConfig(ring=ring, group=group, algebra=algebra, codes=codes, seed=seed)
 

@@ -18,6 +18,7 @@ from .linalg import (
     DEFAULT_ENUM_CAP,
     RingMatrix,
     SpanSolver,
+    intersect,
     kernel,
     membership,
     pivot_reduce,
@@ -32,8 +33,6 @@ __all__ = [
     "code_sum",
     "code_intersect",
     "code_dual",
-    "code_cardinality",
-    "code_crt_project",
     "code_crt_combine",
     "lcp_check",
     "min_distance",
@@ -52,10 +51,24 @@ class GroupCode:
 
     def __init__(self, algebra: GroupAlgebra, generators, components):
         self.algebra = algebra
-        self.generators = tuple(generators)
+        self._generators = None if generators is None else tuple(generators)
         self.components = tuple(components)
         self._key = None
         self._weights = None
+
+    @property
+    def generators(self) -> tuple:
+        """The defining generators; for a code built from component forms,
+        the component pivot rows embedded with zeros in the other components
+        (built on first use)."""
+        if self._generators is None:
+            zeros = tuple(cr.zero for cr in self.algebra.ring.components)
+            gens = []
+            for j, form in enumerate(self.components):
+                for row in form.rows:
+                    gens.append(tuple(zeros[:j] + (x,) + zeros[j + 1 :] for x in row))
+            self._generators = tuple(gens)
+        return self._generators
 
     # -- constructors -------------------------------------------------------
 
@@ -63,34 +76,33 @@ class GroupCode:
     def from_generators(cls, algebra: GroupAlgebra, generators) -> "GroupCode":
         """Smallest two-sided ideal containing the generators.
 
-        Per component the rows g * a * h for all group elements g, h already
-        span an ideal closed under multiplication from both sides, so a single
-        reduction suffices.
+        Per component the rows g * a * h for all group elements g, h span an
+        ideal closed under multiplication from both sides, so a single
+        reduction suffices.  Since g * a * h = (g h) * (h^-1 a h), those rows
+        are the left translates of the distinct conjugates h^-1 a h.
         """
         gens = tuple(algebra.check(a) for a in generators)
         group = algebra.group
         n, t, inv = group.n, group.table, group.inv
         forms = []
         for j, cr in enumerate(algebra.ring.components):
-            rows = []
+            conjugates = {}
             for a in gens:
                 aj = tuple(a[i][j] for i in range(n))
+                for h in range(n):
+                    th, ih = t[h], inv[h]
+                    conjugates[tuple(aj[th[t[m][ih]]] for m in range(n))] = None
+            rows = {}
+            for c in conjugates:
                 for g in range(n):
                     tg = t[inv[g]]
-                    for h in range(n):
-                        ih = inv[h]
-                        rows.append(tuple(aj[tg[t[m][ih]]] for m in range(n)))
-            rows = tuple(dict.fromkeys(rows))
-            forms.append(pivot_reduce(RingMatrix(cr, rows, n)))
+                    rows[tuple(c[tg[m]] for m in range(n))] = None
+            forms.append(pivot_reduce(RingMatrix(cr, tuple(rows), n)))
         return cls(algebra, gens, forms)
 
     @classmethod
     def from_components(cls, algebra: GroupAlgebra, forms) -> "GroupCode":
-        """Chinese product of per-component spans (assumed to be ideals).
-
-        Generators are the component pivot rows embedded with zeros in the
-        other components.
-        """
+        """Chinese product of per-component spans (assumed to be ideals)."""
         forms = tuple(forms)
         ring = algebra.ring
         n = algebra.group.n
@@ -99,19 +111,7 @@ class GroupCode:
         for form, cr in zip(forms, ring.components):
             if form.ring != cr or form.ncols != n:
                 raise ValidationError("component form does not match the algebra")
-        gens = []
-        for j, form in enumerate(forms):
-            for row in form.rows:
-                gens.append(
-                    tuple(
-                        tuple(
-                            row[i] if k == j else ring.components[k].zero
-                            for k in range(ring.s)
-                        )
-                        for i in range(n)
-                    )
-                )
-        return cls(algebra, gens, forms)
+        return cls(algebra, None, forms)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -166,12 +166,13 @@ class GroupCode:
         return f"GroupCode(|C| = {self.cardinality()})"
 
     def is_two_sided(self) -> bool:
-        """Closure of every component span under left/right basis translation."""
+        """Closure of every component span under left/right translation by the
+        group's generators, which for a finite group means by all of G."""
         group = self.algebra.group
         n, t, inv = group.n, group.table, group.inv
         for P in self.components:
             for row in P.rows:
-                for g in range(1, n):
+                for g in group.generators:
                     ig = inv[g]
                     left = tuple(row[t[ig][m]] for m in range(n))
                     right = tuple(row[t[m][ig]] for m in range(n))
@@ -212,32 +213,22 @@ def code_dual(C: GroupCode) -> GroupCode:
     n = C.algebra.group.n
     forms = [kernel(RingMatrix(P.ring, P.rows, n)) for P in C.components]
     out = GroupCode.from_components(C.algebra, forms)
-    assert out.is_two_sided(), "dual of an ideal must remain an ideal"
+    if not out.is_two_sided():
+        raise AssertionError("dual of an ideal must remain an ideal")
     return out
 
 
 def code_intersect(C: GroupCode, D: GroupCode) -> GroupCode:
-    """Componentwise (C_j^perp + D_j^perp)^perp, reusing the kernel engine."""
+    """Componentwise C_j meet D_j, by one Zassenhaus reduction per component."""
     _same_algebra(C, D)
-    n = C.algebra.group.n
     forms = []
     for P, Q in zip(C.components, D.components):
-        kc = kernel(RingMatrix(P.ring, P.rows, n))
-        kd = kernel(RingMatrix(Q.ring, Q.rows, n))
-        inter = kernel(RingMatrix(P.ring, kc.rows + kd.rows, n))
-        if __debug__:
-            for row in inter.rows:
-                assert membership(row, P) and membership(row, Q)
+        inter = intersect(P, Q)
+        for row in inter.rows:
+            if not (membership(row, P) and membership(row, Q)):
+                raise AssertionError("intersection row outside one of the codes")
         forms.append(inter)
     return GroupCode.from_components(C.algebra, forms)
-
-
-def code_cardinality(C: GroupCode) -> int:
-    return C.cardinality()
-
-
-def code_crt_project(C: GroupCode) -> tuple:
-    return C.crt_project()
 
 
 def code_crt_combine(parts, algebra: GroupAlgebra | None = None) -> GroupCode:
@@ -416,7 +407,8 @@ class DsmSplitter:
             c_parts.append(cj)
         c = tuple(tuple(c_parts[j][i] for j in range(A.ring.s)) for i in range(n))
         d = A.sub(z, c)
-        assert self.C.contains(c) and self.D.contains(d)
+        if not (self.C.contains(c) and self.D.contains(d)):
+            raise AssertionError("split parts fall outside the pair's codes")
         return c, d
 
 

@@ -151,7 +151,8 @@ def find_permutation(
         return EquivalenceResult(
             STATUS_NOT_EQUIVALENT, None, d1, d2, "backtracking exhausted all assignments"
         )
-    assert verify_permutation(C1, C2, perm)
+    if not verify_permutation(C1, C2, perm):
+        raise AssertionError("backtracking returned a permutation that does not verify")
     return EquivalenceResult(STATUS_FOUND, perm, d1, d2, "")
 
 

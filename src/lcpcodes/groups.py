@@ -1,7 +1,8 @@
 """Finite groups stored extensionally as validated Cayley tables.
 
-Index 0 is always the identity; ``table[i][j]`` is the index of g_i * g_j and
-``inv[i]`` the index of the inverse of g_i.  Tables are validated on
+Index 0 is always the identity; ``table[i][j]`` is the index of g_i * g_j,
+``inv[i]`` the index of the inverse of g_i, and ``generators`` a small
+generating set, chosen greedily in index order.  Tables are validated on
 construction: identity, Latin-square property, associativity (exhaustively for
 order <= 64) and two-sided inverses, each with its own error type.
 """
@@ -73,6 +74,7 @@ class FiniteGroup:
             raise ValidationError("label count does not match group order")
         self._validate()
         self.inv = self._build_inverses()
+        self.generators = self._build_generators()
 
     @staticmethod
     def _default_labels(n):
@@ -109,6 +111,28 @@ class FiniteGroup:
                 raise InverseError(f"element {i} has no two-sided inverse")
             inv[i] = j
         return tuple(inv)
+
+    def _build_generators(self):
+        """Each element not yet in the subgroup generated so far joins the set;
+        the subgroup is the closure of the identity under right multiplication
+        by the chosen generators (a finite group needs no inverses for it)."""
+        t = self.table
+        gens, reached = [], [True] + [False] * (self.n - 1)
+        for g in range(1, self.n):
+            if reached[g]:
+                continue
+            gens.append(g)
+            frontier = [i for i in range(self.n) if reached[i]]
+            while frontier:
+                nxt = []
+                for i in frontier:
+                    for h in gens:
+                        k = t[i][h]
+                        if not reached[k]:
+                            reached[k] = True
+                            nxt.append(k)
+                frontier = nxt
+        return tuple(gens)
 
     # -- queries ---------------------------------------------------------------
 

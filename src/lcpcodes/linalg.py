@@ -1,13 +1,17 @@
 """Exact linear algebra for submodules of R^n over one finite chain ring.
 
-Everything is built on a pivot (echelon) form whose pivot entries are exact
-powers gamma^t.  The reduction keeps the form canonical: entries below a
-pivot are zero, entries above are reduced to canonical representatives
-modulo <gamma^t>, and for every pivot with t > 0 the saturation row
-gamma^(e-t) * row is folded back in.  The saturation step is what makes
-membership, cardinality and codeword enumeration agree with brute force
-over rings with zero divisors; over fields it is a no-op and the form is
-the ordinary reduced row echelon form.
+One reduction engine, ``_howell``, serves span, membership, kernel,
+intersection and solve.  It computes a Howell form (Howell 1986, "Spans in
+the module (Z_m)^s"; Storjohann and Mulders, ESA 1998) whose pivot entries
+are exact powers gamma^t: entries below a pivot are zero, entries above are
+reduced to canonical representatives modulo <gamma^t>, and for every pivot
+with t > 0 the saturation row gamma^(e-t) * row is folded back in.  The form
+is canonical, so equal spans have equal forms.  The saturation rows give the
+Howell property: for every k, the rows whose pivot column is >= k span all
+of the module that vanishes on the first k columns.  Kernels and
+intersections are read off that property from one augmented reduction each.
+Over fields the saturation step is a no-op and the form is the ordinary
+reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ __all__ = [
     "pivot_reduce",
     "membership",
     "kernel",
-    "cardinality",
+    "intersect",
     "enumerate_codewords",
     "DEFAULT_ENUM_CAP",
 ]
@@ -51,9 +55,6 @@ class RingMatrix:
             if len(row) != ncols:
                 raise ValidationError("rows of differing length")
         return cls(ring, rows, ncols)
-
-    def pretty(self) -> str:
-        return _grid(self.ring, self.rows, self.ncols)
 
 
 @dataclass(frozen=True)
@@ -82,36 +83,27 @@ class PivotForm:
     def key(self):
         return (self.pivot_cols, self.pivot_vals, self.rows)
 
-    def pretty(self) -> str:
-        return _grid(self.ring, self.rows, self.ncols)
+
+def _support(ring, piv, start):
+    """The (column, entry) pairs of piv's nonzero entries from start on."""
+    zero = ring.zero
+    return [(k, piv[k]) for k in range(start, len(piv)) if piv[k] != zero]
 
 
-def _grid(ring, rows, ncols) -> str:
-    if not rows:
-        return f"(empty, {ncols} columns over {ring!r})"
-    cells = [[ring.format_element(x) for x in row] for row in rows]
-    widths = [max(len(cells[i][j]) for i in range(len(rows))) for j in range(ncols)]
-    return "\n".join(
-        "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
-        for row in cells
-    )
-
-
-def _vec_submul(ring, row, w, piv, start):
-    """row -= w * piv, touching columns >= start (piv is zero before start)."""
+def _vec_submul(ring, row, w, support):
+    """row -= w * piv, for piv given by its support."""
     mul, sub = ring.mul, ring.sub
-    for k in range(start, len(row)):
-        pk = piv[k]
-        if pk != ring.zero:
-            row[k] = sub(row[k], mul(w, pk))
+    for k, pk in support:
+        row[k] = sub(row[k], mul(w, pk))
 
 
 def _howell(ring, rows, width, pivot_cols_limit):
     """Shared reduction engine.
 
     Scans columns 0..pivot_cols_limit-1 for pivots while carrying rows of
-    ``width`` entries, so the same code serves plain reduction and the
-    augmented solver.  Returns (rows, pivot_cols, pivot_vals).
+    ``width`` entries, so the same code serves plain reduction, the
+    augmented kernel and intersection, and the augmented solver.  Returns
+    (rows, pivot_cols, pivot_vals).
     """
     e = ring.e
     zero = ring.zero
@@ -133,13 +125,20 @@ def _howell(ring, rows, width, pivot_cols_limit):
         if unit != ring.one:
             ui = ring.inverse(unit)
             piv = [ring.mul(ui, x) for x in piv]
+        supp = _support(ring, piv, col)
         # clear the column in the remaining rows (their valuation is >= t by
-        # pivot minimality) and canonicalize it in the finished rows
+        # pivot minimality) and canonicalize it in the finished rows; every
+        # work row is zero left of col, so a row this step did not touch is
+        # still nonzero and a touched one need only be tested right of col
+        kept = []
         for row in work:
             x = row[col]
             if x != zero:
-                _vec_submul(ring, row, ring.div_gamma(x, t), piv, col)
-        work = [row for row in work if any(x != zero for x in row)]
+                _vec_submul(ring, row, ring.div_gamma(x, t), supp)
+                if not any(y != zero for y in row[col + 1 :]):
+                    continue
+            kept.append(row)
+        work = kept
         for row in res_rows:
             x = row[col]
             if x == zero:
@@ -149,7 +148,7 @@ def _howell(ring, rows, width, pivot_cols_limit):
             else:
                 rem = ring.reduce_mod_gamma(x, t)
                 w = ring.div_gamma(ring.sub(x, rem), t)
-            _vec_submul(ring, row, w, piv, col)
+            _vec_submul(ring, row, w, supp)
         res_rows.append(piv)
         res_cols.append(col)
         res_vals.append(t)
@@ -186,12 +185,8 @@ def membership(v, P: PivotForm) -> bool:
             continue
         if ring.valuation(x) < t:
             return False
-        _vec_submul(ring, v, ring.div_gamma(x, t), row, col)
+        _vec_submul(ring, v, ring.div_gamma(x, t), _support(ring, row, col))
     return all(x == zero for x in v)
-
-
-def cardinality(P: PivotForm) -> int:
-    return P.cardinality()
 
 
 def enumerate_codewords(P: PivotForm, cap: int = DEFAULT_ENUM_CAP):
@@ -222,65 +217,46 @@ def enumerate_codewords(P: PivotForm, cap: int = DEFAULT_ENUM_CAP):
     yield from rec(0, list(zero_vec))
 
 
+def _lower_block(ring, rows, split, width) -> PivotForm:
+    """Reduce rows over all ``width`` columns and return, as a canonical
+    form, the span of the rows whose pivot column is >= split, cut to
+    columns split..width-1.
+
+    By the Howell property that span is exactly the part of the row module
+    vanishing on the first ``split`` columns, projected onto the rest.
+    """
+    red, cols, _ = _howell(ring, rows, width, width)
+    low = tuple(tuple(r[split:]) for r, c in zip(red, cols) if c >= split)
+    return pivot_reduce(RingMatrix(ring, low, width - split))
+
+
 def kernel(M: RingMatrix) -> PivotForm:
-    """Pivot form of {x : M x^T = 0}, via diagonalization with a tracked
-    column transform; a diagonal gamma^d contributes gamma^(e-d) times the
-    matching transformed column."""
-    ring, n = M.ring, M.ncols
-    e, zero = ring.e, ring.zero
-    rows = [list(r) for r in M.rows]
-    m = len(rows)
-    V = [[ring.one if i == j else zero for j in range(n)] for i in range(n)]
-    diag = [e] * n
-    for k in range(min(m, n)):
-        bt, bi, bj = e, None, None
-        for i in range(k, m):
-            for j in range(k, n):
-                v = ring.valuation(rows[i][j])
-                if v < bt:
-                    bt, bi, bj = v, i, j
-                    if bt == 0:
-                        break
-            if bt == 0:
-                break
-        if bi is None:
-            break
-        if bi != k:
-            rows[k], rows[bi] = rows[bi], rows[k]
-        if bj != k:
-            for row in rows:
-                row[k], row[bj] = row[bj], row[k]
-            for row in V:
-                row[k], row[bj] = row[bj], row[k]
-        t = bt
-        unit = ring.div_gamma(rows[k][k], t)
-        if unit != ring.one:
-            ui = ring.inverse(unit)
-            rows[k] = [ring.mul(ui, x) for x in rows[k]]
-        for i in range(k + 1, m):
-            x = rows[i][k]
-            if x != zero:
-                w = ring.div_gamma(x, t)
-                rows[i] = [ring.sub(a, ring.mul(w, b)) for a, b in zip(rows[i], rows[k])]
-        for j in range(k + 1, n):
-            x = rows[k][j]
-            if x != zero:
-                w = ring.div_gamma(x, t)
-                for row in rows:
-                    row[j] = ring.sub(row[j], ring.mul(w, row[k]))
-                for row in V:
-                    row[j] = ring.sub(row[j], ring.mul(w, row[k]))
-        diag[k] = t
-    gens = []
-    for j in range(n):
-        d = diag[j]
-        if d == 0:
-            continue
-        g = ring.gamma_power(e - d)
-        gen = tuple(ring.mul(g, V[i][j]) for i in range(n))
-        if any(x != zero for x in gen):
-            gens.append(gen)
-    return pivot_reduce(RingMatrix(ring, tuple(gens), n))
+    """Pivot form of {x : M x^T = 0}.
+
+    The rows of [M^T | I] span the pairs (x M^T, x); the part with a zero
+    left block is {(0, x) : M x^T = 0}, read off one Howell reduction.
+    """
+    ring, n, m = M.ring, M.ncols, len(M.rows)
+    zero, one = ring.zero, ring.one
+    aug = [
+        tuple(row[k] for row in M.rows) + tuple(one if i == k else zero for i in range(n))
+        for k in range(n)
+    ]
+    return _lower_block(ring, aug, m, m + n)
+
+
+def intersect(P: PivotForm, Q: PivotForm) -> PivotForm:
+    """Pivot form of span(P) meet span(Q), by the Zassenhaus construction.
+
+    The rows [p | p] and [q | 0] span the pairs (p + q, p); the part with a
+    zero left block is {(0, x) : x in both spans}, read off one Howell
+    reduction.
+    """
+    if P.ring != Q.ring or P.ncols != Q.ncols:
+        raise ValidationError("intersection needs spans in the same module")
+    n, zero = P.ncols, P.ring.zero
+    rows = [row + row for row in P.rows] + [row + (zero,) * n for row in Q.rows]
+    return _lower_block(P.ring, rows, n, 2 * n)
 
 
 class SpanSolver:
@@ -317,7 +293,7 @@ class SpanSolver:
                 continue
             if ring.valuation(x) < t:
                 return None
-            _vec_submul(ring, v, ring.div_gamma(x, t), row, col)
+            _vec_submul(ring, v, ring.div_gamma(x, t), _support(ring, row, col))
         if any(x != zero for x in v[: self.ncols]):
             return None
         return tuple(ring.neg(x) for x in v[self.ncols :])

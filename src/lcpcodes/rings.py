@@ -219,6 +219,8 @@ class ChainRing:
 
     def check(self, a):
         """Validate an element and return it as a canonical tuple."""
+        if not isinstance(a, (tuple, list)):
+            raise ValidationError(f"element {a!r} of {self!r} must be a coefficient tuple")
         if len(a) != self.r:
             raise ValidationError(f"element {a!r} has arity {len(a)}, ring {self!r} needs {self.r}")
         for c in a:

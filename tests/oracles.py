@@ -65,6 +65,16 @@ def naive_product(ring, group, a, b):
     return tuple(out)
 
 
+def subgroup_closure(group, elements):
+    """Indices of the subgroup generated by the elements, by breadth-first
+    right multiplication from the identity."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = {group.op(i, g) for i in frontier for g in elements} - reached
+        reached |= frontier
+    return reached
+
+
 def basis_element(ring, n, i):
     return tuple(ring.one if k == i else ring.zero for k in range(n))
 
@@ -148,3 +158,54 @@ def brute_dual(algebra, words):
 
 def code_word_set(code, cap=1 << 20):
     return set(code.codewords(cap))
+
+
+# ---------------------------------------------------------------------------
+# replaced constructions, kept as references for the fast paths
+#
+# Unlike the brute force above, these reduce through the library's canonical
+# pivot form, so their results compare with the library's by ``key``; what
+# they keep is the old amount of work, not independence from the engine.
+
+
+def translate_closure_forms(algebra, gens):
+    """Per-component pivot forms of the span of every g * a * h, g, h in G:
+    the n^2-translate ideal closure."""
+    from lcpcodes.linalg import RingMatrix, pivot_reduce
+
+    group = algebra.group
+    n, t, inv = group.n, group.table, group.inv
+    forms = []
+    for j, cr in enumerate(algebra.ring.components):
+        rows = []
+        for a in gens:
+            aj = tuple(a[i][j] for i in range(n))
+            for g in range(n):
+                tg = t[inv[g]]
+                for h in range(n):
+                    ih = inv[h]
+                    rows.append(tuple(aj[tg[t[m][ih]]] for m in range(n)))
+        forms.append(pivot_reduce(RingMatrix(cr, tuple(dict.fromkeys(rows)), n)))
+    return tuple(forms)
+
+
+def translate_closure_key(algebra, gens):
+    return tuple(P.key() for P in translate_closure_forms(algebra, gens))
+
+
+def all_elements_two_sided(code):
+    """Closure of every component span under left and right translation by
+    every non-identity group element."""
+    from lcpcodes.linalg import membership
+
+    group = code.algebra.group
+    n, t, inv = group.n, group.table, group.inv
+    for P in code.components:
+        for row in P.rows:
+            for g in range(1, n):
+                ig = inv[g]
+                left = tuple(row[t[ig][m]] for m in range(n))
+                right = tuple(row[t[m][ig]] for m in range(n))
+                if not membership(left, P) or not membership(right, P):
+                    return False
+    return True

@@ -1,6 +1,10 @@
 """Command-line behavior: reports, exit codes, determinism, JSON round trips."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -199,6 +203,27 @@ def test_unparseable_config_exit_two(capsys, tmp_path):
     assert "not valid JSON" in err
     code, _, err = run(capsys, "--config", str(tmp_path / "missing.json"), "info")
     assert code == 2
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "lcpcodes.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("seed", [True, False])
+def test_boolean_seed_exit_two(tmp_path, seed):
+    path = tmp_path / "bool_seed.json"
+    path.write_text(json.dumps(dict(RUNNING_CONFIG, seed=seed)), encoding="utf-8")
+    proc = run_process("--config", str(path), "info")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "seed" in proc.stderr
 
 
 def test_missing_config_flag_exit_two(capsys):

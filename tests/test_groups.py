@@ -16,6 +16,8 @@ from lcpcodes.groups import (
     symmetric,
 )
 
+from oracles import subgroup_closure
+
 # identity-bearing Latin square of order 5 that is not associative
 NONASSOC_LOOP = [
     [0, 1, 2, 3, 4],
@@ -172,3 +174,25 @@ def test_direct_table_constructor_rejects_misplaced_identity():
     # FiniteGroup itself (unlike group_from_table) insists on identity at 0
     with pytest.raises(IdentityError):
         FiniteGroup([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "G",
+    [cyclic(1), cyclic(12), dihedral(4), dihedral(5), symmetric(3), symmetric(4),
+     direct_product(cyclic(2), symmetric(3)), direct_product(cyclic(2), cyclic(2))],
+    ids=["C1", "C12", "D4", "D5", "S3", "S4", "C2xS3", "C2xC2"],
+)
+def test_generators_generate(G):
+    gens = G.generators
+    assert subgroup_closure(G, gens) == set(range(G.n))
+    # greedy in index order: each generator lies outside what the earlier ones reach
+    for k, g in enumerate(gens):
+        assert g not in subgroup_closure(G, gens[:k])
+    assert list(gens) == sorted(gens) and 0 not in gens
+
+
+def test_generators_examples():
+    assert cyclic(1).generators == ()
+    assert cyclic(7).generators == (1,)
+    assert dihedral(5).generators == (1, 5)
+    assert direct_product(cyclic(2), cyclic(2)).generators == (1, 2)

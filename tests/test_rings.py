@@ -97,6 +97,10 @@ def test_element_check():
         Z4.check((4,))
     with pytest.raises(ValidationError):
         F4.check((0,))
+    with pytest.raises(ValidationError):
+        Z4.check(5)
+    with pytest.raises(ValidationError):
+        F4.check(None)
 
 
 def _op_tables(ring):
