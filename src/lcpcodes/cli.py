@@ -122,8 +122,13 @@ def parse_group(obj, base_dir: str) -> FiniteGroup:
     raise ValidationError(f"unknown group family {family!r}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not numbers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_coefficient(ring: ProductRing, lit):
-    if isinstance(lit, int):
+    if _is_int(lit):
         return ring.project(lit)
     if isinstance(lit, list):
         if len(lit) != ring.s:
@@ -132,12 +137,16 @@ def parse_coefficient(ring: ProductRing, lit):
             )
         parts = []
         for cr, item in zip(ring.components, lit):
-            if isinstance(item, int):
+            if _is_int(item):
                 parts.append(cr.from_int(item))
             elif isinstance(item, list):
                 if len(item) > cr.r:
                     raise ValidationError(f"coefficient part {item!r} too long for {cr!r}")
-                coeffs = [int(c) % cr.pe for c in item] + [0] * (cr.r - len(item))
+                if not all(_is_int(c) for c in item):
+                    raise ValidationError(
+                        f"coefficient part {item!r} must list integers"
+                    )
+                coeffs = [c % cr.pe for c in item] + [0] * (cr.r - len(item))
                 parts.append(tuple(coeffs))
             else:
                 raise ValidationError(f"bad coefficient part {item!r}")
@@ -181,7 +190,7 @@ def load_config(path: str) -> InstanceConfig:
         elements = [parse_element(algebra, g) for g in gens]
         codes[name] = GroupCode.from_generators(algebra, elements)
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValidationError(f"seed {seed!r} must be a non-negative integer")
     return InstanceConfig(ring=ring, group=group, algebra=algebra, codes=codes, seed=seed)
 
@@ -355,10 +364,18 @@ def cmd_dsm(cfg: InstanceConfig, args) -> tuple[dict, int]:
 
 def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     ideals = enumerate_ideals(cfg.algebra, max_size=args.max_ideals)
+    sizes = [C.cardinality() for C in ideals]
     pairs = []
     all_equal = True
+    # An LCP partner of C is unique, so the scan over D stops at the first.
+    # Write 1 = e + f with e in C and f in D.  For another complement D' and
+    # any d' in D', d'e lies in C (an ideal) and in D', so d'e = 0 and
+    # d' = d'e + d'f = d'f lies in D; thus D' <= D and, by symmetry, D' = D.
+    # C + D = R[G] with C meet D = 0 also forces |C| * |D| = |R[G]|.
     for i, C in enumerate(ideals):
         for j, D in enumerate(ideals):
+            if sizes[i] * sizes[j] != cfg.algebra.size:
+                continue
             rep = lcp_check(C, D, max_enum=args.max_enum, fill_security=False)
             if not rep.is_lcp:
                 continue
@@ -378,6 +395,7 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
                     "permutation": list(eq.permutation) if eq.permutation else None,
                 }
             )
+            break
     report = {
         "command": "search-lcp",
         "ideal_count": len(ideals),

@@ -421,26 +421,58 @@ def dsm_split(z, C: GroupCode, D: GroupCode):
 
 
 def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
-    """All two-sided ideals of R[G]: principal ideals closed under sums.
+    """All two-sided ideals of R[G], sorted by cardinality then canonical key.
 
-    Deterministic output, sorted by cardinality then canonical key.
+    Every ideal is the Chinese product of one ideal of each chain-ring
+    algebra R_j[G], so the components are enumerated on their own and
+    combined, visiting sum_j |R_j|^n elements instead of prod_j.  Within one
+    R_j[G] every ideal is a sum of principal ideals, and <a> = <u g a h> for
+    every unit u of R_j and all g, h in G (h = 1 suffices when G is abelian),
+    so one closure is taken per orbit of that action.  The principal ideals
+    are then closed under sums by a worklist: each ideal is summed only with
+    the ideals found before it, so every pair is summed once.
     """
     if algebra.size > max_size:
         raise CapExceededError(
             f"|R[G]| = {algebra.size} exceeds the ideal-enumeration cap {max_size}"
         )
-    seen = {}
+    parts = [_chain_ideals(A) for A in algebra.components]
+    ideals = [
+        GroupCode.from_components(algebra, [X.components[0] for X in combo])
+        for combo in itertools.product(*parts)
+    ]
+    return sorted(ideals, key=lambda c: (c.cardinality(), c.key))
+
+
+def _chain_ideals(algebra: GroupAlgebra) -> list:
+    """Every two-sided ideal of a chain-ring algebra, in discovery order."""
+    cr = algebra.ring.components[0]
+    group = algebra.group
+    n, t, inv = group.n, group.table, group.inv
+    rights = (0,) if group.is_abelian() else range(n)
+    shifts = {
+        tuple(t[t[inv[g]][m]][inv[h]] for m in range(n)) for g in range(n) for h in rights
+    }
+    scalings = [
+        {a: (cr.mul(u, a[0]),) for a in algebra.ring.elements()}
+        for u in cr.elements()
+        if cr.is_unit(u)
+    ]
+    visited = set()
+    found = {}
     for a in algebra.elements():
+        if a in visited:
+            continue
+        visited.update(
+            tuple(scale[a[k]] for k in shift) for shift in shifts for scale in scalings
+        )
         code = GroupCode.from_generators(algebra, (a,))
-        seen.setdefault(code.key, code)
-    changed = True
-    while changed:
-        changed = False
-        current = list(seen.values())
-        for X in current:
-            for Y in current:
-                S = code_sum(X, Y)
-                if S.key not in seen:
-                    seen[S.key] = S
-                    changed = True
-    return sorted(seen.values(), key=lambda c: (c.cardinality(), c.key))
+        found.setdefault(code.key, code)
+    ideals = list(found.values())
+    for i, X in enumerate(ideals):  # sums found here join the walk
+        for Y in ideals[:i]:
+            S = code_sum(X, Y)
+            if S.key not in found:
+                found[S.key] = S
+                ideals.append(S)
+    return ideals

@@ -163,26 +163,39 @@ def check_dual_equivalence(
 
     Permutations are searched per CRT component and once over the whole
     product ring; the block note records both outcomes, since component
-    permutations need not assemble into a single common one.
+    permutations need not assemble into a single common one.  The distances
+    are read off the common search's weight lists, so each code is
+    enumerated once; over a chain ring the one component search is the
+    common search.
     """
     rep = lcp_check(C, D, fill_security=False)
     if not rep.is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
     Dd = code_dual(D)
-    d_c = min_distance(C, max_enum)
-    d_dd = min_distance(Dd, max_enum)
-    notes = []
-    for j, (Cj, Ddj) in enumerate(zip(C.crt_project(), Dd.crt_project())):
-        res = find_permutation(Ddj, Cj, max_enum)
-        if res.status == STATUS_FOUND:
-            notes.append(f"component {j}: found {list(res.permutation)}")
-        else:
-            notes.append(f"component {j}: {res.status}")
+    if C.algebra.group.n > SEARCH_LENGTH_LIMIT:
+        # the search refuses this length; a cap error on the distances wins
+        min_distance(C, max_enum)
+        min_distance(Dd, max_enum)
     full = find_permutation(Dd, C, max_enum)
-    if full.status == STATUS_FOUND:
-        notes.append(f"common permutation: found {list(full.permutation)}")
+    if full.status == STATUS_EXHAUSTED:
+        d_c, d_dd = min_distance(C, max_enum), min_distance(Dd, max_enum)
+    else:  # the search maps Dd onto C, so it reports d(Dd) first
+        d_c, d_dd = full.d_d_dual, full.d_c
+    if C.algebra.ring.s == 1:
+        parts = [full]
     else:
-        notes.append(f"common permutation: {full.status}")
+        parts = [
+            find_permutation(Ddj, Cj, max_enum)
+            for Cj, Ddj in zip(C.crt_project(), Dd.crt_project())
+        ]
+
+    def note(label, res):
+        if res.status == STATUS_FOUND:
+            return f"{label}: found {list(res.permutation)}"
+        return f"{label}: {res.status}"
+
+    notes = [note(f"component {j}", res) for j, res in enumerate(parts)]
+    notes.append(note("common permutation", full))
     return EquivalenceResult(
         status=full.status,
         permutation=full.permutation,

@@ -224,10 +224,18 @@ def _lower_block(ring, rows, split, width) -> PivotForm:
 
     By the Howell property that span is exactly the part of the row module
     vanishing on the first ``split`` columns, projected onto the rest.
+    Those rows already form that span's canonical form (exact pivot powers,
+    reduced entries above each pivot), so they are cut, not reduced again.
     """
-    red, cols, _ = _howell(ring, rows, width, width)
-    low = tuple(tuple(r[split:]) for r, c in zip(red, cols) if c >= split)
-    return pivot_reduce(RingMatrix(ring, low, width - split))
+    red, cols, vals = _howell(ring, rows, width, width)
+    low = next((k for k, c in enumerate(cols) if c >= split), len(cols))
+    return PivotForm(
+        ring,
+        width - split,
+        tuple(tuple(r[split:]) for r in red[low:]),
+        tuple(c - split for c in cols[low:]),
+        tuple(vals[low:]),
+    )
 
 
 def kernel(M: RingMatrix) -> PivotForm:

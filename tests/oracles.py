@@ -209,3 +209,65 @@ def all_elements_two_sided(code):
                 if not membership(left, P) or not membership(right, P):
                     return False
     return True
+
+
+def principal_closure_ideals(algebra):
+    """Every two-sided ideal: the principal ideal of each algebra element,
+    then all pairwise sums repeated until no new ideal appears, sorted by
+    cardinality then key."""
+    from lcpcodes.codes import GroupCode, code_sum
+
+    seen = {}
+    for a in algebra.elements():
+        code = GroupCode.from_generators(algebra, (a,))
+        seen.setdefault(code.key, code)
+    changed = True
+    while changed:
+        changed = False
+        current = list(seen.values())
+        for X in current:
+            for Y in current:
+                S = code_sum(X, Y)
+                if S.key not in seen:
+                    seen[S.key] = S
+                    changed = True
+    return sorted(seen.values(), key=lambda c: (c.cardinality(), c.key))
+
+
+def full_scan_lcp_pairs(ideals):
+    """Indices (i, j) of every LCP pair, by testing all ordered pairs."""
+    from lcpcodes.codes import lcp_check
+
+    return [
+        (i, j)
+        for i, C in enumerate(ideals)
+        for j, D in enumerate(ideals)
+        if lcp_check(C, D, fill_security=False).is_lcp
+    ]
+
+
+def dual_equivalence_reference(C, D, max_enum=1 << 20):
+    """The dual-equivalence report built the long way: both distances by
+    their own enumeration, every component searched on its own, then the
+    common search."""
+    from lcpcodes.codes import code_dual, lcp_check, min_distance
+    from lcpcodes.equivalence import STATUS_FOUND, EquivalenceResult, find_permutation
+
+    if not lcp_check(C, D, fill_security=False).is_lcp:
+        raise ValueError("not an LCP pair")
+    Dd = code_dual(D)
+    d_c = min_distance(C, max_enum)
+    d_dd = min_distance(Dd, max_enum)
+    notes = []
+    for j, (Cj, Ddj) in enumerate(zip(C.crt_project(), Dd.crt_project())):
+        res = find_permutation(Ddj, Cj, max_enum)
+        if res.status == STATUS_FOUND:
+            notes.append(f"component {j}: found {list(res.permutation)}")
+        else:
+            notes.append(f"component {j}: {res.status}")
+    full = find_permutation(Dd, C, max_enum)
+    if full.status == STATUS_FOUND:
+        notes.append(f"common permutation: found {list(full.permutation)}")
+    else:
+        notes.append(f"common permutation: {full.status}")
+    return EquivalenceResult(full.status, full.permutation, d_c, d_dd, "; ".join(notes))

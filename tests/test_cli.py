@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, determinism, JSON round trips."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -180,6 +181,40 @@ def test_search_lcp_pair_count_is_product_of_component_counts(capsys, z6_path, t
     assert report["lcp_pair_count"] == counts[0] * counts[1]
 
 
+# sha256 of the `search-lcp --json` stdout, recorded before the search was
+# rebuilt on orbits, CRT components and unique complements; every report
+# exits 0.  F2[D6] is one of the 2^12-element algebras the search used to
+# take over 10 s on.
+GOLDEN_SEARCH = {
+    "F2[S3]": (
+        {"ring": [{"p": 2}], "group": {"family": "symmetric", "m": 3}},
+        "130c5ae51dea8165df59ccb84ec0b7e4e40ea2f2c698b22548b395bd999fecd9",
+    ),
+    "Z6[C3]": (
+        {"ring": 6, "group": {"family": "cyclic", "n": 3}},
+        "aacf1f47e7bde08ac322af631fd0be4e0109a3fbdf71b4748cd9ad1fe59920ac",
+    ),
+    "GR(4,2)[C3]": (
+        {"ring": [{"p": 2, "e": 2, "r": 2}], "group": {"family": "cyclic", "n": 3}},
+        "a536247f55ed6ae2cdbd82381891086ac6bb2cf5226dc9d1ce8389f0b18152d0",
+    ),
+    "F2[D6]": (
+        {"ring": [{"p": 2}], "group": {"family": "dihedral", "n": 6}},
+        "ca70954230999dc23eb2788495a03d5962ccc504006f70d080acc175268a43cd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEARCH))
+def test_search_lcp_report_bytes_are_pinned(capsys, tmp_path, name):
+    doc, digest = GOLDEN_SEARCH[name]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(dict(doc, codes={})), encoding="utf-8")
+    code, out, _ = run(capsys, "--config", str(path), "--json", "search-lcp")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_crt(capsys, z6_path):
     code, report, _ = run_json(capsys, "--config", z6_path, "--json", "crt", "C")
     assert code == 0
@@ -224,6 +259,29 @@ def test_boolean_seed_exit_two(tmp_path, seed):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and "seed" in proc.stderr
+
+
+F4_RING = [{"p": 2, "r": 2}]
+
+
+@pytest.mark.parametrize(
+    "ring, coefficient",
+    [(F4_RING, [part]) for part in (["x"], [[1]], [1.5], [True], [0, None])] + [(6, True)],
+    ids=repr,
+)
+def test_non_integer_coefficient_exit_two(tmp_path, ring, coefficient):
+    doc = {
+        "ring": ring,
+        "group": {"family": "cyclic", "n": 3},
+        "codes": {"C": [[[0, coefficient]]]},
+    }
+    path = tmp_path / "bad_coefficient.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_process("--config", str(path), "info")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "coefficient" in proc.stderr
 
 
 def test_missing_config_flag_exit_two(capsys):

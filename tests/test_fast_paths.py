@@ -16,7 +16,14 @@ from lcpcodes.algebra import GroupAlgebra
 from lcpcodes.codes import GroupCode, code_dual, code_intersect, code_sum, enumerate_ideals
 from lcpcodes.errors import ValidationError
 from lcpcodes.groups import cyclic, dihedral, direct_product, symmetric
-from lcpcodes.linalg import RingMatrix, enumerate_codewords, intersect, kernel, pivot_reduce
+from lcpcodes.linalg import (
+    RingMatrix,
+    _lower_block,
+    enumerate_codewords,
+    intersect,
+    kernel,
+    pivot_reduce,
+)
 from lcpcodes.rings import ChainRing, ProductRing
 
 from oracles import (
@@ -29,7 +36,7 @@ from oracles import (
     translate_closure_key,
 )
 
-F2, F3, F4 = ChainRing(2), ChainRing(3), ChainRing(2, 1, 2)
+F2, F3, F4, F5 = ChainRing(2), ChainRing(3), ChainRing(2, 1, 2), ChainRing(5)
 Z4, Z8, Z9 = ChainRing(2, 2), ChainRing(2, 3), ChainRing(3, 2)
 GR42 = ChainRing(2, 2, 2)
 
@@ -274,7 +281,7 @@ def test_linalg_intersect_rejects_mismatched_modules():
 
 
 # ---------------------------------------------------------------------------
-# kernel edge cases
+# kernel edge cases and the lower block
 
 
 def _ints(ring, rows):
@@ -311,3 +318,22 @@ def test_kernel_z8_saturation():
         rows = [[rng.choice((0, 2, 4, 6, 1, 3)) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         K = kernel(RingMatrix(Z8, _ints(Z8, rows), n))
         assert set(enumerate_codewords(K)) == brute_kernel(Z8, _ints(Z8, rows), n)
+
+
+@pytest.mark.parametrize("ring", [Z4, Z8, Z9, F4, GR42, F5], ids=repr)
+def test_lower_block_is_already_canonical(ring):
+    """The rows a Howell form keeps right of the split need no second
+    reduction: the lower block equals the pivot form of its own rows."""
+    rng = random.Random(f"lower{ring!r}")
+    for _ in range(120):
+        width = rng.randint(1, 7)
+        split = rng.randint(0, width)
+        rows = tuple(
+            tuple(
+                ring.mul(ring.gamma_power(rng.randint(0, ring.e)), rng.choice(ring.elements()))
+                for _ in range(width)
+            )
+            for _ in range(rng.randint(0, 6))
+        )
+        low = _lower_block(ring, rows, split, width)
+        assert low == pivot_reduce(RingMatrix(ring, low.rows, width - split))
