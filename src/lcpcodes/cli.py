@@ -9,6 +9,7 @@ problem, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -84,12 +85,17 @@ def parse_ring(obj) -> ProductRing:
         for item in obj:
             if not isinstance(item, dict) or "p" not in item:
                 raise ValidationError(f"bad ring component {item!r}")
+            modulus = item.get("modulus")
+            if modulus is not None and not (
+                isinstance(modulus, list) and all(_is_int(c) for c in modulus)
+            ):
+                raise ValidationError(f"modulus {modulus!r} must be a list of integers")
             comps.append(
                 ChainRing(
-                    item["p"],
-                    item.get("e", 1),
-                    item.get("r", 1),
-                    modulus=item.get("modulus"),
+                    _int_field(item, "p"),
+                    _int_field(item, "e", 1),
+                    _int_field(item, "r", 1),
+                    modulus=modulus,
                 )
             )
         return ProductRing(comps)
@@ -101,19 +107,21 @@ def parse_group(obj, base_dir: str) -> FiniteGroup:
         raise ValidationError(f"unusable group literal {obj!r}")
     if "table" in obj:
         path = obj["table"]
+        if not isinstance(path, str):
+            raise ValidationError(f"group table path {path!r} must be a string")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         return load_cayley_table(path)
     family = obj.get("family")
     if family == "cyclic":
-        return cyclic(obj["n"])
+        return cyclic(_int_field(obj, "n"))
     if family == "dihedral":
-        return dihedral(obj["n"])
+        return dihedral(_int_field(obj, "n"))
     if family == "symmetric":
-        return symmetric(obj.get("m", obj.get("n")))
+        return symmetric(_int_field(obj, "m" if "m" in obj else "n"))
     if family == "product":
         factors = obj.get("factors", [])
-        if len(factors) < 2:
+        if not isinstance(factors, list) or len(factors) < 2:
             raise ValidationError("product group needs at least two factors")
         G = parse_group(factors[0], base_dir)
         for factor in factors[1:]:
@@ -125,6 +133,16 @@ def parse_group(obj, base_dir: str) -> FiniteGroup:
 def _is_int(x) -> bool:
     """A JSON integer; ``true`` and ``false`` are not numbers here."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_field(obj: dict, key: str, default=None) -> int:
+    """The integer at obj[key], or ``default`` when the key is absent."""
+    value = obj.get(key, default)
+    if value is None:
+        raise ValidationError(f"{obj!r} needs an integer {key!r}")
+    if not _is_int(value):
+        raise ValidationError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def parse_coefficient(ring: ProductRing, lit):
@@ -183,8 +201,11 @@ def load_config(path: str) -> InstanceConfig:
     ring = parse_ring(doc["ring"])
     group = parse_group(doc["group"], base_dir)
     algebra = GroupAlgebra(ring, group)
+    codes_doc = doc.get("codes", {})
+    if not isinstance(codes_doc, dict):
+        raise ValidationError(f"'codes' must map code names to generator lists, got {codes_doc!r}")
     codes = {}
-    for name, gens in doc.get("codes", {}).items():
+    for name, gens in codes_doc.items():
         if not isinstance(gens, list):
             raise ValidationError(f"code {name!r} must map to a list of generators")
         elements = [parse_element(algebra, g) for g in gens]
@@ -291,7 +312,7 @@ def cmd_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
         "security_parameter": rep.security_parameter,
     }
     if rep.is_lcp:
-        eq = check_dual_equivalence(C, D, max_enum=args.max_enum)
+        eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
         report["d_c"] = eq.d_c
         report["d_d_dual"] = eq.d_d_dual
         report["equivalence"] = {
@@ -379,7 +400,7 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
             rep = lcp_check(C, D, max_enum=args.max_enum, fill_security=False)
             if not rep.is_lcp:
                 continue
-            eq = check_dual_equivalence(C, D, max_enum=args.max_enum)
+            eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
             if eq.d_c != eq.d_d_dual:
                 all_equal = False
             pairs.append(
@@ -570,7 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
     def mk(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         add_common(p, suppress=True)
-        p.set_defaults(fn=fn)
+        # by name: the parser outlives a call, and the command that runs is
+        # whatever the module binds to that name at the time
+        p.set_defaults(fn=fn.__name__)
         return p
 
     mk("info", cmd_info, "ring decomposition, group order, |R[G]|")
@@ -593,16 +616,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.config is None:
             raise ValidationError("--config is required")
         cfg = load_config(args.config)
         if args.seed is None:
             args.seed = cfg.seed
-        report, code = args.fn(cfg, args)
+        report, code = globals()[args.fn](cfg, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

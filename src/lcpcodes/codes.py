@@ -9,6 +9,7 @@ bilinear form on the coefficient vectors.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
@@ -22,6 +23,7 @@ from .linalg import (
     kernel,
     membership,
     pivot_reduce,
+    support_counts,
 )
 from .rings import ProductRing
 
@@ -305,23 +307,26 @@ def lcp_check(
 
 
 def _weight_distribution(C: GroupCode, max_enum: int):
+    """Codeword counts by weight, from the support masks of the component
+    spans: a codeword's support is the union of its components' supports,
+    so mask a (x words) and mask b (y words) give a | b (x * y words)."""
+    card = C.cardinality()
+    if card > max_enum:  # also when cached, so a cap means the same on every call
+        raise CapExceededError(
+            f"code of size {card} exceeds the enumeration cap {max_enum}"
+        )
     if C._weights is None:
-        card = C.cardinality()
-        if card > max_enum:
-            raise CapExceededError(
-                f"code of size {card} exceeds the enumeration cap {max_enum}"
-            )
-        n = C.algebra.group.n
-        zeros = [cr.zero for cr in C.algebra.ring.components]
-        counts = [0] * (n + 1)
-        streams = [list(P.codewords(max_enum)) for P in C.components]
-        for combo in itertools.product(*streams):
-            w = sum(
-                1
-                for i in range(n)
-                if any(part[i] != z for part, z in zip(combo, zeros))
-            )
-            counts[w] += 1
+        parts = [support_counts(P, max_enum) for P in C.components]
+        masks = parts[0]
+        for part in parts[1:]:
+            joined = Counter()
+            for a, x in masks.items():
+                for b, y in part.items():
+                    joined[a | b] += x * y
+            masks = joined
+        counts = [0] * (C.algebra.group.n + 1)
+        for mask, k in masks.items():
+            counts[mask.bit_count()] += k
         C._weights = tuple(counts)
     return C._weights
 

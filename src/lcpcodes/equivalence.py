@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .codes import GroupCode, code_dual, lcp_check, min_distance
+from .codes import GroupCode, code_dual, lcp_check, min_distance, weight_enumerator
 from .errors import CapExceededError, NotLcpError, ValidationError
 from .linalg import DEFAULT_ENUM_CAP, membership
 
@@ -124,52 +124,59 @@ def _search_lex_least(words1, words2, n):
 def find_permutation(
     C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_CAP
 ) -> EquivalenceResult:
-    """Search for a coordinate permutation with C2 = C1 * P."""
+    """Search for a coordinate permutation with C2 = C1 * P.
+
+    The weight enumerators are compared first; for C1 == C2 the answer is
+    the identity, which is the least permutation and maps C1 onto itself,
+    so no codeword is built.
+    """
     if C1.algebra != C2.algebra:
         raise ValidationError("codes live in different group algebras")
     n = C1.algebra.group.n
     if n > SEARCH_LENGTH_LIMIT:
         raise ValidationError(f"permutation search supports n <= {SEARCH_LENGTH_LIMIT}")
     try:
-        words1 = list(C1.codewords(max_enum))
-        words2 = list(C2.codewords(max_enum))
+        enumerators = weight_enumerator(C1, max_enum), weight_enumerator(C2, max_enum)
     except CapExceededError as exc:
         return EquivalenceResult(
             STATUS_EXHAUSTED, None, None, None, f"enumeration cap hit: {exc}"
         )
-    zero = C1.algebra.ring.zero
-    weights1 = sorted(sum(1 for x in w if x != zero) for w in words1)
-    weights2 = sorted(sum(1 for x in w if x != zero) for w in words2)
-    d1 = next((w for w in weights1 if w), n + 1)
-    d2 = next((w for w in weights2 if w), n + 1)
-    if weights1 != weights2:
+    d1, d2 = min_distance(C1, max_enum), min_distance(C2, max_enum)
+    if enumerators[0] != enumerators[1]:
         return EquivalenceResult(
             STATUS_NOT_EQUIVALENT, None, d1, d2, "weight enumerators differ"
         )
-    perm = _search_lex_least(words1, words2, n)
-    if perm is None:
-        return EquivalenceResult(
-            STATUS_NOT_EQUIVALENT, None, d1, d2, "backtracking exhausted all assignments"
-        )
+    if C1 == C2:
+        perm = identity_permutation(n)
+    else:
+        words1 = list(C1.codewords(max_enum))
+        words2 = list(C2.codewords(max_enum))
+        perm = _search_lex_least(words1, words2, n)
+        if perm is None:
+            return EquivalenceResult(
+                STATUS_NOT_EQUIVALENT, None, d1, d2, "backtracking exhausted all assignments"
+            )
     if not verify_permutation(C1, C2, perm):
         raise AssertionError("backtracking returned a permutation that does not verify")
     return EquivalenceResult(STATUS_FOUND, perm, d1, d2, "")
 
 
 def check_dual_equivalence(
-    C: GroupCode, D: GroupCode, max_enum: int = DEFAULT_ENUM_CAP
+    C: GroupCode,
+    D: GroupCode,
+    max_enum: int = DEFAULT_ENUM_CAP,
+    _assume_lcp: bool = False,
 ) -> EquivalenceResult:
     """For an LCP pair: compare d(C) with d(D^perp) and search permutations.
 
     Permutations are searched per CRT component and once over the whole
     product ring; the block note records both outcomes, since component
     permutations need not assemble into a single common one.  The distances
-    are read off the common search's weight lists, so each code is
-    enumerated once; over a chain ring the one component search is the
-    common search.
+    are read off the common search, which computes them once per code; over
+    a chain ring the one component search is the common search.  A caller that has already checked the pair passes
+    ``_assume_lcp=True``.
     """
-    rep = lcp_check(C, D, fill_security=False)
-    if not rep.is_lcp:
+    if not _assume_lcp and not lcp_check(C, D, fill_security=False).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
     Dd = code_dual(D)
     if C.algebra.group.n > SEARCH_LENGTH_LIMIT:

@@ -16,7 +16,10 @@ reduced row echelon form.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 from .errors import CapExceededError, ValidationError
 from .rings import ChainRing
@@ -30,10 +33,16 @@ __all__ = [
     "kernel",
     "intersect",
     "enumerate_codewords",
+    "support_counts",
     "DEFAULT_ENUM_CAP",
 ]
 
 DEFAULT_ENUM_CAP = 1 << 20
+# Largest table of trailing-row sums in the packed walk.
+_BLOCK = 1 << 10
+# Distinct packed keys that support_counts holds before converting them to
+# masks, which bounds its memory when most supports differ (as over F2).
+_FLUSH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -189,32 +198,99 @@ def membership(v, P: PivotForm) -> bool:
     return all(x == zero for x in v)
 
 
-def enumerate_codewords(P: PivotForm, cap: int = DEFAULT_ENUM_CAP):
-    """Yield every span element exactly once, in a fixed lexicographic order.
+def _layout(ring, n):
+    """(W, a 1 in each of the r*n fields) for packed vectors of R^n: a field
+    holds the sum of two reduced coefficients below one guard bit."""
+    w = (2 * ring.pe - 1).bit_length() + 1
+    return w, ((1 << (ring.r * n * w)) - 1) // ((1 << w) - 1)
 
-    The coefficient of row j runs over the canonical transversal of
-    <gamma^(e - t_j)>, giving q^(e - t_j) choices; row 0 varies slowest.
+
+def _packed_blocks(P: PivotForm, cap: int):
+    """Yield the span elements as packed ints, in blocks, in the enumeration
+    order: row 0 varies slowest, each coefficient through its transversal.
+
+    Coefficient k of coordinate i sits in the W-bit field k*n + i of one int.
+    Row j's multiples c * row_j are packed once; the walk adds one multiple
+    per row.  Addition reduces every field mod p^e at once: a field sum s
+    lies below the guard bit, and s + 2^(W-1) - p^e reaches the guard bit
+    exactly when s >= p^e.  The trailing rows are combined into one table of
+    at most _BLOCK sums (always including the last row), and each sum of the
+    leading rows' multiples is added to the whole table.
     """
     if P.cardinality() > cap:
         raise CapExceededError(
             f"span of size {P.cardinality()} exceeds the enumeration cap {cap}"
         )
-    ring = P.ring
-    zero_vec = tuple(ring.zero for _ in range(P.ncols))
+    ring, n = P.ring, P.ncols
+    m = ring.pe
+    w, unit = _layout(ring, n)
+    top = unit << (w - 1)
+    lift = unit * ((1 << (w - 1)) - m)
+    shift = w - 1
 
-    def rec(j, acc):
-        if j == len(P.rows):
-            yield tuple(acc)
-            return
-        row = P.rows[j]
-        for c in ring.transversal(ring.e - P.pivot_vals[j]):
-            if c == ring.zero:
-                yield from rec(j + 1, acc)
-            else:
-                nxt = [ring.add(a, ring.mul(c, x)) for a, x in zip(acc, row)]
-                yield from rec(j + 1, nxt)
+    def pack(v):
+        return sum(c << ((k * n + i) * w) for i, x in enumerate(v) for k, c in enumerate(x))
 
-    yield from rec(0, list(zero_vec))
+    mults = [
+        [pack([ring.mul(c, x) for x in row]) for c in ring.transversal(ring.e - t)]
+        for row, t in zip(P.rows, P.pivot_vals)
+    ]
+    lead = max(len(mults) - 1, 0)
+    while lead > 0 and prod(map(len, mults[lead - 1 :])) <= _BLOCK:
+        lead -= 1
+    table = [0]
+    for row in mults[lead:]:
+        table = [s - (((s + lift) & top) >> shift) * m for a in table for b in row for s in (a + b,)]
+    for prefix in itertools.product(*mults[:lead]):
+        a = 0
+        for b in prefix:
+            s = a + b
+            a = s - (((s + lift) & top) >> shift) * m
+        yield [s - (((s + lift) & top) >> shift) * m for b in table for s in (a + b,)]
+
+
+def enumerate_codewords(P: PivotForm, cap: int = DEFAULT_ENUM_CAP):
+    """Yield every span element exactly once, in a fixed lexicographic order.
+
+    The coefficient of row j runs over the canonical transversal of
+    <gamma^(e - t_j)>, giving q^(e - t_j) choices; row 0 varies slowest.
+    Each packed word of the walk is decoded into ring tuples as it is yielded.
+    """
+    n = P.ncols
+    w, _ = _layout(P.ring, n)
+    field = (1 << w) - 1
+    blocks = [[(k * n + i) * w for i in range(n)] for k in range(P.ring.r)]
+    for words in _packed_blocks(P, cap):
+        for x in words:
+            yield tuple(zip(*[[(x >> s) & field for s in block] for block in blocks]))
+
+
+def support_counts(P: PivotForm, cap: int = DEFAULT_ENUM_CAP) -> Counter:
+    """How many span elements have each support, as n-bit masks (bit i set
+    when coordinate i is nonzero), counted on the packed walk."""
+    ring, n = P.ring, P.ncols
+    w, unit = _layout(ring, n)
+    fill = unit * ((1 << (w - 1)) - 1)  # a field + fill reaches its guard bit iff nonzero
+    top = (unit & ((1 << (n * w)) - 1)) << (w - 1)  # the guard bits of block 0
+    # the flag of coordinate i is bit i*w + w-1; every w-th binary digit of
+    # the flags, read from the top, is the n-bit mask
+    digits = (n - 1) * w + 1
+    masks, packed = Counter(), Counter()
+    for words in _packed_blocks(P, cap):
+        flags = map(fill.__add__, words)
+        for _ in range(1, ring.r):  # OR every coefficient block's guard bits onto block 0
+            flags = [f | (f >> (n * w)) for f in flags]
+        packed.update(map(top.__and__, flags))
+        if len(packed) > _FLUSH:
+            _flush(packed, masks, w, digits)
+    _flush(packed, masks, w, digits)
+    return masks
+
+
+def _flush(packed, masks, w, digits):
+    """Move the counts of packed guard-bit keys into masks as n-bit masks."""
+    masks.update({int(format(key >> (w - 1), f"0{digits}b")[::w], 2): k for key, k in packed.items()})
+    packed.clear()
 
 
 def _lower_block(ring, rows, split, width) -> PivotForm:

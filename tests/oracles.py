@@ -271,3 +271,96 @@ def dual_equivalence_reference(C, D, max_enum=1 << 20):
     else:
         notes.append(f"common permutation: {full.status}")
     return EquivalenceResult(full.status, full.permutation, d_c, d_dd, "; ".join(notes))
+
+
+def recursive_codewords(P, cap=1 << 20):
+    """The span of a pivot form by recursion over its rows, with ring
+    arithmetic per coordinate: row 0 varies slowest, each coefficient
+    through its transversal.  The order ``enumerate_codewords`` keeps."""
+    from lcpcodes.errors import CapExceededError
+
+    if P.cardinality() > cap:
+        raise CapExceededError(
+            f"span of size {P.cardinality()} exceeds the enumeration cap {cap}"
+        )
+    ring = P.ring
+
+    def rec(j, acc):
+        if j == len(P.rows):
+            yield tuple(acc)
+            return
+        row = P.rows[j]
+        for c in ring.transversal(ring.e - P.pivot_vals[j]):
+            if c == ring.zero:
+                yield from rec(j + 1, acc)
+            else:
+                nxt = [ring.add(a, ring.mul(c, x)) for a, x in zip(acc, row)]
+                yield from rec(j + 1, nxt)
+
+    yield from rec(0, [ring.zero] * P.ncols)
+
+
+def recursive_code_words(C):
+    """A group code's words as algebra elements, from ``recursive_codewords``
+    per component."""
+    n = C.algebra.group.n
+    streams = [list(recursive_codewords(P)) for P in C.components]
+    return [
+        tuple(tuple(part[i] for part in combo) for i in range(n))
+        for combo in itertools.product(*streams)
+    ]
+
+
+def tallied_weights(C, max_enum=1 << 20):
+    """Codeword counts by Hamming weight, from the materialized product of
+    the component streams of ``recursive_codewords``."""
+    from lcpcodes.errors import CapExceededError
+
+    card = C.cardinality()
+    if card > max_enum:
+        raise CapExceededError(f"code of size {card} exceeds the enumeration cap {max_enum}")
+    n = C.algebra.group.n
+    zeros = [cr.zero for cr in C.algebra.ring.components]
+    counts = [0] * (n + 1)
+    streams = [list(recursive_codewords(P, max_enum)) for P in C.components]
+    for combo in itertools.product(*streams):
+        w = sum(1 for i in range(n) if any(part[i] != z for part, z in zip(combo, zeros)))
+        counts[w] += 1
+    return tuple(counts)
+
+
+def listed_permutation_search(C1, C2, max_enum=1 << 20):
+    """``find_permutation`` the long way: both codes' word lists from the
+    recursion, weights counted word by word, then the lex-least search."""
+    from lcpcodes.equivalence import (
+        STATUS_EXHAUSTED,
+        STATUS_FOUND,
+        STATUS_NOT_EQUIVALENT,
+        EquivalenceResult,
+        _search_lex_least,
+    )
+    from lcpcodes.errors import CapExceededError
+
+    n = C1.algebra.group.n
+    lists = []
+    for C in (C1, C2):
+        if C.cardinality() > max_enum:
+            exc = CapExceededError(
+                f"code of size {C.cardinality()} exceeds the enumeration cap {max_enum}"
+            )
+            return EquivalenceResult(STATUS_EXHAUSTED, None, None, None, f"enumeration cap hit: {exc}")
+        lists.append(recursive_code_words(C))
+    words1, words2 = lists
+    zero = C1.algebra.ring.zero
+    weights1 = sorted(sum(1 for x in w if x != zero) for w in words1)
+    weights2 = sorted(sum(1 for x in w if x != zero) for w in words2)
+    d1 = next((w for w in weights1 if w), n + 1)
+    d2 = next((w for w in weights2 if w), n + 1)
+    if weights1 != weights2:
+        return EquivalenceResult(STATUS_NOT_EQUIVALENT, None, d1, d2, "weight enumerators differ")
+    perm = _search_lex_least(words1, words2, n)
+    if perm is None:
+        return EquivalenceResult(
+            STATUS_NOT_EQUIVALENT, None, d1, d2, "backtracking exhausted all assignments"
+        )
+    return EquivalenceResult(STATUS_FOUND, perm, d1, d2, "")

@@ -37,3 +37,25 @@ def test_every_layer_metric_has_a_traced_function():
     assert missing == []
     assert codes.enumerate_ideals is original
     assert lcpcodes.cli.enumerate_ideals is original
+
+
+def test_traced_commands_run_after_the_parser_is_built(tmp_path, capsys):
+    """The parser is built once per process, before the tracer patches the
+    commands; the patched command must still be the one that runs."""
+    path = tmp_path / "f2c3.json"
+    path.write_text(
+        '{"ring": [{"p": 2}], "group": {"family": "cyclic", "n": 3}, "codes": {"C": [[[0, 1], [1, 1]]]}}',
+        encoding="utf-8",
+    )
+    argv = ["--config", str(path), "--json", "code", "C"]
+    assert lcpcodes.cli.main(argv) == 0
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install(spans.targets())
+    try:
+        assert lcpcodes.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["cli.cmd_code"] == 1
+    assert tracer.incl_s["cli.cmd_code"] > 0

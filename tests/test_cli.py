@@ -403,3 +403,64 @@ def test_mask_sampling_is_deterministic_and_in_code():
         assert D.contains(m1)
         masks.add(m1)
     assert len(masks) > 1
+
+
+@pytest.mark.parametrize(
+    "doc, word",
+    [
+        (dict(RUNNING_CONFIG, codes=[["C", [[[0, 1]]]]]), "codes"),
+        ({"ring": [{"p": 2, "e": "x"}], "group": {"family": "cyclic", "n": 3}}, "'e'"),
+        ({"ring": [{"p": "2"}], "group": {"family": "cyclic", "n": 3}}, "'p'"),
+        ({"ring": 6, "group": {"family": "cyclic", "n": "3"}}, "'n'"),
+        ({"ring": [{"p": 2, "r": 2, "modulus": "ab"}], "group": {"family": "cyclic", "n": 3}}, "modulus"),
+        ({"ring": 6, "group": {"family": "cyclic"}}, "'n'"),
+        ({"ring": 6, "group": {"family": "symmetric"}}, "'n'"),
+        ({"ring": 6, "group": {"table": 5}}, "table"),
+        ({"ring": 6, "group": {"family": "product", "factors": {"a": 1}}}, "factors"),
+    ],
+    ids=["codes-list", "e-string", "p-string", "n-string", "modulus-string", "cyclic-no-n",
+         "symmetric-no-m", "table-int", "factors-object"],
+)
+def test_malformed_config_exit_two(tmp_path, doc, word):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_process("--config", str(path), "info")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and word in proc.stderr
+
+
+def test_main_builds_one_parser_and_leaks_no_option(capsys, monkeypatch, cfg_path, z6_path):
+    """Repeated calls in one process print what fresh interpreters print."""
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    msg = "[[1,1],[2,1]]"
+    calls = [
+        ("--config", cfg_path, "--json", "--seed", "5", "dsm", "C", "D", msg),
+        ("--config", cfg_path, "--json", "dsm", "C", "D", msg),
+        ("--config", z6_path, "--max-enum", "2", "mindist", "E"),
+        ("--config", z6_path, "--json", "mindist", "E"),
+        ("--config", cfg_path, "dsm", "C", "D", msg, "--seed", "9"),
+        ("--config", cfg_path, "info"),
+        ("--config", z6_path, "--json", "--max-ideals", "4", "search-lcp"),
+        ("--config", z6_path, "--json", "crt", "C"),
+    ]
+    try:
+        got = [run(capsys, *argv) for argv in calls]
+        # the command runs by its module binding at call time, so a function
+        # rebound after the parser was built (as a tracer does) is the one called
+        seen = []
+        monkeypatch.setattr(cli, "cmd_info", lambda cfg, args: seen.append(1) or ({"command": "x"}, 0))
+        assert run(capsys, "--config", cfg_path, "--json", "info") == (0, '{"command": "x"}\n', "")
+        assert seen == [1]
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert [json.loads(out)["seed"] for _, out, _ in got[:2]] == [5, 0]
+    assert [code for code, _, _ in got] == [0, 0, 3, 0, 0, 0, 3, 0]
+    for argv, result in zip(calls, got):
+        proc = run_process(*argv)
+        assert result == (proc.returncode, proc.stdout, proc.stderr)
