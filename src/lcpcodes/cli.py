@@ -22,6 +22,7 @@ from .codes import (
     GroupCode,
     code_crt_combine,
     code_dual,
+    code_involute,
     enumerate_ideals,
     lcp_check,
     min_distance,
@@ -111,7 +112,10 @@ def parse_group(obj, base_dir: str) -> FiniteGroup:
             raise ValidationError(f"group table path {path!r} must be a string")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        return load_cayley_table(path)
+        try:
+            return load_cayley_table(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read group table {path}: {exc}") from exc
     family = obj.get("family")
     if family == "cyclic":
         return cyclic(_int_field(obj, "n"))
@@ -181,7 +185,7 @@ def parse_element(algebra: GroupAlgebra, lit):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"bad [index, coefficient] pair {pair!r}")
         idx, coeff = pair
-        if not isinstance(idx, int) or not 0 <= idx < algebra.group.n:
+        if not _is_int(idx) or not 0 <= idx < algebra.group.n:
             raise ValidationError(f"group index {idx!r} out of range")
         out[idx] = algebra.ring.add(out[idx], parse_coefficient(algebra.ring, coeff))
     return tuple(out)
@@ -385,38 +389,34 @@ def cmd_dsm(cfg: InstanceConfig, args) -> tuple[dict, int]:
 
 def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     ideals = enumerate_ideals(cfg.algebra, max_size=args.max_ideals)
-    sizes = [C.cardinality() for C in ideals]
+    index = {C.key: i for i, C in enumerate(ideals)}
     pairs = []
     all_equal = True
-    # An LCP partner of C is unique, so the scan over D stops at the first.
-    # Write 1 = e + f with e in C and f in D.  For another complement D' and
-    # any d' in D', d'e lies in C (an ideal) and in D', so d'e = 0 and
-    # d' = d'e + d'f = d'f lies in D; thus D' <= D and, by symmetry, D' = D.
-    # C + D = R[G] with C meet D = 0 also forces |C| * |D| = |R[G]|.
+    # The only possible complement of C is D = iota(C)^perp, iota: g -> g^-1.
+    # If R[G] = C + D with C meet D = 0, then 1 = e + f with e in C, f in D
+    # central idempotents.  <x, y> is the coefficient of 1 in x iota(y), so
+    # x in D^perp <=> x iota(D) = 0 <=> x in R[G] iota(e) = iota(C); double
+    # duality then gives D = iota(C)^perp, so one lcp_check per ideal decides.
     for i, C in enumerate(ideals):
-        for j, D in enumerate(ideals):
-            if sizes[i] * sizes[j] != cfg.algebra.size:
-                continue
-            rep = lcp_check(C, D, max_enum=args.max_enum, fill_security=False)
-            if not rep.is_lcp:
-                continue
-            eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
-            if eq.d_c != eq.d_d_dual:
-                all_equal = False
-            pairs.append(
-                {
-                    "c": i,
-                    "d": j,
-                    "c_cardinality": C.cardinality(),
-                    "d_cardinality": D.cardinality(),
-                    "d_c": eq.d_c,
-                    "d_d_dual": eq.d_d_dual,
-                    "security_parameter": min(eq.d_c, eq.d_d_dual),
-                    "equivalence_status": eq.status,
-                    "permutation": list(eq.permutation) if eq.permutation else None,
-                }
-            )
-            break
+        D = code_dual(code_involute(C))
+        if not lcp_check(C, D, max_enum=args.max_enum, fill_security=False).is_lcp:
+            continue
+        eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
+        if eq.d_c != eq.d_d_dual:
+            all_equal = False
+        pairs.append(
+            {
+                "c": i,
+                "d": index[D.key],
+                "c_cardinality": C.cardinality(),
+                "d_cardinality": D.cardinality(),
+                "d_c": eq.d_c,
+                "d_d_dual": eq.d_d_dual,
+                "security_parameter": min(eq.d_c, eq.d_d_dual),
+                "equivalence_status": eq.status,
+                "permutation": list(eq.permutation) if eq.permutation else None,
+            }
+        )
     report = {
         "command": "search-lcp",
         "ideal_count": len(ideals),

@@ -35,6 +35,7 @@ __all__ = [
     "code_sum",
     "code_intersect",
     "code_dual",
+    "code_involute",
     "code_crt_combine",
     "lcp_check",
     "min_distance",
@@ -178,7 +179,7 @@ class GroupCode:
                     ig = inv[g]
                     left = tuple(row[t[ig][m]] for m in range(n))
                     right = tuple(row[t[m][ig]] for m in range(n))
-                    if not membership(left, P) or not membership(right, P):
+                    if not membership(left, P) or (right != left and not membership(right, P)):
                         return False
         return True
 
@@ -218,6 +219,17 @@ def code_dual(C: GroupCode) -> GroupCode:
     if not out.is_two_sided():
         raise AssertionError("dual of an ideal must remain an ideal")
     return out
+
+
+def code_involute(C: GroupCode) -> GroupCode:
+    """The image of C under the coordinate map g -> g^-1.  That map reverses
+    products in R[G], so it carries two-sided ideals to two-sided ideals."""
+    inv = C.algebra.group.inv
+    forms = [
+        pivot_reduce(RingMatrix(P.ring, tuple(tuple(row[i] for i in inv) for row in P.rows), P.ncols))
+        for P in C.components
+    ]
+    return GroupCode.from_components(C.algebra, forms)
 
 
 def code_intersect(C: GroupCode, D: GroupCode) -> GroupCode:

@@ -171,23 +171,16 @@ def check_dual_equivalence(
 
     Permutations are searched per CRT component and once over the whole
     product ring; the block note records both outcomes, since component
-    permutations need not assemble into a single common one.  The distances
-    are read off the common search, which computes them once per code; over
-    a chain ring the one component search is the common search.  A caller that has already checked the pair passes
-    ``_assume_lcp=True``.
+    permutations need not assemble into a single common one.  Over a chain
+    ring the one component search is the common search.  A caller that has
+    already checked the pair passes ``_assume_lcp=True``.
     """
     if not _assume_lcp and not lcp_check(C, D, fill_security=False).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
     Dd = code_dual(D)
-    if C.algebra.group.n > SEARCH_LENGTH_LIMIT:
-        # the search refuses this length; a cap error on the distances wins
-        min_distance(C, max_enum)
-        min_distance(Dd, max_enum)
+    # the weights are cached on C and Dd, so the searches reuse them
+    d_c, d_dd = min_distance(C, max_enum), min_distance(Dd, max_enum)
     full = find_permutation(Dd, C, max_enum)
-    if full.status == STATUS_EXHAUSTED:
-        d_c, d_dd = min_distance(C, max_enum), min_distance(Dd, max_enum)
-    else:  # the search maps Dd onto C, so it reports d(Dd) first
-        d_c, d_dd = full.d_d_dual, full.d_c
     if C.algebra.ring.s == 1:
         parts = [full]
     else:

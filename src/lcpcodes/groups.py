@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 ASSOC_SCAN_LIMIT = 64
+MAX_ORDER = 256  # checked before a named constructor builds its table
 
 
 class IdentityError(ValidationError):
@@ -194,6 +195,8 @@ def cyclic(n: int) -> FiniteGroup:
     """C_n with elements e, g, g^2, ..., g^{n-1}."""
     if n < 1:
         raise ValidationError("cyclic group order must be >= 1")
+    if n > MAX_ORDER:
+        raise ValidationError(f"cyclic group order {n} exceeds the {MAX_ORDER} limit")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     return FiniteGroup(table, labels=labels)
@@ -209,6 +212,8 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError("dihedral parameter must be >= 1")
     order = 2 * n
+    if order > MAX_ORDER:
+        raise ValidationError(f"dihedral group order {order} exceeds the {MAX_ORDER} limit")
     table = [[0] * order for _ in range(order)]
     for a in range(n):
         for b in range(n):
@@ -240,8 +245,8 @@ def symmetric(m: int) -> FiniteGroup:
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """G x H with elements ordered as lexicographic pairs (a, b) -> a*|H| + b."""
     order = G.n * H.n
-    if order > 256:
-        raise ValidationError(f"direct product order {order} exceeds the 256 limit")
+    if order > MAX_ORDER:
+        raise ValidationError(f"direct product order {order} exceeds the {MAX_ORDER} limit")
     nh = H.n
     table = [
         [G.table[a][c] * nh + H.table[b][d] for c in range(G.n) for d in range(nh)]

@@ -181,21 +181,29 @@ def pivot_reduce(M: RingMatrix) -> PivotForm:
     )
 
 
-def membership(v, P: PivotForm) -> bool:
-    """Whether v lies in the span of the pivot form."""
-    ring = P.ring
-    if len(v) != P.ncols:
-        raise ValidationError(f"vector length {len(v)} != {P.ncols}")
+def _reduce_against(ring, v, rows, cols, vals) -> bool:
+    """Reduce the list v in place by the pivot rows; False on a pivot it
+    cannot clear."""
     zero = ring.zero
-    v = [ring.check(x) for x in v]
-    for row, col, t in zip(P.rows, P.pivot_cols, P.pivot_vals):
+    for row, col, t in zip(rows, cols, vals):
         x = v[col]
         if x == zero:
             continue
         if ring.valuation(x) < t:
             return False
         _vec_submul(ring, v, ring.div_gamma(x, t), _support(ring, row, col))
-    return all(x == zero for x in v)
+    return True
+
+
+def membership(v, P: PivotForm) -> bool:
+    """Whether v lies in the span of the pivot form."""
+    ring = P.ring
+    if len(v) != P.ncols:
+        raise ValidationError(f"vector length {len(v)} != {P.ncols}")
+    v = [ring.check(x) for x in v]
+    if not _reduce_against(ring, v, P.rows, P.pivot_cols, P.pivot_vals):
+        return False
+    return all(x == ring.zero for x in v)
 
 
 def _layout(ring, n):
@@ -371,13 +379,8 @@ class SpanSolver:
             raise ValidationError("target length mismatch")
         zero = ring.zero
         v = list(target) + [zero] * self.nrows
-        for row, col, t in zip(self._rows, self._cols, self._vals):
-            x = v[col]
-            if x == zero:
-                continue
-            if ring.valuation(x) < t:
-                return None
-            _vec_submul(ring, v, ring.div_gamma(x, t), _support(ring, row, col))
+        if not _reduce_against(ring, v, self._rows, self._cols, self._vals):
+            return None
         if any(x != zero for x in v[: self.ncols]):
             return None
         return tuple(ring.neg(x) for x in v[self.ncols :])

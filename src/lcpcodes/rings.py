@@ -85,16 +85,41 @@ def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     return q, a
 
 
+def _fp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """a * b modulo the monic f over F_p."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _fp_divmod(out, f, p)[1]
+
+
 def _fp_is_irreducible(f: list[int], p: int) -> bool:
-    """Monic f over F_p has no monic factor of degree in [1, deg(f)/2]."""
-    r = len(_fp_trim(list(f))) - 1
+    """Monic f over F_p has no monic factor of degree in [1, deg(f)/2].
+
+    Ben-Or's test: gcd(x^(p^d) - x, f) = 1 for each such d.  Each x^(p^d)
+    mod f is the p-th power of the one before, by squaring, so the cost
+    grows with log p rather than with the p^d candidate factors.
+    """
+    f = _fp_trim([c % p for c in f])
+    r = len(f) - 1
     if r < 1:
         return False
-    for d in range(1, r // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            _, rem = _fp_divmod(list(f), list(tail) + [1], p)
-            if not rem:
-                return False
+    h = [0, 1]  # x^(p^d) mod f, from d = 0
+    for _ in range(r // 2):
+        power, base, k = [1], h, p  # h^p, by squaring
+        while k:
+            if k & 1:
+                power = _fp_mulmod(power, base, f, p)
+            base, k = _fp_mulmod(base, base, f, p), k >> 1
+        h = power
+        g = h + [0] * (2 - len(h))  # h - x
+        g[1] -= 1
+        a, b = f, _fp_trim([c % p for c in g])
+        while b:  # Euclid: a ends as gcd(h - x, f)
+            a, b = b, _fp_divmod(a, b, p)[1]
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -137,8 +162,10 @@ def default_modulus(p: int, e: int, r: int) -> tuple[int, ...]:
         return (0, 1)
     if r > 6:
         raise ValidationError(f"residue degree r = {r} out of supported range (r <= 6)")
-    for tail in itertools.product(range(p), repeat=r):
-        f = list(tail) + [1]
+    # tails (c0, ..., c_{r-1}) in order are the base-p digits of k, c0 the
+    # most significant; a zero c0 makes x a factor, so k starts at p^(r-1)
+    for k in range(p ** (r - 1), p**r):
+        f = [k // p ** (r - 1 - j) % p for j in range(r)] + [1]
         if _fp_is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # unreachable

@@ -364,3 +364,21 @@ def listed_permutation_search(C1, C2, max_enum=1 << 20):
             STATUS_NOT_EQUIVALENT, None, d1, d2, "backtracking exhausted all assignments"
         )
     return EquivalenceResult(STATUS_FOUND, perm, d1, d2, "")
+
+
+def trial_division_irreducible(f, p):
+    """Whether the monic f over F_p is irreducible, by dividing it by every
+    monic polynomial of degree 1..deg(f)/2."""
+    import itertools
+
+    from lcpcodes.rings import _fp_divmod, _fp_trim
+
+    r = len(_fp_trim(list(f))) - 1
+    if r < 1:
+        return False
+    for d in range(1, r // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            _, rem = _fp_divmod(list(f), list(tail) + [1], p)
+            if not rem:
+                return False
+    return True

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -181,10 +182,12 @@ def test_search_lcp_pair_count_is_product_of_component_counts(capsys, z6_path, t
     assert report["lcp_pair_count"] == counts[0] * counts[1]
 
 
-# sha256 of the `search-lcp --json` stdout, recorded before the search was
-# rebuilt on orbits, CRT components and unique complements; every report
-# exits 0.  F2[D6] is one of the 2^12-element algebras the search used to
-# take over 10 s on.
+# sha256 of the `search-lcp --json` stdout; every report exits 0.  The first
+# four were recorded before the search was rebuilt on orbits, CRT components
+# and unique complements, the last two before each ideal's complement was
+# read off the duality instead of scanned for.  F2[D6] is one of the
+# 2^12-element algebras the search used to take over 10 s on.
+C2 = {"family": "cyclic", "n": 2}
 GOLDEN_SEARCH = {
     "F2[S3]": (
         {"ring": [{"p": 2}], "group": {"family": "symmetric", "m": 3}},
@@ -202,6 +205,14 @@ GOLDEN_SEARCH = {
         {"ring": [{"p": 2}], "group": {"family": "dihedral", "n": 6}},
         "ca70954230999dc23eb2788495a03d5962ccc504006f70d080acc175268a43cd",
     ),
+    "F2[C2xC2xC2]": (
+        {"ring": [{"p": 2}], "group": {"family": "product", "factors": [C2, C2, C2]}},
+        "ced89417631f5eaa9e527aeecbd33e62c2f7644130c4c80b19ba8498568f328b",
+    ),
+    "Z4[C2xC2]": (
+        {"ring": [{"p": 2, "e": 2}], "group": {"family": "product", "factors": [C2, C2]}},
+        "b748ff7bac1969b3bad385334bead02e9f8b7637a0b7423d256dcf1215b49b18",
+    ),
 }
 
 
@@ -213,6 +224,20 @@ def test_search_lcp_report_bytes_are_pinned(capsys, tmp_path, name):
     code, out, _ = run(capsys, "--config", str(path), "--json", "search-lcp")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_search_lcp_checks_each_ideal_once(capsys, monkeypatch, tmp_path):
+    """One lcp_check per ideal: F2[C2xC2xC2] has 47 ideals, and scanning
+    every same-size candidate took 425 checks."""
+    calls = []
+    real = cli.lcp_check
+    monkeypatch.setattr(cli, "lcp_check", lambda *a, **k: calls.append(1) or real(*a, **k))
+    doc, _ = GOLDEN_SEARCH["F2[C2xC2xC2]"]
+    path = tmp_path / "f2c2c2c2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report, _ = run_json(capsys, "--config", str(path), "--json", "search-lcp")
+    assert code == 0
+    assert report["ideal_count"] == len(calls) == 47
 
 
 def test_crt(capsys, z6_path):
@@ -282,6 +307,20 @@ def test_non_integer_coefficient_exit_two(tmp_path, ring, coefficient):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and "coefficient" in proc.stderr
+
+
+@pytest.mark.parametrize("group", [{"family": "cyclic", "n": 100000}, {"family": "dihedral", "n": 129}], ids=repr)
+def test_group_order_limit_exit_two(tmp_path, group):
+    """The order is refused before any Cayley table is built."""
+    path = tmp_path / "big_group.json"
+    path.write_text(json.dumps({"ring": 6, "group": group}), encoding="utf-8")
+    start = time.perf_counter()
+    proc = run_process("--config", str(path), "info")
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "256 limit" in proc.stderr
 
 
 def test_missing_config_flag_exit_two(capsys):
@@ -417,9 +456,11 @@ def test_mask_sampling_is_deterministic_and_in_code():
         ({"ring": 6, "group": {"family": "symmetric"}}, "'n'"),
         ({"ring": 6, "group": {"table": 5}}, "table"),
         ({"ring": 6, "group": {"family": "product", "factors": {"a": 1}}}, "factors"),
+        ({"ring": 6, "group": {"family": "cyclic", "n": 3}, "codes": {"C": [[[True, 1]]]}}, "index"),
+        ({"ring": 6, "group": {"table": "missing.tbl"}}, "table"),
     ],
     ids=["codes-list", "e-string", "p-string", "n-string", "modulus-string", "cyclic-no-n",
-         "symmetric-no-m", "table-int", "factors-object"],
+         "symmetric-no-m", "table-int", "factors-object", "index-bool", "table-missing"],
 )
 def test_malformed_config_exit_two(tmp_path, doc, word):
     path = tmp_path / "malformed.json"

@@ -4,6 +4,7 @@ import pytest
 
 from lcpcodes.errors import ValidationError
 from lcpcodes.groups import (
+    MAX_ORDER,
     AssociativityError,
     FiniteGroup,
     IdentityError,
@@ -126,6 +127,14 @@ def test_direct_product_isomorphic_to_cyclic_six():
 def test_direct_product_size_limit():
     with pytest.raises(ValidationError):
         direct_product(symmetric(5), symmetric(3))
+
+
+def test_named_families_stop_at_the_order_limit():
+    assert MAX_ORDER == 256
+    assert cyclic(256).n == dihedral(128).n == 256
+    for build, arg in ((cyclic, 257), (dihedral, 129), (cyclic, 100000)):
+        with pytest.raises(ValidationError, match="exceeds the 256 limit"):
+            build(arg)
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 
 ``enumerate_ideals`` (one closure per unit-and-translate orbit, per CRT
 component, sums by worklist) must give the same ideals in the same order as
-the principal-ideal fixed point in ``oracles.py``; ``search-lcp`` (size
-prefilter, one complement per ideal) the same pair list as the full scan;
+the principal-ideal fixed point in ``oracles.py``; ``search-lcp`` (one check
+of each ideal C against its only candidate complement iota(C)^perp, where
+iota is the coordinate map g -> g^-1) the same pair list as the full scan;
 and ``check_dual_equivalence`` (one enumeration per code) the same result as
 the report built the long way.
 """
@@ -14,8 +15,8 @@ import pytest
 
 from lcpcodes import cli
 from lcpcodes.algebra import GroupAlgebra
-from lcpcodes.codes import GroupCode, enumerate_ideals
-from lcpcodes.equivalence import check_dual_equivalence
+from lcpcodes.codes import GroupCode, code_dual, code_involute, enumerate_ideals, lcp_check
+from lcpcodes.equivalence import check_dual_equivalence, verify_permutation
 from lcpcodes.errors import CapExceededError, ValidationError
 from lcpcodes.groups import cyclic, direct_product
 from lcpcodes.rings import ChainRing, ProductRing
@@ -90,6 +91,42 @@ def test_check_dual_equivalence_matches_reference(searched):
     for i, j in pairs:
         C, D = ideals[i], ideals[j]
         assert check_dual_equivalence(C, D) == dual_equivalence_reference(C, D)
+
+
+def test_involute_maps_every_codeword_through_the_inverses(searched):
+    _, algebra, ideals, _ = searched
+    n, inv = algebra.group.n, algebra.group.inv
+    for C in ideals:
+        image = {tuple(w[inv[m]] for m in range(n)) for w in code_word_set(C)}
+        assert code_word_set(code_involute(C)) == image
+
+
+def test_full_scan_partner_is_the_dual_of_the_involute(searched):
+    """C has a partner in the full scan exactly when (C, iota(C)^perp) is
+    LCP, and then the partner is iota(C)^perp, whose dual iota(C) is carried
+    onto C by g -> g^-1."""
+    _, algebra, ideals, pairs = searched
+    partner = dict(pairs)
+    assert len(partner) == len(pairs)
+    for i, C in enumerate(ideals):
+        D = code_dual(code_involute(C))
+        is_lcp = lcp_check(C, D, fill_security=False).is_lcp
+        assert (i in partner) == is_lcp
+        if is_lcp:
+            assert ideals[partner[i]] == D
+            assert code_dual(D) == code_involute(C)
+            assert verify_permutation(code_dual(D), C, algebra.group.inv)
+
+
+def test_complement_is_not_always_the_plain_dual():
+    """Over F4[C3], g -> g^-1 swaps the ideals of x - w and x - w^2, so half
+    of the complements differ from C^perp."""
+    ring, group = SEARCH_CORPUS["F4[C3]"]
+    A = GroupAlgebra(cli.parse_ring(ring), cli.parse_group(group, "."))
+    ideals = enumerate_ideals(A)
+    complements = [code_dual(code_involute(C)) for C in ideals]
+    assert len(ideals) == 8
+    assert sum(D != code_dual(C) for C, D in zip(ideals, complements)) == 4
 
 
 def test_corpus_covers_chain_and_product_rings():

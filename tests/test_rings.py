@@ -6,7 +6,9 @@ import random
 import pytest
 
 from lcpcodes.errors import NotInvertibleError, ValidationError
-from lcpcodes.rings import ChainRing, ProductRing, default_modulus, factorize
+from lcpcodes.rings import ChainRing, ProductRing, _fp_is_irreducible, default_modulus, factorize
+
+from oracles import trial_division_irreducible
 
 Z4 = ChainRing(2, 2, 1)
 Z8 = ChainRing(2, 3, 1)
@@ -77,6 +79,45 @@ def test_default_modulus_f9_matches_exhaustive_scan():
             break
     assert expected == (1, 0, 1)
     assert default_modulus(3, 1, 2) == expected
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 5), (5, 4), (7, 3), (11, 3)])
+def test_irreducibility_matches_trial_division(p, top):
+    """Every monic polynomial over F_p of degree 0..top."""
+    for r in range(top + 1):
+        for tail in itertools.product(range(p), repeat=r):
+            f = list(tail) + [1]
+            assert _fp_is_irreducible(f, p) == trial_division_irreducible(f, p), f
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 4), (5, 3), (7, 2), (7, 3)])
+def test_default_modulus_is_the_first_irreducible(p, r):
+    """The search order, low coefficients varying slowest, is unchanged."""
+    first = next(
+        tuple(tail) + (1,)
+        for tail in itertools.product(range(p), repeat=r)
+        if trial_division_irreducible(list(tail) + [1], p)
+    )
+    assert default_modulus(p, 1, r) == first
+
+
+@pytest.mark.parametrize("p", [7919, 9973])
+@pytest.mark.parametrize("r", [2, 3])
+def test_large_prime_extension_ring_builds(p, r):
+    """The search and the irreducibility test cost log p, not p^(r-1)."""
+    ring = ChainRing(p, 3, r)
+    assert trial_division_irreducible(list(ring.modulus), p)
+    assert ring.mul(ring.one, ring.gamma) == ring.gamma
+
+
+@pytest.mark.parametrize("r", [2, 3, 6])
+def test_modulus_search_for_a_31_bit_prime(r):
+    """The search walks its candidates lazily, so it never lists F_p."""
+    p = 2**31 - 1
+    ring = ChainRing(p, 1, r)
+    assert ring.modulus[0] != 0 and ring.modulus[-1] == 1
+    x = tuple(range(2, r + 2))
+    assert ring.mul(x, ring.inverse(x)) == ring.one
 
 
 def test_modulus_validation():
