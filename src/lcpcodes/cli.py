@@ -396,12 +396,14 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     # If R[G] = C + D with C meet D = 0, then 1 = e + f with e in C, f in D
     # central idempotents.  <x, y> is the coefficient of 1 in x iota(y), so
     # x in D^perp <=> x iota(D) = 0 <=> x in R[G] iota(e) = iota(C); double
-    # duality then gives D = iota(C)^perp, so one lcp_check per ideal decides.
+    # duality then gives D = iota(C)^perp, so one lcp_check per ideal decides,
+    # and D^perp = iota(C) whether or not the pair is LCP.
     for i, C in enumerate(ideals):
-        D = code_dual(code_involute(C))
+        iC = code_involute(C)
+        D = code_dual(iC)
         if not lcp_check(C, D, max_enum=args.max_enum, fill_security=False).is_lcp:
             continue
-        eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
+        eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True, _d_dual=iC)
         if eq.d_c != eq.d_d_dual:
             all_equal = False
         pairs.append(

@@ -3,8 +3,9 @@
 Index 0 is always the identity; ``table[i][j]`` is the index of g_i * g_j,
 ``inv[i]`` the index of the inverse of g_i, and ``generators`` a small
 generating set, chosen greedily in index order.  Tables are validated on
-construction: identity, Latin-square property, associativity (exhaustively for
-order <= 64) and two-sided inverses, each with its own error type.
+construction: identity, Latin-square property, associativity (Light's test
+on the generating set, at every order) and two-sided inverses, each with its
+own error type.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "InverseError",
 ]
 
-ASSOC_SCAN_LIMIT = 64
 MAX_ORDER = 256  # checked before a named constructor builds its table
 
 
@@ -51,10 +51,11 @@ class InverseError(ValidationError):
 class FiniteGroup:
     """A finite group of order n with identity normalized to index 0.
 
-    Identity, Latin-square and inverse checks always run; the cubic
-    associativity scan runs for orders up to ASSOC_SCAN_LIMIT (the named
-    constructors build their tables from closed-form presentations, so
-    larger orders are safe by construction).
+    Identity, Latin-square, associativity and inverse checks always run.
+    Associativity is Light's test: (a*b)*c = a*(b*c) for every a, c and
+    every b among the generators.  That suffices because the b associating
+    with all a, c are closed under products, and every element is a product
+    of generators (see ``_build_generators``).
     """
 
     def __init__(self, table, labels=None):
@@ -74,8 +75,9 @@ class FiniteGroup:
         if len(self.labels) != n:
             raise ValidationError("label count does not match group order")
         self._validate()
-        self.inv = self._build_inverses()
         self.generators = self._build_generators()
+        self._check_associative()
+        self.inv = self._build_inverses()
 
     @staticmethod
     def _default_labels(n):
@@ -92,16 +94,17 @@ class FiniteGroup:
         for j in range(n):
             if {t[i][j] for i in range(n)} != full:
                 raise LatinSquareError(f"column {j} is not a permutation")
-        if n <= ASSOC_SCAN_LIMIT:
-            for a in range(n):
-                ta = t[a]
-                for b in range(n):
-                    tab, tb = t[ta[b]], t[b]
-                    for c in range(n):
-                        if tab[c] != ta[tb[c]]:
-                            raise AssociativityError(
-                                f"({a}*{b})*{c} != {a}*({b}*{c})"
-                            )
+
+    def _check_associative(self):
+        """Row a*b of the table against a*(b*c) for every c, b a generator."""
+        t = self.table
+        for b in self.generators:
+            tb = t[b]
+            for a, ta in enumerate(t):
+                tab = t[ta[b]]
+                if tab != tuple(map(ta.__getitem__, tb)):
+                    c = next(c for c in range(self.n) if tab[c] != ta[tb[c]])
+                    raise AssociativityError(f"({a}*{b})*{c} != {a}*({b}*{c})")
 
     def _build_inverses(self):
         n, t = self.n, self.table

@@ -11,7 +11,9 @@ Howell property: for every k, the rows whose pivot column is >= k span all
 of the module that vanishes on the first k columns.  Kernels and
 intersections are read off that property from one augmented reduction each.
 Over fields the saturation step is a no-op and the form is the ordinary
-reduced row echelon form.
+reduced row echelon form.  Over Z_{p^e} the engine works on plain ints
+(``_IntScalars``), over GR(p^e, r) with r > 1 on coefficient tuples
+(``_TupleScalars``); rows enter and leave it as tuples of ring elements.
 """
 
 from __future__ import annotations
@@ -93,105 +95,207 @@ class PivotForm:
         return (self.pivot_cols, self.pivot_vals, self.rows)
 
 
-def _support(ring, piv, start):
-    """The (column, entry) pairs of piv's nonzero entries from start on."""
-    zero = ring.zero
-    return [(k, piv[k]) for k in range(start, len(piv)) if piv[k] != zero]
+# Shared 1-tuples (x,) for the rows the engine returns over small rings, so
+# that equal entries are one object, as they are in the rows it is given.
+_SMALL = tuple((x,) for x in range(256))
 
 
-def _vec_submul(ring, row, w, support):
-    """row -= w * piv, for piv given by its support."""
-    mul, sub = ring.mul, ring.sub
-    for k, pk in support:
-        row[k] = sub(row[k], mul(w, pk))
+class _IntScalars:
+    """Z_{p^e} (r = 1): the engine keeps each scalar as its one int."""
+
+    zero = 0
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.p, self.e, self.pe = ring.p, ring.e, ring.pe
+        if ring.pe <= len(_SMALL):
+            self.store = self._store_small
+
+    @staticmethod
+    def load(row):
+        return [x for (x,) in row]
+
+    def load_checked(self, v):
+        """load(v) after ``ring.check`` of every entry, checked in bulk when
+        each entry is a tuple holding one int in range."""
+        if set(map(type, v)) == {tuple} and set(map(len, v)) == {1}:
+            out = [x for (x,) in v]
+            if set(map(type, out)) == {int} and 0 <= min(out) and max(out) < self.pe:
+                return out
+        return self.load([self.ring.check(a) for a in v])
+
+    @staticmethod
+    def store(row):
+        return tuple(zip(row))  # the 1-tuples (x,)
+
+    @staticmethod
+    def _store_small(row):
+        return tuple(map(_SMALL.__getitem__, row))
+
+    @staticmethod
+    def nonzero(row):
+        return any(row)
+
+    def valuation(self, x):
+        if not x:
+            return self.e
+        p, v = self.p, 0
+        while not x % p:
+            x //= p
+            v += 1
+        return v
+
+    def quotient(self, x, t):
+        """x // gamma^t: the exact quotient when valuation(x) >= t, else the
+        quotient that leaves x's canonical residue mod gamma^t."""
+        return x // self.p**t
+
+    def make_monic(self, piv, col, t):
+        """piv scaled by a unit so that piv[col] is exactly gamma^t."""
+        u = piv[col] // self.p**t
+        if u == 1:
+            return piv
+        pe = self.pe
+        ui = pow(u, -1, pe)
+        return [ui * x % pe for x in piv]
+
+    def submul(self, row, w, support):
+        """row -= w * piv, for piv given by its support."""
+        pe = self.pe
+        for k, pk in support:
+            row[k] = (row[k] - w * pk) % pe
+
+    def gamma_scale(self, row, k):
+        g, pe = self.p**k, self.pe
+        return [g * x % pe for x in row]
 
 
-def _howell(ring, rows, width, pivot_cols_limit):
+class _TupleScalars:
+    """GR(p^e, r), r > 1: scalars stay coefficient tuples, through the ring."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.zero = ring.zero
+        self.valuation = ring.valuation
+        self.quotient = ring.div_gamma  # coefficientwise c // p^t, as for ints
+
+    load = staticmethod(list)
+    store = staticmethod(tuple)
+
+    def load_checked(self, v):
+        return [self.ring.check(a) for a in v]
+
+    def nonzero(self, row):
+        zero = self.zero
+        return any(x != zero for x in row)
+
+    def make_monic(self, piv, col, t):
+        ring = self.ring
+        unit = ring.div_gamma(piv[col], t)
+        if unit == ring.one:
+            return piv
+        ui, zero = ring.inverse(unit), self.zero
+        return [x if x == zero else ring.mul(ui, x) for x in piv]
+
+    def submul(self, row, w, support):
+        mul, sub = self.ring.mul, self.ring.sub
+        for k, pk in support:
+            row[k] = sub(row[k], mul(w, pk))
+
+    def gamma_scale(self, row, k):
+        ring = self.ring
+        g, zero = ring.gamma_power(k), self.zero
+        return [x if x == zero else ring.mul(g, x) for x in row]
+
+
+def _scalars(ring):
+    return _IntScalars(ring) if ring.r == 1 else _TupleScalars(ring)
+
+
+def _support(s, entries, start):
+    """The (column, entry) pairs of the nonzero entries, the first of them
+    in column start."""
+    zero = s.zero
+    return [(k, x) for k, x in enumerate(entries, start) if x != zero]
+
+
+def _howell(ring, rows, width, pivot_cols_limit, split=0):
     """Shared reduction engine.
 
     Scans columns 0..pivot_cols_limit-1 for pivots while carrying rows of
     ``width`` entries, so the same code serves plain reduction, the
     augmented kernel and intersection, and the augmented solver.  Returns
-    (rows, pivot_cols, pivot_vals).
+    (rows, pivot_cols, pivot_vals) of the rows whose pivot column is
+    >= split, cut to the columns from split on (and the pivot columns
+    counted from there), the rows as tuples of ring elements.  Rows with an
+    earlier pivot still reduce the others, but are neither canonicalized nor
+    returned.  Inside, scalars are in the form ``_scalars(ring)`` works on.
     """
-    e = ring.e
-    zero = ring.zero
-    work = [list(row) for row in rows if any(x != zero for x in row)]
+    s = _scalars(ring)
+    e, zero, nonzero = ring.e, s.zero, s.nonzero
+    valuation, quotient, submul = s.valuation, s.quotient, s.submul
+    work = [row for row in map(s.load, rows) if nonzero(row)]
     res_rows, res_cols, res_vals = [], [], []
     for col in range(pivot_cols_limit):
         best, best_v = None, e
         for idx, row in enumerate(work):
-            v = ring.valuation(row[col])
-            if v < best_v:
-                best, best_v = idx, v
-                if v == 0:
-                    break
+            x = row[col]
+            if x != zero:
+                v = valuation(x)
+                if v < best_v:
+                    best, best_v = idx, v
+                    if v == 0:
+                        break
         if best is None:
             continue
-        piv = work.pop(best)
         t = best_v
-        unit = ring.div_gamma(piv[col], t)
-        if unit != ring.one:
-            ui = ring.inverse(unit)
-            piv = [ring.mul(ui, x) for x in piv]
-        supp = _support(ring, piv, col)
+        piv = s.make_monic(work.pop(best), col, t)
+        supp = _support(s, piv[col:], col)
         # clear the column in the remaining rows (their valuation is >= t by
-        # pivot minimality) and canonicalize it in the finished rows; every
+        # pivot minimality) and canonicalize it in the finished rows, where
+        # the same quotient leaves the canonical residue mod gamma^t; every
         # work row is zero left of col, so a row this step did not touch is
         # still nonzero and a touched one need only be tested right of col
         kept = []
         for row in work:
             x = row[col]
             if x != zero:
-                _vec_submul(ring, row, ring.div_gamma(x, t), supp)
-                if not any(y != zero for y in row[col + 1 :]):
+                submul(row, quotient(x, t), supp)
+                if not nonzero(row[col + 1 :]):
                     continue
             kept.append(row)
         work = kept
         for row in res_rows:
             x = row[col]
-            if x == zero:
-                continue
-            if ring.valuation(x) >= t:
-                w = ring.div_gamma(x, t)
-            else:
-                rem = ring.reduce_mod_gamma(x, t)
-                w = ring.div_gamma(ring.sub(x, rem), t)
-            _vec_submul(ring, row, w, supp)
-        res_rows.append(piv)
-        res_cols.append(col)
-        res_vals.append(t)
+            if x != zero:
+                submul(row, quotient(x, t), supp)
+        if col >= split:
+            res_rows.append(piv)
+            res_cols.append(col - split)
+            res_vals.append(t)
         if t > 0:
-            g = ring.gamma_power(e - t)
-            sat = [ring.mul(g, x) for x in piv]
-            if any(x != zero for x in sat):
+            sat = s.gamma_scale(piv, e - t)
+            if nonzero(sat):
                 work.append(sat)
-    return res_rows, res_cols, res_vals
+    return [s.store(row[split:]) for row in res_rows], res_cols, res_vals
 
 
 def pivot_reduce(M: RingMatrix) -> PivotForm:
     """Canonical pivot form with the same row span as M."""
-    rows, cols, vals = _howell(M.ring, M.rows, M.ncols, M.ncols)
-    return PivotForm(
-        M.ring,
-        M.ncols,
-        tuple(tuple(r) for r in rows),
-        tuple(cols),
-        tuple(vals),
-    )
+    return _lower_block(M.ring, M.rows, 0, M.ncols)
 
 
-def _reduce_against(ring, v, rows, cols, vals) -> bool:
-    """Reduce the list v in place by the pivot rows; False on a pivot it
-    cannot clear."""
-    zero = ring.zero
+def _reduce_against(s, v, rows, cols, vals) -> bool:
+    """Reduce v (in the form s works on) in place by the pivot rows (tuples
+    of ring elements); False on a pivot it cannot clear."""
+    zero = s.zero
     for row, col, t in zip(rows, cols, vals):
         x = v[col]
         if x == zero:
             continue
-        if ring.valuation(x) < t:
+        if s.valuation(x) < t:
             return False
-        _vec_submul(ring, v, ring.div_gamma(x, t), _support(ring, row, col))
+        s.submul(v, s.quotient(x, t), _support(s, s.load(row[col:]), col))
     return True
 
 
@@ -200,10 +304,9 @@ def membership(v, P: PivotForm) -> bool:
     ring = P.ring
     if len(v) != P.ncols:
         raise ValidationError(f"vector length {len(v)} != {P.ncols}")
-    v = [ring.check(x) for x in v]
-    if not _reduce_against(ring, v, P.rows, P.pivot_cols, P.pivot_vals):
-        return False
-    return all(x == ring.zero for x in v)
+    s = _scalars(ring)
+    v = s.load_checked(v)
+    return _reduce_against(s, v, P.rows, P.pivot_cols, P.pivot_vals) and not s.nonzero(v)
 
 
 def _layout(ring, n):
@@ -311,15 +414,8 @@ def _lower_block(ring, rows, split, width) -> PivotForm:
     Those rows already form that span's canonical form (exact pivot powers,
     reduced entries above each pivot), so they are cut, not reduced again.
     """
-    red, cols, vals = _howell(ring, rows, width, width)
-    low = next((k for k, c in enumerate(cols) if c >= split), len(cols))
-    return PivotForm(
-        ring,
-        width - split,
-        tuple(tuple(r[split:]) for r in red[low:]),
-        tuple(c - split for c in cols[low:]),
-        tuple(vals[low:]),
-    )
+    red, cols, vals = _howell(ring, rows, width, width, split)
+    return PivotForm(ring, width - split, tuple(red), tuple(cols), tuple(vals))
 
 
 def kernel(M: RingMatrix) -> PivotForm:
@@ -367,20 +463,17 @@ class SpanSolver:
             tuple(row) + tuple(one if i == j else zero for j in range(self.nrows))
             for i, row in enumerate(M.rows)
         ]
-        rows, cols, vals = _howell(M.ring, aug, M.ncols + self.nrows, M.ncols)
-        self._rows = [tuple(r) for r in rows]
-        self._cols = cols
-        self._vals = vals
+        self._rows, self._cols, self._vals = _howell(M.ring, aug, M.ncols + self.nrows, M.ncols)
 
     def solve(self, target):
         """Coefficients c with sum_i c_i * row_i = target, or None."""
         ring = self.ring
         if len(target) != self.ncols:
             raise ValidationError("target length mismatch")
-        zero = ring.zero
-        v = list(target) + [zero] * self.nrows
-        if not _reduce_against(ring, v, self._rows, self._cols, self._vals):
+        s = _scalars(ring)
+        v = s.load_checked(target) + [s.zero] * self.nrows
+        if not _reduce_against(s, v, self._rows, self._cols, self._vals):
             return None
-        if any(x != zero for x in v[: self.ncols]):
+        if s.nonzero(v[: self.ncols]):
             return None
-        return tuple(ring.neg(x) for x in v[self.ncols :])
+        return tuple(ring.neg(x) for x in s.store(v[self.ncols :]))

@@ -15,45 +15,127 @@ m = prod p^e, and integers can be moved in and out through the residue maps.
 from __future__ import annotations
 
 import itertools
-from math import prod
+from collections import Counter
+from math import gcd, prod
 
 from .errors import NotInvertibleError, ValidationError
 
 __all__ = ["ChainRing", "ProductRing", "default_modulus", "is_prime", "factorize"]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to all of _MR_BASES, 399165290221 *
+# 798330580441 (Sorenson and Webster, Math. Comp. 86, 2017); every odd
+# composite below it fails the test for one of the bases.
+_MR_LIMIT = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n below 3.1 * 10^23.
+
+    A larger n that passes raises ValidationError rather than get a
+    probable answer; one that fails is composite.
+    """
+    prime = _strong_probable_prime(n)
+    if prime and n >= _MR_LIMIT:
+        raise ValidationError(f"{n} is past the exact primality range (< {_MR_LIMIT})")
+    return prime
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to every base in _MR_BASES; False means n is composite
+    (or below 2) at any size."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
+def _iroot(k: int, b: int) -> int:
+    """floor(k^(1/b)) for k >= 1, by Newton's method from above."""
+    r = 1 << -(-k.bit_length() // b)
+    while True:
+        s = ((b - 1) * r + k // r ** (b - 1)) // b
+        if s >= r:
+            return r
+        r = s
+
+
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of the odd composite n, not a prime power
+    (Brent, BIT 20, 1980): Brent's cycle search on x -> x^2 + c mod n, with
+    the gcds batched over runs of 128 differences; a c whose cycle closes
+    mod n at once is retried with the next one."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def factorize(m: int) -> list[tuple[int, int]]:
-    """Prime factorization of m >= 2 as a sorted list of (prime, exponent)."""
+    """Prime factorization of m >= 2 as a sorted list of (prime, exponent):
+    trial division by 2..999, then Pollard-Brent on what is left, which
+    takes about sqrt(p) steps for its second-largest prime factor p.  A
+    cofactor past the exact range of ``is_prime`` that passes its test
+    raises ValidationError."""
     if m < 2:
         raise ValidationError(f"cannot factor modulus {m}; need m >= 2")
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
+    out = Counter()
+    for d in range(2, 1000):
+        if d * d > m:  # what is left is 1 or a prime
+            break
+        while m % d == 0:
+            m //= d
+            out[d] += 1
+    stack = [m] if m > 1 else []
+    while stack:  # every k is a prime or has no factor below 1000
+        k = stack.pop()
+        if is_prime(k):
+            out[k] += 1
+            continue
+        # Pollard-Brent needs about sqrt(p) steps to split p^b as well, so
+        # perfect powers are taken apart first
+        b = next((b for b in range(2, k.bit_length()) if _iroot(k, b) ** b == k), None)
+        if b is not None:
+            stack += [_iroot(k, b)] * b
+        else:
+            f = _pollard_brent(k)
+            stack += [f, k // f]
+    return sorted(out.items())
 
 
 # ---------------------------------------------------------------------------

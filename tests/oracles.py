@@ -382,3 +382,225 @@ def trial_division_irreducible(f, p):
             if not rem:
                 return False
     return True
+
+
+def full_associativity_scan(table):
+    """Whether (a*b)*c = a*(b*c) for every triple of the table."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1, by
+    backtracking row by row, cell by cell."""
+    rows = [list(range(n))]
+
+    def extend(i):
+        if i == n:
+            yield [list(r) for r in rows]
+            return
+        row = [i] + [None] * (n - 1)
+        used = {i}
+
+        def fill(j):
+            if j == n:
+                rows.append(row[:])
+                yield from extend(i + 1)
+                rows.pop()
+                return
+            for x in range(n):
+                if x not in used and all(r[j] != x for r in rows):
+                    row[j] = x
+                    used.add(x)
+                    yield from fill(j + 1)
+                    used.discard(x)
+
+        yield from fill(1)
+
+    yield from extend(1)
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division by 3, 5, 7, ... up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def trial_division_factorize(m):
+    """Sorted (prime, exponent) pairs of m >= 2, by trial division."""
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The Howell engine with every scalar a ring tuple, through ChainRing's
+# methods, as it stood before the plain-int engine; the wrappers below give
+# pivot_reduce, kernel, intersect, membership and SpanSolver.solve on it.
+
+
+def _support(ring, piv, start):
+    """The (column, entry) pairs of piv's nonzero entries from start on."""
+    zero = ring.zero
+    return [(k, piv[k]) for k in range(start, len(piv)) if piv[k] != zero]
+
+
+def _vec_submul(ring, row, w, support):
+    """row -= w * piv, for piv given by its support."""
+    mul, sub = ring.mul, ring.sub
+    for k, pk in support:
+        row[k] = sub(row[k], mul(w, pk))
+
+
+def tuple_howell(ring, rows, width, pivot_cols_limit):
+    """Shared reduction engine.
+
+    Scans columns 0..pivot_cols_limit-1 for pivots while carrying rows of
+    ``width`` entries, so the same code serves plain reduction, the
+    augmented kernel and intersection, and the augmented solver.  Returns
+    (rows, pivot_cols, pivot_vals).
+    """
+    e = ring.e
+    zero = ring.zero
+    work = [list(row) for row in rows if any(x != zero for x in row)]
+    res_rows, res_cols, res_vals = [], [], []
+    for col in range(pivot_cols_limit):
+        best, best_v = None, e
+        for idx, row in enumerate(work):
+            v = ring.valuation(row[col])
+            if v < best_v:
+                best, best_v = idx, v
+                if v == 0:
+                    break
+        if best is None:
+            continue
+        piv = work.pop(best)
+        t = best_v
+        unit = ring.div_gamma(piv[col], t)
+        if unit != ring.one:
+            ui = ring.inverse(unit)
+            piv = [ring.mul(ui, x) for x in piv]
+        supp = _support(ring, piv, col)
+        # clear the column in the remaining rows (their valuation is >= t by
+        # pivot minimality) and canonicalize it in the finished rows; every
+        # work row is zero left of col, so a row this step did not touch is
+        # still nonzero and a touched one need only be tested right of col
+        kept = []
+        for row in work:
+            x = row[col]
+            if x != zero:
+                _vec_submul(ring, row, ring.div_gamma(x, t), supp)
+                if not any(y != zero for y in row[col + 1 :]):
+                    continue
+            kept.append(row)
+        work = kept
+        for row in res_rows:
+            x = row[col]
+            if x == zero:
+                continue
+            if ring.valuation(x) >= t:
+                w = ring.div_gamma(x, t)
+            else:
+                rem = ring.reduce_mod_gamma(x, t)
+                w = ring.div_gamma(ring.sub(x, rem), t)
+            _vec_submul(ring, row, w, supp)
+        res_rows.append(piv)
+        res_cols.append(col)
+        res_vals.append(t)
+        if t > 0:
+            g = ring.gamma_power(e - t)
+            sat = [ring.mul(g, x) for x in piv]
+            if any(x != zero for x in sat):
+                work.append(sat)
+    return res_rows, res_cols, res_vals
+
+
+def _tuple_reduce_against(ring, v, rows, cols, vals) -> bool:
+    """Reduce the list v in place by the pivot rows; False on a pivot it
+    cannot clear."""
+    zero = ring.zero
+    for row, col, t in zip(rows, cols, vals):
+        x = v[col]
+        if x == zero:
+            continue
+        if ring.valuation(x) < t:
+            return False
+        _vec_submul(ring, v, ring.div_gamma(x, t), _support(ring, row, col))
+    return True
+
+
+def _tuple_form(ring, rows, ncols, split=0):
+    from lcpcodes.linalg import PivotForm
+
+    red, cols, vals = tuple_howell(ring, rows, ncols, ncols)
+    low = next((k for k, c in enumerate(cols) if c >= split), len(cols))
+    return PivotForm(
+        ring,
+        ncols - split,
+        tuple(tuple(r[split:]) for r in red[low:]),
+        tuple(c - split for c in cols[low:]),
+        tuple(vals[low:]),
+    )
+
+
+def tuple_pivot_reduce(M):
+    return _tuple_form(M.ring, M.rows, M.ncols)
+
+
+def tuple_kernel(M):
+    ring, n, m = M.ring, M.ncols, len(M.rows)
+    aug = [
+        tuple(row[k] for row in M.rows) + tuple(ring.one if i == k else ring.zero for i in range(n))
+        for k in range(n)
+    ]
+    return _tuple_form(ring, aug, m + n, m)
+
+
+def tuple_intersect(P, Q):
+    n, zero = P.ncols, P.ring.zero
+    rows = [row + row for row in P.rows] + [row + (zero,) * n for row in Q.rows]
+    return _tuple_form(P.ring, rows, 2 * n, n)
+
+
+def tuple_membership(v, P):
+    v = list(v)
+    return _tuple_reduce_against(P.ring, v, P.rows, P.pivot_cols, P.pivot_vals) and all(
+        x == P.ring.zero for x in v
+    )
+
+
+def tuple_solve(M, target):
+    """Coefficients c with sum_i c_i * row_i = target, or None."""
+    ring, ncols, nrows = M.ring, M.ncols, len(M.rows)
+    zero, one = ring.zero, ring.one
+    aug = [tuple(row) + tuple(one if i == j else zero for j in range(nrows)) for i, row in enumerate(M.rows)]
+    rows, cols, vals = tuple_howell(ring, aug, ncols + nrows, ncols)
+    v = list(target) + [zero] * nrows
+    if not _tuple_reduce_against(ring, v, rows, cols, vals) or any(x != zero for x in v[:ncols]):
+        return None
+    return tuple(ring.neg(x) for x in v[ncols:])

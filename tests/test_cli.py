@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from lcpcodes import cli
+from lcpcodes import cli, equivalence
 
 RUNNING_CONFIG = {
     "ring": [{"p": 2, "e": 1, "r": 1}],
@@ -240,6 +240,24 @@ def test_search_lcp_checks_each_ideal_once(capsys, monkeypatch, tmp_path):
     assert report["ideal_count"] == len(calls) == 47
 
 
+def test_search_lcp_takes_each_dual_once(capsys, monkeypatch, tmp_path):
+    """One code_dual per ideal, for its complement D = iota(C)^perp; the
+    comparison of C with D^perp reuses iota(C) instead of dualising D again
+    (which would make 49 calls)."""
+    calls = []
+    real = cli.code_dual
+    counted = lambda *a, **k: calls.append(1) or real(*a, **k)  # noqa: E731
+    monkeypatch.setattr(cli, "code_dual", counted)
+    monkeypatch.setattr(equivalence, "code_dual", counted)
+    doc, _ = GOLDEN_SEARCH["F2[C2xC2xC2]"]
+    path = tmp_path / "f2c2c2c2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report, _ = run_json(capsys, "--config", str(path), "--json", "search-lcp")
+    assert code == 0
+    assert report["lcp_pair_count"] > 0
+    assert report["ideal_count"] == len(calls) == 47
+
+
 def test_crt(capsys, z6_path):
     code, report, _ = run_json(capsys, "--config", z6_path, "--json", "crt", "C")
     assert code == 0
@@ -273,6 +291,25 @@ def run_process(*argv):
         [sys.executable, "-m", "lcpcodes.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+@pytest.mark.parametrize("modulus", [2**64 - 59, (2**31 - 1) * (2**31 - 19)], ids=["p64", "p31q31"])
+def test_code_over_a_64_bit_modulus(tmp_path, modulus):
+    """A 64-bit prime modulus, and a product of two 31-bit primes, factor
+    and reduce in a fresh interpreter within seconds."""
+    doc = {
+        "ring": modulus,
+        "group": {"family": "cyclic", "n": 5},
+        "codes": {"C": [[[0, 1], [1, modulus - 1]]]},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.monotonic()
+    proc = run_process("--config", str(path), "--json", "code", "C")
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["cardinality"] == modulus**4
 
 
 @pytest.mark.parametrize("seed", [True, False])

@@ -1,9 +1,10 @@
 """Fast paths against the constructions they replaced.
 
 The ideal closure from conjugates, two-sidedness by group generators, the
-Zassenhaus intersection and the Howell kernel are each compared with the old
-construction kept in ``oracles.py`` or with brute force: on the ideal
-corpora of small algebras, on non-abelian groups, and at lengths 40-70
+Zassenhaus intersection, the Howell kernel and the plain-int Howell engine
+are each compared with the old construction kept in ``oracles.py`` or with
+brute force: on the ideal corpora of small algebras, on non-abelian groups,
+on random matrices over rings up to 64-bit primes, and at lengths 40-70
 where brute force cannot reach.
 """
 
@@ -18,10 +19,12 @@ from lcpcodes.errors import ValidationError
 from lcpcodes.groups import cyclic, dihedral, direct_product, symmetric
 from lcpcodes.linalg import (
     RingMatrix,
+    SpanSolver,
     _lower_block,
     enumerate_codewords,
     intersect,
     kernel,
+    membership,
     pivot_reduce,
 )
 from lcpcodes.rings import ChainRing, ProductRing
@@ -34,11 +37,26 @@ from oracles import (
     is_ideal_subset,
     subgroup_closure,
     translate_closure_key,
+    tuple_intersect,
+    tuple_kernel,
+    tuple_membership,
+    tuple_pivot_reduce,
+    tuple_solve,
 )
 
 F2, F3, F4, F5 = ChainRing(2), ChainRing(3), ChainRing(2, 1, 2), ChainRing(5)
 Z4, Z8, Z9 = ChainRing(2, 2), ChainRing(2, 3), ChainRing(3, 2)
 GR42 = ChainRing(2, 2, 2)
+Z27, Z2_40, F_M61 = ChainRing(3, 3), ChainRing(2, 40), ChainRing(2**61 - 1)
+# every scalar shape the Howell engine meets: Z_{p^e} and F_p of all sizes
+# (the Z6 and Z10 components among them), and a Galois ring with r > 1
+ENGINE_RINGS = list(
+    dict.fromkeys(
+        [Z4, Z8, Z9, Z27, F5, Z2_40, F_M61, GR42]
+        + list(ProductRing.from_modulus(6).components)
+        + list(ProductRing.from_modulus(10).components)
+    )
+)
 
 CORPORA = {
     "F2[C3]": (ProductRing([F2]), cyclic(3)),
@@ -320,7 +338,17 @@ def test_kernel_z8_saturation():
         assert set(enumerate_codewords(K)) == brute_kernel(Z8, _ints(Z8, rows), n)
 
 
-@pytest.mark.parametrize("ring", [Z4, Z8, Z9, F4, GR42, F5], ids=repr)
+def random_entry(ring, rng):
+    """An element of random valuation: gamma^k times a random element."""
+    x = tuple(rng.randrange(ring.pe) for _ in range(ring.r))
+    return ring.mul(ring.gamma_power(rng.randint(0, ring.e)), x)
+
+
+def random_rows(ring, rng, nrows, width):
+    return tuple(tuple(random_entry(ring, rng) for _ in range(width)) for _ in range(nrows))
+
+
+@pytest.mark.parametrize("ring", ENGINE_RINGS + [F4], ids=repr)
 def test_lower_block_is_already_canonical(ring):
     """The rows a Howell form keeps right of the split need no second
     reduction: the lower block equals the pivot form of its own rows."""
@@ -328,12 +356,49 @@ def test_lower_block_is_already_canonical(ring):
     for _ in range(120):
         width = rng.randint(1, 7)
         split = rng.randint(0, width)
-        rows = tuple(
-            tuple(
-                ring.mul(ring.gamma_power(rng.randint(0, ring.e)), rng.choice(ring.elements()))
-                for _ in range(width)
-            )
-            for _ in range(rng.randint(0, 6))
-        )
+        rows = random_rows(ring, rng, rng.randint(0, 6), width)
         low = _lower_block(ring, rows, split, width)
         assert low == pivot_reduce(RingMatrix(ring, low.rows, width - split))
+
+
+def engine_cases(ring, rng):
+    """Random matrices with the edge cases first: no rows, zero rows, the
+    identity, a full-rank triangle with unit diagonal, and rows repeated."""
+    zero, one = ring.zero, ring.one
+    n = 4
+    yield RingMatrix(ring, (), n)
+    yield RingMatrix(ring, ((zero,) * n,) * 3, n)
+    yield RingMatrix(ring, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
+    tri = random_rows(ring, rng, n, n)
+    yield RingMatrix(
+        ring, tuple(tuple(one if j == i else tri[i][j] if j > i else zero for j in range(n)) for i in range(n)), n
+    )
+    rows = random_rows(ring, rng, 2, n)
+    yield RingMatrix(ring, rows + rows, n)
+    for _ in range(40):
+        width = rng.randint(1, 7)
+        yield RingMatrix(ring, random_rows(ring, rng, rng.randint(0, 7), width), width)
+
+
+@pytest.mark.parametrize("ring", ENGINE_RINGS, ids=repr)
+def test_engine_matches_tuple_engine(ring):
+    """pivot_reduce, kernel, intersect, membership and SpanSolver.solve give
+    what the engine with tuple scalars throughout gave."""
+    rng = random.Random(f"engine{ring!r}")
+    for M in engine_cases(ring, rng):
+        n = M.ncols
+        P = pivot_reduce(M)
+        assert P == tuple_pivot_reduce(M)
+        assert kernel(M) == tuple_kernel(M)
+        other = RingMatrix(ring, random_rows(ring, rng, rng.randint(0, 4), n), n)
+        Q = pivot_reduce(other)
+        assert intersect(P, Q) == tuple_intersect(P, Q)
+        solver = SpanSolver(M)
+        member = (ring.zero,) * n
+        for row in M.rows:
+            c = random_entry(ring, rng)
+            member = tuple(ring.add(a, ring.mul(c, x)) for a, x in zip(member, row))
+        assert membership(member, P) and solver.solve(member) is not None
+        for v in [member, *M.rows, *random_rows(ring, rng, 4, n)]:
+            assert membership(v, P) == tuple_membership(v, P)
+            assert solver.solve(v) == tuple_solve(M, v)

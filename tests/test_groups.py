@@ -17,7 +17,7 @@ from lcpcodes.groups import (
     symmetric,
 )
 
-from oracles import subgroup_closure
+from oracles import full_associativity_scan, reduced_latin_squares, subgroup_closure
 
 # identity-bearing Latin square of order 5 that is not associative
 NONASSOC_LOOP = [
@@ -59,6 +59,37 @@ def test_validation_errors_are_distinct():
         group_from_table(NONASSOC_LOOP)
     with pytest.raises(LatinSquareError):
         group_from_table([[0, 1], [1, 0], [1, 0]])
+
+
+def test_associativity_of_a_large_loop():
+    """C66 with the intercalate in rows and columns 1 and 34 swapped is a
+    Latin square with identity that is not a group: (1*1)*2 = 35*2 = 37,
+    but 1*(1*2) = 1*3 = 4."""
+    n = 66
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i in (1, 34):
+        for j in (1, 34):
+            table[i][j] = 35 if table[i][j] == 2 else 2
+    assert not full_associativity_scan(table)
+    with pytest.raises(AssociativityError):
+        FiniteGroup(table)
+
+
+def test_light_test_matches_full_scan_on_small_latin_squares():
+    """Every reduced Latin square of order <= 5: rejected for associativity
+    exactly when some triple fails."""
+    verdicts = []
+    for n in range(1, 6):
+        for table in reduced_latin_squares(n):
+            try:
+                FiniteGroup(table)
+                accepted = True
+            except AssociativityError:
+                accepted = False
+            assert accepted == full_associativity_scan(table)
+            verdicts.append(accepted)
+    assert len(verdicts) == 1 + 1 + 1 + 4 + 56
+    assert True in verdicts and False in verdicts
 
 
 def test_cyclic_examples():

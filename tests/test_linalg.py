@@ -69,6 +69,12 @@ def test_membership_examples():
     assert not membership(((1,), (0,)), P)
     with pytest.raises(ValidationError):
         membership(((0,),), P)
+    # entries are checked as ring elements: lists pass, as ChainRing.check
+    # allows, and anything it refuses is refused here too
+    assert membership([[2], [0]], P)
+    for bad in ((4,), (-1,), (1, 0), ("a",), (1.0,), {1: 1}, 2):
+        with pytest.raises(ValidationError):
+            membership((bad, (0,)), P)
 
 
 def test_kernel_examples():

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from lcpcodes.errors import NotInvertibleError, ValidationError
-from lcpcodes.rings import ChainRing, ProductRing, _fp_is_irreducible, default_modulus, factorize
+from lcpcodes.rings import ChainRing, ProductRing, _fp_is_irreducible, default_modulus, factorize, is_prime
 
-from oracles import trial_division_irreducible
+from oracles import trial_division_factorize, trial_division_irreducible, trial_division_is_prime
 
 Z4 = ChainRing(2, 2, 1)
 Z8 = ChainRing(2, 3, 1)
@@ -253,3 +253,34 @@ def test_factorize():
     assert factorize(7) == [(7, 1)]
     with pytest.raises(ValidationError):
         factorize(1)
+
+
+# Carmichael numbers, and strong pseudoprimes to the bases 2 (2047), 2..7
+# (3215031751) and 2..23 (3825123056546413051)
+PSEUDOPRIMES = [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161, 2047, 3215031751, 3825123056546413051,
+]
+
+
+def test_is_prime_and_factorize_match_trial_division():
+    for n in range(-2, 10**5):
+        assert is_prime(n) == trial_division_is_prime(n), n
+    for n in range(2, 10**5):
+        assert factorize(n) == trial_division_factorize(n), n
+    for n in PSEUDOPRIMES:
+        assert not is_prime(n) and not trial_division_is_prime(n), n
+        assert factorize(n) == trial_division_factorize(n), n
+
+
+def test_is_prime_and_factorize_at_64_bits():
+    for p in (2**31 - 1, 2**61 - 1, 2**64 - 59, 1000000007):
+        assert is_prime(p) and factorize(p) == [(p, 1)]
+    assert not is_prime(2**64 - 1) and not is_prime((2**31 - 1) * (2**31 - 19))
+    assert factorize((2**31 - 1) * (2**31 - 19)) == [(2**31 - 19, 1), (2**31 - 1, 1)]
+    assert factorize(2**10 * 3 * (2**61 - 1) ** 2) == [(2, 10), (3, 1), (2**61 - 1, 2)]
+    assert factorize(1000003**3 * 999983) == [(999983, 1), (1000003, 3)]
+    assert factorize(2**64 - 1) == [(3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1)]
+    # the least strong pseudoprime to every base 2..37 is past the exact range
+    with pytest.raises(ValidationError):
+        is_prime(399165290221 * 798330580441)
