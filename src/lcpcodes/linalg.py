@@ -57,7 +57,7 @@ class RingMatrix:
 
     @classmethod
     def make(cls, ring: ChainRing, rows, ncols: int | None = None) -> "RingMatrix":
-        rows = tuple(tuple(ring.check(x) for x in row) for row in rows)
+        rows = tuple(map(ring.check_row, rows))
         if ncols is None:
             if not rows:
                 raise ValidationError("ncols is required for an empty matrix")
@@ -95,42 +95,21 @@ class PivotForm:
         return (self.pivot_cols, self.pivot_vals, self.rows)
 
 
-# Shared 1-tuples (x,) for the rows the engine returns over small rings, so
-# that equal entries are one object, as they are in the rows it is given.
-_SMALL = tuple((x,) for x in range(256))
-
-
 class _IntScalars:
     """Z_{p^e} (r = 1): the engine keeps each scalar as its one int."""
 
     zero = 0
 
     def __init__(self, ring):
-        self.ring = ring
         self.p, self.e, self.pe = ring.p, ring.e, ring.pe
-        if ring.pe <= len(_SMALL):
-            self.store = self._store_small
 
     @staticmethod
     def load(row):
         return [x for (x,) in row]
 
-    def load_checked(self, v):
-        """load(v) after ``ring.check`` of every entry, checked in bulk when
-        each entry is a tuple holding one int in range."""
-        if set(map(type, v)) == {tuple} and set(map(len, v)) == {1}:
-            out = [x for (x,) in v]
-            if set(map(type, out)) == {int} and 0 <= min(out) and max(out) < self.pe:
-                return out
-        return self.load([self.ring.check(a) for a in v])
-
     @staticmethod
     def store(row):
         return tuple(zip(row))  # the 1-tuples (x,)
-
-    @staticmethod
-    def _store_small(row):
-        return tuple(map(_SMALL.__getitem__, row))
 
     @staticmethod
     def nonzero(row):
@@ -181,9 +160,6 @@ class _TupleScalars:
 
     load = staticmethod(list)
     store = staticmethod(tuple)
-
-    def load_checked(self, v):
-        return [self.ring.check(a) for a in v]
 
     def nonzero(self, row):
         zero = self.zero
@@ -305,7 +281,7 @@ def membership(v, P: PivotForm) -> bool:
     if len(v) != P.ncols:
         raise ValidationError(f"vector length {len(v)} != {P.ncols}")
     s = _scalars(ring)
-    v = s.load_checked(v)
+    v = s.load(ring.check_row(v))
     return _reduce_against(s, v, P.rows, P.pivot_cols, P.pivot_vals) and not s.nonzero(v)
 
 
@@ -471,7 +447,7 @@ class SpanSolver:
         if len(target) != self.ncols:
             raise ValidationError("target length mismatch")
         s = _scalars(ring)
-        v = s.load_checked(target) + [s.zero] * self.nrows
+        v = s.load(ring.check_row(target)) + [s.zero] * self.nrows
         if not _reduce_against(s, v, self._rows, self._cols, self._vals):
             return None
         if s.nonzero(v[: self.ncols]):

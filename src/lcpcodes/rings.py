@@ -67,18 +67,8 @@ def _strong_probable_prime(n: int) -> bool:
     return True
 
 
-def _iroot(k: int, b: int) -> int:
-    """floor(k^(1/b)) for k >= 1, by Newton's method from above."""
-    r = 1 << -(-k.bit_length() // b)
-    while True:
-        s = ((b - 1) * r + k // r ** (b - 1)) // b
-        if s >= r:
-            return r
-        r = s
-
-
 def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of the odd composite n, not a prime power
+    """A nontrivial factor of the odd composite n, a prime power too
     (Brent, BIT 20, 1980): Brent's cycle search on x -> x^2 + c mod n, with
     the gcds batched over runs of 128 differences; a c whose cycle closes
     mod n at once is retried with the next one."""
@@ -127,14 +117,8 @@ def factorize(m: int) -> list[tuple[int, int]]:
         if is_prime(k):
             out[k] += 1
             continue
-        # Pollard-Brent needs about sqrt(p) steps to split p^b as well, so
-        # perfect powers are taken apart first
-        b = next((b for b in range(2, k.bit_length()) if _iroot(k, b) ** b == k), None)
-        if b is not None:
-            stack += [_iroot(k, b)] * b
-        else:
-            f = _pollard_brent(k)
-            stack += [f, k // f]
+        f = _pollard_brent(k)
+        stack += [f, k // f]
     return sorted(out.items())
 
 
@@ -337,6 +321,17 @@ class ChainRing:
                 raise ValidationError(f"coefficient {c!r} of {a!r} outside [0, {self.pe})")
         return tuple(a)
 
+    def check_row(self, v) -> tuple:
+        """check() of every entry of the vector v, as a tuple.  Over Z_{p^e}
+        a row of 1-tuples of ints in range, the form every element takes
+        after check(), is validated in bulk."""
+        v = tuple(v)
+        if self.r == 1 and set(map(type, v)) == {tuple} and set(map(len, v)) == {1}:
+            xs = [x for (x,) in v]
+            if set(map(type, xs)) == {int} and 0 <= min(xs) and max(xs) < self.pe:
+                return v
+        return tuple(map(self.check, v))
+
     def from_int(self, k: int):
         """Constant polynomial k mod p^e."""
         return (k % self.pe,) + (0,) * (self.r - 1)
@@ -448,14 +443,12 @@ class ChainRing:
         return (self.p**t,) + (0,) * (self.r - 1)
 
     def div_gamma(self, a, t: int):
-        """Exact division by gamma^t; requires valuation(a) >= t."""
+        """a // gamma^t, coefficientwise c // p^t: the exact quotient when
+        valuation(a) >= t, else the quotient that leaves a's canonical
+        residue mod gamma^t (a - gamma^t * (a // gamma^t), every coefficient
+        below p^t)."""
         pt = self.p**t
         return tuple(c // pt for c in a)
-
-    def reduce_mod_gamma(self, a, t: int):
-        """Canonical representative of a modulo <gamma^t>."""
-        pt = self.p**t
-        return tuple(c % pt for c in a)
 
 
 class ProductRing:

@@ -526,7 +526,7 @@ def tuple_howell(ring, rows, width, pivot_cols_limit):
             if ring.valuation(x) >= t:
                 w = ring.div_gamma(x, t)
             else:
-                rem = ring.reduce_mod_gamma(x, t)
+                rem = tuple(c % ring.p**t for c in x)  # x mod <gamma^t>
                 w = ring.div_gamma(ring.sub(x, rem), t)
             _vec_submul(ring, row, w, supp)
         res_rows.append(piv)
