@@ -26,6 +26,7 @@ from .codes import (
     enumerate_ideals,
     lcp_check,
     min_distance,
+    security_parameter,
     weight_enumerator,
 )
 from .equivalence import check_dual_equivalence
@@ -304,7 +305,7 @@ def cmd_mindist(cfg: InstanceConfig, args) -> tuple[dict, int]:
 def cmd_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     C = _get_code(cfg, args.name_c)
     D = _get_code(cfg, args.name_d)
-    rep = lcp_check(C, D, max_enum=args.max_enum)
+    rep = lcp_check(C, D, fill_security=False)
     report = {
         "command": "lcp",
         "c": args.name_c,
@@ -313,19 +314,24 @@ def cmd_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
         "intersection_size": rep.intersection_size,
         "sum_is_full": rep.sum_is_full,
         "component_verdicts": list(rep.component_verdicts),
-        "security_parameter": rep.security_parameter,
+        "security_parameter": None,
     }
-    if rep.is_lcp:
-        eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
-        report["d_c"] = eq.d_c
-        report["d_d_dual"] = eq.d_d_dual
-        report["equivalence"] = {
-            "status": eq.status,
-            "permutation": list(eq.permutation) if eq.permutation else None,
-            "block_note": eq.block_note,
-        }
-        return report, EXIT_OK
-    return report, EXIT_NOT_LCP
+    if not rep.is_lcp:
+        return report, EXIT_NOT_LCP
+    # D^perp is built once; its weights, cached on it, serve both reports
+    Dd = code_dual(D)
+    report["security_parameter"] = security_parameter(
+        C, D, max_enum=args.max_enum, _assume_lcp=True, _d_dual=Dd
+    )
+    eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True, _d_dual=Dd)
+    report["d_c"] = eq.d_c
+    report["d_d_dual"] = eq.d_d_dual
+    report["equivalence"] = {
+        "status": eq.status,
+        "permutation": list(eq.permutation) if eq.permutation else None,
+        "block_note": eq.block_note,
+    }
+    return report, EXIT_OK
 
 
 def _sample_mask(D: GroupCode, rng: Lcg):

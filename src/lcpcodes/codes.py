@@ -19,11 +19,12 @@ from .linalg import (
     DEFAULT_ENUM_CAP,
     RingMatrix,
     SpanSolver,
+    _field_width,
+    _nonzero_flags,
     intersect,
     kernel,
     membership,
     pivot_reduce,
-    support_counts,
 )
 from .rings import ProductRing
 
@@ -319,27 +320,37 @@ def lcp_check(
 
 
 def _weight_distribution(C: GroupCode, max_enum: int):
-    """Codeword counts by weight, from the support masks of the component
-    spans: a codeword's support is the union of its components' supports,
-    so mask a (x words) and mask b (y words) give a | b (x * y words)."""
+    """Codeword counts by weight, from the nonzero flags of the packed walk
+    (one guard bit per coordinate).  Over a chain ring a word's weight is
+    the popcount of its flags.  Over a product ring every component is
+    walked at one common field width, so the flags line up; a codeword is
+    nonzero where any of its components is, and flags a (x words) and
+    flags b (y words) give a | b (x * y words)."""
     card = C.cardinality()
     if card > max_enum:  # also when cached, so a cap means the same on every call
         raise CapExceededError(
             f"code of size {card} exceeds the enumeration cap {max_enum}"
         )
     if C._weights is None:
-        parts = [support_counts(P, max_enum) for P in C.components]
-        masks = parts[0]
-        for part in parts[1:]:
-            joined = Counter()
-            for a, x in masks.items():
-                for b, y in part.items():
-                    joined[a | b] += x * y
-            masks = joined
-        counts = [0] * (C.algebra.group.n + 1)
-        for mask, k in masks.items():
-            counts[mask.bit_count()] += k
-        C._weights = tuple(counts)
+        weights = Counter()
+        if len(C.components) == 1:
+            for flags in _nonzero_flags(C.components[0], max_enum):
+                weights.update(map(int.bit_count, flags))
+        else:
+            w = max(_field_width(P.ring) for P in C.components)
+            keys = Counter({0: 1})
+            for P in C.components:
+                part = Counter()
+                for flags in _nonzero_flags(P, max_enum, w):
+                    part.update(flags)
+                joined = Counter()
+                for a, x in keys.items():
+                    for b, y in part.items():
+                        joined[a | b] += x * y
+                keys = joined
+            for key, k in keys.items():
+                weights[key.bit_count()] += k
+        C._weights = tuple(weights[i] for i in range(C.algebra.group.n + 1))
     return C._weights
 
 
@@ -363,14 +374,17 @@ def security_parameter(
     D: GroupCode,
     max_enum: int = DEFAULT_ENUM_CAP,
     _assume_lcp: bool = False,
+    _d_dual: GroupCode | None = None,
 ) -> int:
-    """min{d(C), d(D^perp)} for an LCP pair; the two are checked to be equal."""
+    """min{d(C), d(D^perp)} for an LCP pair; the two are checked to be equal.
+    A caller that has already checked the pair passes ``_assume_lcp=True``,
+    and one that also holds D^perp passes it as ``_d_dual``."""
     if not _assume_lcp:
         rep = lcp_check(C, D, fill_security=False)
         if not rep.is_lcp:
             raise NotLcpError("security parameter is only defined for LCP pairs")
     dc = min_distance(C, max_enum)
-    dd = min_distance(code_dual(D), max_enum)
+    dd = min_distance(code_dual(D) if _d_dual is None else _d_dual, max_enum)
     if dc != dd:
         raise AssertionError(
             f"LCP pair with d(C) = {dc} but d(D^perp) = {dd}; these must be equal"

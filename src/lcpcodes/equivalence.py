@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .codes import GroupCode, code_dual, lcp_check, min_distance, weight_enumerator
 from .errors import CapExceededError, NotLcpError, ValidationError
@@ -86,7 +87,15 @@ def _column_signature(words, c):
 
 
 def _search_lex_least(words1, words2, n):
-    """Lexicographically least coordinate permutation mapping set1 to set2."""
+    """Lexicographically least coordinate permutation mapping set1 to set2.
+
+    A partial assignment perm[:k+1] survives when words2 projected onto those
+    columns gives the same multiset as words1 cut to its first k+1
+    coordinates.  words1's prefixes are numbered level by level, (id of
+    w[:k], w[k]) -> id of w[:k+1], so each DFS level maps words2's ids one
+    step further and compares counts of ids; a prefix words1 never has maps
+    to None, and the counts then differ.
+    """
     if len(words1) != len(words2):
         return None
     sig1 = [_column_signature(words1, c) for c in range(n)]
@@ -94,14 +103,21 @@ def _search_lex_least(words1, words2, n):
     if sorted(sig1) != sorted(sig2):
         return None
     candidates = [[c2 for c2 in range(n) if sig2[c2] == sig1[c]] for c in range(n)]
-    proj1 = [Counter(w[: k + 1] for w in words1) for k in range(n)]
+    steps, proj1 = [], []
+    ids = [0] * len(words1)
+    for k in range(n):
+        step = {}
+        ids = [step.setdefault((i, w[k]), len(step)) for i, w in zip(ids, words1)]
+        steps.append(step)
+        proj1.append(Counter(ids))
     set2 = set(words2)
     perm = [0] * n
     used = [False] * n
+    ids2 = [[0] * len(words2)] + [None] * n  # ids2[k]: words2's prefix ids under perm[:k]
 
     def partial_ok(k):
-        cols = perm[: k + 1]
-        return Counter(tuple(w[c] for c in cols) for w in words2) == proj1[k]
+        ids2[k + 1] = list(map(steps[k].get, zip(ids2[k], map(itemgetter(perm[k]), words2))))
+        return Counter(ids2[k + 1]) == proj1[k]
 
     def dfs(k):
         if k == n:

@@ -285,14 +285,21 @@ def membership(v, P: PivotForm) -> bool:
     return _reduce_against(s, v, P.rows, P.pivot_cols, P.pivot_vals) and not s.nonzero(v)
 
 
-def _layout(ring, n):
-    """(W, a 1 in each of the r*n fields) for packed vectors of R^n: a field
-    holds the sum of two reduced coefficients below one guard bit."""
-    w = (2 * ring.pe - 1).bit_length() + 1
+def _field_width(ring):
+    """Bits per packed field: the sum of two reduced coefficients below one
+    guard bit."""
+    return (2 * ring.pe - 1).bit_length() + 1
+
+
+def _layout(ring, n, w=0):
+    """(W, a 1 in each of the r*n fields) for packed vectors of R^n.  W is
+    the ring's own width, or w when that is wider: a field sum s < 2p^e still
+    stays below the guard bit, as 2p^e <= 2^(W-1)."""
+    w = max(w, _field_width(ring))
     return w, ((1 << (ring.r * n * w)) - 1) // ((1 << w) - 1)
 
 
-def _packed_blocks(P: PivotForm, cap: int):
+def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     """Yield the span elements as packed ints, in blocks, in the enumeration
     order: row 0 varies slowest, each coefficient through its transversal.
 
@@ -310,7 +317,7 @@ def _packed_blocks(P: PivotForm, cap: int):
         )
     ring, n = P.ring, P.ncols
     m = ring.pe
-    w, unit = _layout(ring, n)
+    w, unit = _layout(ring, n, w)
     top = unit << (w - 1)
     lift = unit * ((1 << (w - 1)) - m)
     shift = w - 1
@@ -352,22 +359,36 @@ def enumerate_codewords(P: PivotForm, cap: int = DEFAULT_ENUM_CAP):
             yield tuple(zip(*[[(x >> s) & field for s in block] for block in blocks]))
 
 
+def _nonzero_flags(P: PivotForm, cap: int, w: int = 0):
+    """Yield, block by block in the enumeration order, each span element's
+    nonzero flags: the guard bit of coordinate i's field in block 0 (bit
+    i*W + W-1, W from ``_layout``) is set when coordinate i is nonzero.
+
+    A reduced field plus 2^(W-1) - 1 reaches its guard bit exactly when it
+    is nonzero; for r > 1 the guard bits of every coefficient block are ORed
+    onto block 0.  Spans walked at one common w give flags that line up.
+    """
+    ring, n = P.ring, P.ncols
+    w, unit = _layout(ring, n, w)
+    fill = unit * ((1 << (w - 1)) - 1)
+    top = (unit & ((1 << (n * w)) - 1)) << (w - 1)  # the guard bits of block 0
+    for words in _packed_blocks(P, cap, w):
+        flags = map(fill.__add__, words)
+        for _ in range(1, ring.r):
+            flags = [f | (f >> (n * w)) for f in flags]
+        yield map(top.__and__, flags)
+
+
 def support_counts(P: PivotForm, cap: int = DEFAULT_ENUM_CAP) -> Counter:
     """How many span elements have each support, as n-bit masks (bit i set
     when coordinate i is nonzero), counted on the packed walk."""
-    ring, n = P.ring, P.ncols
-    w, unit = _layout(ring, n)
-    fill = unit * ((1 << (w - 1)) - 1)  # a field + fill reaches its guard bit iff nonzero
-    top = (unit & ((1 << (n * w)) - 1)) << (w - 1)  # the guard bits of block 0
-    # the flag of coordinate i is bit i*w + w-1; every w-th binary digit of
-    # the flags, read from the top, is the n-bit mask
+    n = P.ncols
+    w, _ = _layout(P.ring, n)
+    # every w-th binary digit of the flags, read from the top, is the mask
     digits = (n - 1) * w + 1
     masks, packed = Counter(), Counter()
-    for words in _packed_blocks(P, cap):
-        flags = map(fill.__add__, words)
-        for _ in range(1, ring.r):  # OR every coefficient block's guard bits onto block 0
-            flags = [f | (f >> (n * w)) for f in flags]
-        packed.update(map(top.__and__, flags))
+    for flags in _nonzero_flags(P, cap):
+        packed.update(flags)
         if len(packed) > _FLUSH:
             _flush(packed, masks, w, digits)
     _flush(packed, masks, w, digits)

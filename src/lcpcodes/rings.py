@@ -18,7 +18,7 @@ import itertools
 from collections import Counter
 from math import gcd, prod
 
-from .errors import NotInvertibleError, ValidationError
+from .errors import CapExceededError, NotInvertibleError, ValidationError
 
 __all__ = ["ChainRing", "ProductRing", "default_modulus", "is_prime", "factorize"]
 
@@ -28,6 +28,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # 798330580441 (Sorenson and Webster, Math. Comp. 86, 2017); every odd
 # composite below it fails the test for one of the bases.
 _MR_LIMIT = 318665857834031151167461
+# Steps of the Pollard-Brent map allowed for one split: about sqrt(p) are
+# needed to split off a prime p, so a second-largest prime factor up to
+# about 2^40 is found.
+_FACTOR_STEPS = 1 << 21
 
 
 def is_prime(n: int) -> bool:
@@ -67,14 +71,19 @@ def _strong_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
+def _pollard_brent(n: int) -> int | None:
     """A nontrivial factor of the odd composite n, a prime power too
     (Brent, BIT 20, 1980): Brent's cycle search on x -> x^2 + c mod n, with
     the gcds batched over runs of 128 differences; a c whose cycle closes
-    mod n at once is retried with the next one."""
+    mod n at once is retried with the next one.  None once the next round
+    would take the steps of the map past _FACTOR_STEPS."""
+    steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r  # r steps to move x on, at most r more to compare
+            if steps > _FACTOR_STEPS:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -100,11 +109,12 @@ def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 2 as a sorted list of (prime, exponent):
     trial division by 2..999, then Pollard-Brent on what is left, which
     takes about sqrt(p) steps for its second-largest prime factor p.  A
-    cofactor past the exact range of ``is_prime`` that passes its test
-    raises ValidationError."""
+    split that would take more than _FACTOR_STEPS steps raises
+    CapExceededError, and a cofactor past the exact range of ``is_prime``
+    that passes its test raises ValidationError."""
     if m < 2:
         raise ValidationError(f"cannot factor modulus {m}; need m >= 2")
-    out = Counter()
+    modulus, out = m, Counter()
     for d in range(2, 1000):
         if d * d > m:  # what is left is 1 or a prime
             break
@@ -118,6 +128,11 @@ def factorize(m: int) -> list[tuple[int, int]]:
             out[k] += 1
             continue
         f = _pollard_brent(k)
+        if f is None:
+            raise CapExceededError(
+                f"factoring modulus {modulus} needs more than the cap of {_FACTOR_STEPS} "
+                "Pollard-Brent steps; give the ring as a list of components instead"
+            )
         stack += [f, k // f]
     return sorted(out.items())
 

@@ -7,6 +7,7 @@ of it shares code paths with the library's pivot/kernel machinery.
 """
 
 import itertools
+from collections import Counter
 
 
 def vec_add(ring, u, v):
@@ -329,15 +330,64 @@ def tallied_weights(C, max_enum=1 << 20):
     return tuple(counts)
 
 
+def _column_signature(words, c):
+    return tuple(sorted(Counter(w[c] for w in words).items()))
+
+
+def _apply_permutation(perm, v):
+    out = [None] * len(v)
+    for i, x in enumerate(v):
+        out[perm[i]] = x
+    return tuple(out)
+
+
+def scanned_lex_least_search(words1, words2, n):
+    """Lexicographically least coordinate permutation mapping set1 to set2,
+    by a backtracking search that projects every word of set2 onto the
+    assigned columns at each node and counts the projections."""
+    if len(words1) != len(words2):
+        return None
+    sig1 = [_column_signature(words1, c) for c in range(n)]
+    sig2 = [_column_signature(words2, c) for c in range(n)]
+    if sorted(sig1) != sorted(sig2):
+        return None
+    candidates = [[c2 for c2 in range(n) if sig2[c2] == sig1[c]] for c in range(n)]
+    proj1 = [Counter(w[: k + 1] for w in words1) for k in range(n)]
+    set2 = set(words2)
+    perm = [0] * n
+    used = [False] * n
+
+    def partial_ok(k):
+        cols = perm[: k + 1]
+        return Counter(tuple(w[c] for c in cols) for w in words2) == proj1[k]
+
+    def dfs(k):
+        if k == n:
+            return all(_apply_permutation(perm, w) in set2 for w in words1)
+        for c2 in candidates[k]:
+            if used[c2]:
+                continue
+            perm[k] = c2
+            used[c2] = True
+            if partial_ok(k) and dfs(k + 1):
+                return True
+            used[c2] = False
+        return False
+
+    if dfs(0):
+        return tuple(perm)
+    return None
+
+
 def listed_permutation_search(C1, C2, max_enum=1 << 20):
     """``find_permutation`` the long way: both codes' word lists from the
-    recursion, weights counted word by word, then the lex-least search."""
+    recursion, weights counted word by word, then the lex-least search by
+    ``scanned_lex_least_search``."""
     from lcpcodes.equivalence import (
         STATUS_EXHAUSTED,
         STATUS_FOUND,
         STATUS_NOT_EQUIVALENT,
         EquivalenceResult,
-        _search_lex_least,
     )
     from lcpcodes.errors import CapExceededError
 
@@ -358,7 +408,7 @@ def listed_permutation_search(C1, C2, max_enum=1 << 20):
     d2 = next((w for w in weights2 if w), n + 1)
     if weights1 != weights2:
         return EquivalenceResult(STATUS_NOT_EQUIVALENT, None, d1, d2, "weight enumerators differ")
-    perm = _search_lex_least(words1, words2, n)
+    perm = scanned_lex_least_search(words1, words2, n)
     if perm is None:
         return EquivalenceResult(
             STATUS_NOT_EQUIVALENT, None, d1, d2, "backtracking exhausted all assignments"

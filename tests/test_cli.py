@@ -312,6 +312,18 @@ def test_code_over_a_64_bit_modulus(tmp_path, modulus):
     assert report["cardinality"] == modulus**4
 
 
+def test_unfactorable_modulus_exit_three(capsys, tmp_path):
+    """(2^61 - 1)^2 (2^64 - 59) would take Pollard-Brent about 2^30 steps;
+    it hits the factoring cap and exits 3 before any work."""
+    modulus = (2**61 - 1) ** 2 * (2**64 - 59)
+    doc = {"ring": modulus, "group": {"family": "cyclic", "n": 2}, "codes": {}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(path), "info")
+    assert code == 3 and out == ""
+    assert f"factoring modulus {modulus} needs more than the cap" in err
+
+
 @pytest.mark.parametrize("seed", [True, False])
 def test_boolean_seed_exit_two(tmp_path, seed):
     path = tmp_path / "bool_seed.json"

@@ -29,7 +29,7 @@ from lcpcodes.groups import cyclic
 from lcpcodes.linalg import RingMatrix, enumerate_codewords, pivot_reduce
 from lcpcodes.rings import ChainRing, ProductRing
 
-from oracles import brute_span
+from oracles import brute_span, scanned_lex_least_search
 
 F2 = ProductRing([ChainRing(2, 1, 1)])
 A_F2C3 = GroupAlgebra(F2, cyclic(3))
@@ -147,6 +147,30 @@ def test_search_complete_at_desk_scale(seed):
             None,
         )
         assert got == brute
+
+
+@pytest.mark.parametrize("ring", [ChainRing(2), ChainRing(3), ChainRing(2, 2), ChainRing(2, 1, 2)], ids=repr)
+def test_search_matches_the_scanning_search_on_random_pairs(ring):
+    """Random spans of equal size, half of them coordinate shuffles of the
+    other and half drawn on their own (mostly not equivalent)."""
+    rng = random.Random(repr(ring))
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        w1 = _random_span(ring, n, rng)
+        if rng.random() < 0.5:
+            shuffle = list(range(n))
+            rng.shuffle(shuffle)
+            w2 = [apply_permutation(tuple(shuffle), w) for w in w1]
+            rng.shuffle(w2)
+        else:
+            w2 = _random_span(ring, n, rng)
+            if len(w2) != len(w1):
+                continue
+        got = _search_lex_least(w1, w2, n)
+        assert got == scanned_lex_least_search(w1, w2, n)
+        outcomes.add(got is None)
+    assert outcomes == {False, True}
 
 
 def test_check_dual_equivalence_running_pair(running_pair):

@@ -5,8 +5,10 @@ component, sums by worklist) must give the same ideals in the same order as
 the principal-ideal fixed point in ``oracles.py``; ``search-lcp`` (one check
 of each ideal C against its only candidate complement iota(C)^perp, where
 iota is the coordinate map g -> g^-1) the same pair list as the full scan;
-and ``check_dual_equivalence`` (one enumeration per code) the same result as
-the report built the long way.
+``check_dual_equivalence`` (one enumeration per code) the same result as
+the report built the long way; and the lex-least search (prefix ids per DFS
+level) the same permutation as the search that projects every word at each
+node.
 """
 
 import json
@@ -16,7 +18,7 @@ import pytest
 from lcpcodes import cli
 from lcpcodes.algebra import GroupAlgebra
 from lcpcodes.codes import GroupCode, code_dual, code_involute, enumerate_ideals, lcp_check
-from lcpcodes.equivalence import check_dual_equivalence, verify_permutation
+from lcpcodes.equivalence import _search_lex_least, check_dual_equivalence, verify_permutation
 from lcpcodes.errors import CapExceededError, ValidationError
 from lcpcodes.groups import cyclic, direct_product
 from lcpcodes.rings import ChainRing, ProductRing
@@ -27,6 +29,7 @@ from oracles import (
     dual_equivalence_reference,
     full_scan_lcp_pairs,
     principal_closure_ideals,
+    scanned_lex_least_search,
 )
 
 SEARCH_CORPUS = {
@@ -176,3 +179,15 @@ def test_enumerate_ideals_matches_all_ideal_subsets(name):
     words = [frozenset(code_word_set(I)) for I in ideals]
     assert len(set(words)) == len(words)
     assert set(words) == {frozenset(S) for S in all_ideal_subsets(algebra)}
+
+
+def test_lex_least_search_matches_the_scanning_search(searched):
+    """Every ordered pair of equal-size ideals: found or not, both searches
+    give the same answer."""
+    _, algebra, ideals, _ = searched
+    n = algebra.group.n
+    words = [list(C.codewords()) for C in ideals]
+    for words1 in words:
+        for words2 in words:
+            if len(words1) == len(words2):
+                assert _search_lex_least(words1, words2, n) == scanned_lex_least_search(words1, words2, n)

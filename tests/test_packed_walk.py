@@ -4,7 +4,7 @@
 in the same order, and ``weight_enumerator`` (support masks per CRT
 component, joined by OR) must equal ``oracles.tallied_weights`` on every
 ideal and its dual of small algebras, on wide coefficient fields and on
-products of two or three components.  ``find_permutation``, which compares
+products of two or three components, also of different field widths.  ``find_permutation``, which compares
 weight enumerators before it builds words and answers a code compared with
 itself by the identity, must agree with the search over word lists.
 """
@@ -114,6 +114,28 @@ def test_or_join_of_several_components(modulus, n):
     assert algebra.ring.s >= 2
     for C in codes + [code_dual(C) for C in codes]:
         assert weight_enumerator(C) == tallied_weights(C)
+
+
+MIXED_WIDTHS = {
+    "Z24[C2]": (ProductRing.from_modulus(24), cyclic(2)),  # Z8 x F3: widths 5 and 4
+    "F4xF3[C2]": (ProductRing([ChainRing(2, 1, 2), ChainRing(3)]), cyclic(2)),  # r = 2 next to r = 1
+    "GR(4,2)xF3[C1]": (ProductRing([ChainRing(2, 2, 2), ChainRing(3)]), cyclic(1)),
+    "Z8xGR(3,2)[C2]": (ProductRing([ChainRing(2, 3), ChainRing(3, 1, 2)]), cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_WIDTHS))
+def test_components_of_different_widths(name):
+    """Each component is walked at the widest component's field width, so
+    the flags of fields and coefficient blocks of different sizes line up."""
+    algebra = GroupAlgebra(*MIXED_WIDTHS[name])
+    widths = {linalg._field_width(cr) for cr in algebra.ring.components}
+    degrees = {cr.r for cr in algebra.ring.components}
+    assert len(widths) > 1 or len(degrees) > 1
+    codes = enumerate_ideals(algebra, max_size=algebra.size)  # Z8 x GR(3,2)[C2] has 5184 elements
+    for C in codes + [code_dual(C) for C in codes]:
+        fresh = GroupCode.from_components(algebra, C.components)  # no cached weights
+        assert weight_enumerator(fresh) == tallied_weights(C)
 
 
 RANDOM_RINGS = [
@@ -246,6 +268,31 @@ def test_cli_checks_each_pair_once(tmp_path, capsys, monkeypatch):
     assert cli.main(["--config", str(path), "--json", "search-lcp"]) == 0
     capsys.readouterr()
     assert calls == []
+
+
+def test_lcp_builds_the_dual_once(tmp_path, capsys, monkeypatch):
+    """On an LCP pair the security parameter and the equivalence report share
+    one D^perp: one kernel, and one weight walk for each of C and D^perp."""
+    path = tmp_path / "pair.json"
+    path.write_text(
+        '{"ring": [{"p": 2}], "group": {"family": "cyclic", "n": 3},'
+        ' "codes": {"C": [[[0, 1], [1, 1]]], "D": [[[0, 1], [1, 1], [2, 1]]]}}',
+        encoding="utf-8",
+    )
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr("lcpcodes.codes.kernel", counted("kernel", linalg.kernel))
+    monkeypatch.setattr("lcpcodes.codes._nonzero_flags", counted("walk", linalg._nonzero_flags))
+    assert cli.main(["--config", str(path), "--json", "lcp", "C", "D"]) == 0
+    capsys.readouterr()
+    assert calls == {"kernel": 1, "walk": 2}
 
 
 def test_direct_call_still_checks_the_pair():

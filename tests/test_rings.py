@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from lcpcodes.errors import NotInvertibleError, ValidationError
+from lcpcodes import rings
+from lcpcodes.errors import CapExceededError, NotInvertibleError, ValidationError
 from lcpcodes.rings import ChainRing, ProductRing, _fp_is_irreducible, default_modulus, factorize, is_prime
 
 from oracles import trial_division_factorize, trial_division_irreducible, trial_division_is_prime
@@ -265,6 +266,17 @@ def test_factorize():
     assert factorize(7) == [(7, 1)]
     with pytest.raises(ValidationError):
         factorize(1)
+
+
+def test_factorize_step_cap(monkeypatch):
+    """Pollard-Brent stops at its step cap with a cap error naming the cap
+    and the modulus.  (The 64-bit moduli of the test above factor under the
+    default cap.)"""
+    m = 1048571 * 1048573
+    assert factorize(m) == [(1048571, 1), (1048573, 1)]
+    monkeypatch.setattr(rings, "_FACTOR_STEPS", 256)
+    with pytest.raises(CapExceededError, match=f"factoring modulus {m} needs more than the cap of 256 "):
+        factorize(m)
 
 
 # Carmichael numbers, and strong pseudoprimes to the bases 2 (2047), 2..7
