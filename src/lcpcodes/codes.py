@@ -12,6 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 
 from .algebra import GroupAlgebra
 from .errors import CapExceededError, NotLcpError, ValidationError
@@ -50,6 +51,12 @@ __all__ = [
 DEFAULT_IDEAL_CAP = 1 << 12
 
 
+def _permuter(perm):
+    """c -> the tuple of c[perm[m]]; itemgetter returns a bare item for a
+    single index, so a length-1 map is the identity ``tuple``."""
+    return itemgetter(*perm) if len(perm) > 1 else tuple
+
+
 class GroupCode:
     """A two-sided ideal of R[G], held as per-component pivot forms."""
 
@@ -83,24 +90,28 @@ class GroupCode:
         Per component the rows g * a * h for all group elements g, h span an
         ideal closed under multiplication from both sides, so a single
         reduction suffices.  Since g * a * h = (g h) * (h^-1 a h), those rows
-        are the left translates of the distinct conjugates h^-1 a h.
+        are the left translates of the distinct conjugates h^-1 a h; over an
+        abelian group a is its only conjugate.
         """
         gens = tuple(algebra.check(a) for a in generators)
         group = algebra.group
         n, t, inv = group.n, group.table, group.inv
+        # m -> h m h^-1 reads h^-1 a h off a; each distinct map once
+        hs = (0,) if group.is_abelian() else range(n)
+        maps = {tuple(t[h][t[m][inv[h]]] for m in range(n)): None for h in hs}
+        conj_maps = list(map(_permuter, maps))
+        shifts = [_permuter(t[inv[g]]) for g in range(n)]
         forms = []
         for j, cr in enumerate(algebra.ring.components):
             conjugates = {}
             for a in gens:
                 aj = tuple(a[i][j] for i in range(n))
-                for h in range(n):
-                    th, ih = t[h], inv[h]
-                    conjugates[tuple(aj[th[t[m][ih]]] for m in range(n))] = None
+                for conj in conj_maps:
+                    conjugates[conj(aj)] = None
             rows = {}
             for c in conjugates:
-                for g in range(n):
-                    tg = t[inv[g]]
-                    rows[tuple(c[tg[m]] for m in range(n))] = None
+                for shift in shifts:
+                    rows[shift(c)] = None
             forms.append(pivot_reduce(RingMatrix(cr, tuple(rows), n)))
         return cls(algebra, gens, forms)
 
@@ -174,12 +185,14 @@ class GroupCode:
         group's generators, which for a finite group means by all of G."""
         group = self.algebra.group
         n, t, inv = group.n, group.table, group.inv
+        moves = [
+            (_permuter(t[inv[g]]), _permuter(tuple(t[m][inv[g]] for m in range(n))))
+            for g in group.generators
+        ]
         for P in self.components:
             for row in P.rows:
-                for g in group.generators:
-                    ig = inv[g]
-                    left = tuple(row[t[ig][m]] for m in range(n))
-                    right = tuple(row[t[m][ig]] for m in range(n))
+                for to_left, to_right in moves:
+                    left, right = to_left(row), to_right(row)
                     if not membership(left, P) or (right != left and not membership(right, P)):
                         return False
         return True
@@ -290,19 +303,22 @@ def lcp_check(
 
     Runs both the direct test (trivial intersection and full sum) and the
     componentwise test, which must agree; when the pair is LCP the security
-    parameter min{d(C), d(D^perp)} is attached.
+    parameter min{d(C), d(D^perp)} is attached.  Both read the sum alone:
+    for finite modules |P meet Q| * |P + Q| = |P| * |Q| (second isomorphism
+    theorem), so each component's intersection size is |P| |Q| / |P + Q|.
     """
     _same_algebra(C, D)
-    inter = code_intersect(C, D)
     total = code_sum(C, D)
-    isize = inter.cardinality()
+    isizes = [
+        _meet_size(P, Q, S.cardinality())
+        for P, Q, S in zip(C.components, D.components, total.components)
+    ]
+    isize = prod(isizes)
     sum_full = total.cardinality() == C.algebra.size
     n = C.algebra.group.n
     verdicts = tuple(
-        ip.cardinality() == 1 and P.cardinality() * Q.cardinality() == cr.size**n
-        for ip, P, Q, cr in zip(
-            inter.components, C.components, D.components, C.algebra.ring.components
-        )
+        i == 1 and P.cardinality() * Q.cardinality() == cr.size**n
+        for i, P, Q, cr in zip(isizes, C.components, D.components, C.algebra.ring.components)
     )
     direct = isize == 1 and sum_full
     if direct != all(verdicts):
@@ -317,6 +333,14 @@ def lcp_check(
         component_verdicts=verdicts,
         security_parameter=sec,
     )
+
+
+def _meet_size(P, Q, sum_size: int) -> int:
+    """|P meet Q| = |P| |Q| / |P + Q|, given sum_size = |P + Q|."""
+    size, rest = divmod(P.cardinality() * Q.cardinality(), sum_size)
+    if rest:
+        raise AssertionError(f"|P| |Q| is not a multiple of |P + Q| = {sum_size}")
+    return size
 
 
 def _weight_distribution(C: GroupCode, max_enum: int):
@@ -400,21 +424,23 @@ class DsmSplitter:
     """Decomposes R[G] along a fixed complementary pair C + D.
 
     The stacked generator systems are pre-reduced once per component, so each
-    ``split`` is a single linear solve.
+    ``split`` is a single linear solve.  That reduction also gives |P + Q|,
+    which decides the pair as in ``lcp_check``: it is LCP when every
+    component has |P| |Q| = |P + Q| = |R_j|^n.
     """
 
     def __init__(self, C: GroupCode, D: GroupCode, check: bool = True):
-        if check:
-            rep = lcp_check(C, D, fill_security=False)
-            if not rep.is_lcp:
-                raise NotLcpError("direct sum masking needs an LCP pair")
+        _same_algebra(C, D)
         self.C, self.D = C, D
         n = C.algebra.group.n
         self._solvers = []
         self._c_row_counts = []
         for P, Q in zip(C.components, D.components):
-            rows = P.rows + Q.rows
-            self._solvers.append(SpanSolver(RingMatrix(P.ring, rows, n)))
+            solver = SpanSolver(RingMatrix(P.ring, P.rows + Q.rows, n))
+            size = solver.span_size()
+            if check and not (_meet_size(P, Q, size) == 1 and size == P.ring.size**n):
+                raise NotLcpError("direct sum masking needs an LCP pair")
+            self._solvers.append(solver)
             self._c_row_counts.append(len(P.rows))
 
     def split(self, z):

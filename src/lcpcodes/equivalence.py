@@ -11,6 +11,7 @@ whole-ring permutations carrying D^perp onto C.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -138,13 +139,15 @@ def _search_lex_least(words1, words2, n):
 
 
 def find_permutation(
-    C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_CAP
+    C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_CAP, _words=None
 ) -> EquivalenceResult:
     """Search for a coordinate permutation with C2 = C1 * P.
 
     The weight enumerators are compared first; for C1 == C2 the answer is
     the identity, which is the least permutation and maps C1 onto itself,
-    so no codeword is built.
+    so no codeword is built.  A caller that can list both codes' words more
+    cheaply passes ``_words``, called with no argument when the search needs
+    them, returning the two lists in ``codewords`` order.
     """
     if C1.algebra != C2.algebra:
         raise ValidationError("codes live in different group algebras")
@@ -165,8 +168,10 @@ def find_permutation(
     if C1 == C2:
         perm = identity_permutation(n)
     else:
-        words1 = list(C1.codewords(max_enum))
-        words2 = list(C2.codewords(max_enum))
+        if _words is None:
+            words1, words2 = list(C1.codewords(max_enum)), list(C2.codewords(max_enum))
+        else:
+            words1, words2 = _words()
         perm = _search_lex_least(words1, words2, n)
         if perm is None:
             return EquivalenceResult(
@@ -189,22 +194,39 @@ def check_dual_equivalence(
     Permutations are searched per CRT component and once over the whole
     product ring; the block note records both outcomes, since component
     permutations need not assemble into a single common one.  Over a chain
-    ring the one component search is the common search.  A caller that has
-    already checked the pair passes ``_assume_lcp=True``, and one that also
-    holds D^perp passes it as ``_d_dual``.
+    ring the one component search is the common search; over a product ring
+    each component's span is listed once, on first need, and serves both
+    searches.  A caller that has already checked the pair passes
+    ``_assume_lcp=True``, and one that also holds D^perp passes it as
+    ``_d_dual``.
     """
     if not _assume_lcp and not lcp_check(C, D, fill_security=False).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
     Dd = code_dual(D) if _d_dual is None else _d_dual
     # the weights are cached on C and Dd, so the searches reuse them
     d_c, d_dd = min_distance(C, max_enum), min_distance(Dd, max_enum)
-    full = find_permutation(Dd, C, max_enum)
     if C.algebra.ring.s == 1:
+        full = find_permutation(Dd, C, max_enum)
         parts = [full]
     else:
+        s, lists = C.algebra.ring.s, {}
+
+        def span(code, j):  # component j's span, listed once per call
+            if (id(code), j) not in lists:
+                lists[id(code), j] = list(code.components[j].codewords(max_enum))
+            return lists[id(code), j]
+
+        def words(code):  # in GroupCode.codewords order and shape
+            spans = [span(code, j) for j in range(s)]
+            return [tuple(zip(*combo)) for combo in itertools.product(*spans)]
+
+        def part(code, j):  # as the component code's codewords
+            return [tuple(zip(w)) for w in span(code, j)]
+
+        full = find_permutation(Dd, C, max_enum, lambda: (words(Dd), words(C)))
         parts = [
-            find_permutation(Ddj, Cj, max_enum)
-            for Cj, Ddj in zip(C.crt_project(), Dd.crt_project())
+            find_permutation(Ddj, Cj, max_enum, lambda j=j: (part(Dd, j), part(C, j)))
+            for j, (Cj, Ddj) in enumerate(zip(C.crt_project(), Dd.crt_project()))
         ]
 
     def note(label, res):

@@ -147,8 +147,8 @@ class FiniteGroup:
         return self.inv[i]
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[i][j] == t[j][i] for i in range(self.n) for j in range(i))
+        """Whether the table equals its transpose."""
+        return self.table == tuple(zip(*self.table))
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from .errors import CapExceededError, ValidationError
@@ -79,11 +80,7 @@ class PivotForm:
     pivot_vals: tuple
 
     def cardinality(self) -> int:
-        q, e = self.ring.q, self.ring.e
-        out = 1
-        for t in self.pivot_vals:
-            out *= q ** (e - t)
-        return out
+        return _span_size(self.ring, self.pivot_vals)
 
     def contains(self, v) -> bool:
         return membership(v, self)
@@ -93,6 +90,18 @@ class PivotForm:
 
     def key(self):
         return (self.pivot_cols, self.pivot_vals, self.rows)
+
+    @cached_property
+    def _engine(self):
+        """The scalar kit and the pivots in the form it works on, built on
+        the first membership test and kept for the next ones."""
+        s = _scalars(self.ring)
+        return s, _engine_pivots(s, self.rows, self.pivot_cols, self.pivot_vals)
+
+
+def _span_size(ring, vals) -> int:
+    """Size of the span of a Howell form with pivots gamma^t, t in vals."""
+    return ring.q ** sum(ring.e - t for t in vals)
 
 
 class _IntScalars:
@@ -261,28 +270,35 @@ def pivot_reduce(M: RingMatrix) -> PivotForm:
     return _lower_block(M.ring, M.rows, 0, M.ncols)
 
 
-def _reduce_against(s, v, rows, cols, vals) -> bool:
-    """Reduce v (in the form s works on) in place by the pivot rows (tuples
-    of ring elements); False on a pivot it cannot clear."""
+def _engine_pivots(s, rows, cols, vals):
+    """(column, valuation, support) of each pivot row (a tuple of ring
+    elements), the support in the form s works on."""
+    return tuple(
+        (col, t, _support(s, s.load(row[col:]), col)) for row, col, t in zip(rows, cols, vals)
+    )
+
+
+def _reduce_against(s, v, pivots) -> bool:
+    """Reduce v (in the form s works on) in place by the pivots from
+    ``_engine_pivots``; False on a pivot it cannot clear."""
     zero = s.zero
-    for row, col, t in zip(rows, cols, vals):
+    for col, t, supp in pivots:
         x = v[col]
         if x == zero:
             continue
         if s.valuation(x) < t:
             return False
-        s.submul(v, s.quotient(x, t), _support(s, s.load(row[col:]), col))
+        s.submul(v, s.quotient(x, t), supp)
     return True
 
 
 def membership(v, P: PivotForm) -> bool:
     """Whether v lies in the span of the pivot form."""
-    ring = P.ring
     if len(v) != P.ncols:
         raise ValidationError(f"vector length {len(v)} != {P.ncols}")
-    s = _scalars(ring)
-    v = s.load(ring.check_row(v))
-    return _reduce_against(s, v, P.rows, P.pivot_cols, P.pivot_vals) and not s.nonzero(v)
+    s, pivots = P._engine
+    v = s.load(P.ring.check_row(v))
+    return _reduce_against(s, v, pivots) and not s.nonzero(v)
 
 
 def _field_width(ring):
@@ -297,6 +313,41 @@ def _layout(ring, n, w=0):
     stays below the guard bit, as 2p^e <= 2^(W-1)."""
     w = max(w, _field_width(ring))
     return w, ((1 << (ring.r * n * w)) - 1) // ((1 << w) - 1)
+
+
+def _pack(v, n, w):
+    """Coefficient k of coordinate i in the w-bit field k*n + i of one int."""
+    return sum(c << ((k * n + i) * w) for i, x in enumerate(v) for k, c in enumerate(x))
+
+
+def _packed_multiples(P: PivotForm, w: int):
+    """For each pivot row, its multiples c * row packed at width w, c through
+    the transversal of <gamma^(e - t)> in its order.
+
+    Such a c is sum_k c_k x^k with each c_k in [0, p^(e-t)), so c * row is a
+    sum of copies of the packed rows x^k * row, added by the walk's
+    carry-free step: no ring multiplication for r = 1, and n per power of x
+    for r > 1.
+    """
+    ring, n = P.ring, P.ncols
+    m, r = ring.pe, ring.r
+    _, unit = _layout(ring, n, w)
+    top, lift, shift = unit << (w - 1), unit * ((1 << (w - 1)) - m), w - 1
+
+    def add(a, b):
+        s = a + b
+        return s - (((s + lift) & top) >> shift) * m
+
+    powers = [tuple(int(i == k) for i in range(r)) for k in range(1, r)]  # x, ..., x^(r-1)
+    mults = []
+    for row, t in zip(P.rows, P.pivot_vals):
+        table = [0]
+        for xrow in [row] + [[ring.mul(xk, x) for x in row] for xk in powers]:
+            copies = itertools.repeat(_pack(xrow, n, w), ring.p ** (ring.e - t) - 1)
+            steps = list(itertools.accumulate(copies, add, initial=0))
+            table = [add(a, c) for a in table for c in steps]
+        mults.append(table)
+    return mults
 
 
 def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
@@ -321,14 +372,7 @@ def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     top = unit << (w - 1)
     lift = unit * ((1 << (w - 1)) - m)
     shift = w - 1
-
-    def pack(v):
-        return sum(c << ((k * n + i) * w) for i, x in enumerate(v) for k, c in enumerate(x))
-
-    mults = [
-        [pack([ring.mul(c, x) for x in row]) for c in ring.transversal(ring.e - t)]
-        for row, t in zip(P.rows, P.pivot_vals)
-    ]
+    mults = _packed_multiples(P, w)
     lead = max(len(mults) - 1, 0)
     while lead > 0 and prod(map(len, mults[lead - 1 :])) <= _BLOCK:
         lead -= 1
@@ -460,16 +504,24 @@ class SpanSolver:
             tuple(row) + tuple(one if i == j else zero for j in range(self.nrows))
             for i, row in enumerate(M.rows)
         ]
-        self._rows, self._cols, self._vals = _howell(M.ring, aug, M.ncols + self.nrows, M.ncols)
+        rows, cols, vals = _howell(M.ring, aug, M.ncols + self.nrows, M.ncols)
+        self._s = _scalars(M.ring)
+        self._pivots = _engine_pivots(self._s, rows, cols, vals)
+        self._vals = tuple(vals)
+
+    def span_size(self) -> int:
+        """Size of the span of the generators.  The reduction picks its
+        pivots on the generator columns exactly as ``pivot_reduce`` of the
+        generators would, so those pivots give the size of their span."""
+        return _span_size(self.ring, self._vals)
 
     def solve(self, target):
         """Coefficients c with sum_i c_i * row_i = target, or None."""
-        ring = self.ring
+        ring, s = self.ring, self._s
         if len(target) != self.ncols:
             raise ValidationError("target length mismatch")
-        s = _scalars(ring)
         v = s.load(ring.check_row(target)) + [s.zero] * self.nrows
-        if not _reduce_against(s, v, self._rows, self._cols, self._vals):
+        if not _reduce_against(s, v, self._pivots):
             return None
         if s.nonzero(v[: self.ncols]):
             return None

@@ -172,6 +172,22 @@ def test_lcp_check_examples(running_pair):
     assert lcp_check(full, zero).is_lcp
 
 
+def test_lcp_check_one_component_meets_trivially():
+    """Z6[C3] = F2[C3] x F3[C3].  Over F2, <sum g> and <1 + g> meet in 0 and
+    fill F2[C3]; over F3, <sum g> = <(1 - g)^2> lies inside <1 - g>, so the
+    pair meets in 3 words there and its sum is not full."""
+    C = code_from_generators(A_Z6C3, [ints(A_Z6C3, 1, 5, 3)])  # (sum g, 1 - g)
+    D = code_from_generators(A_Z6C3, [ints(A_Z6C3, 1, 1, 4)])  # (1 + g, sum g)
+    rep = lcp_check(C, D)
+    assert rep.intersection_size == 3
+    assert rep.component_verdicts == (True, False)
+    assert not rep.is_lcp and not rep.sum_is_full and rep.security_parameter is None
+    assert [X.cardinality() for X in code_intersect(C, D).components] == [1, 3]
+    assert len(code_word_set(C) & code_word_set(D)) == 3
+    with pytest.raises(NotLcpError):
+        DsmSplitter(C, D)
+
+
 def test_lcp_check_mismatched_algebras(running_pair):
     C, _ = running_pair
     other = code_from_generators(A_F2C2, [A_F2C2.one()])

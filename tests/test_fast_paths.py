@@ -383,7 +383,8 @@ def engine_cases(ring, rng):
 @pytest.mark.parametrize("ring", ENGINE_RINGS, ids=repr)
 def test_engine_matches_tuple_engine(ring):
     """pivot_reduce, kernel, intersect, membership and SpanSolver.solve give
-    what the engine with tuple scalars throughout gave."""
+    what the engine with tuple scalars throughout gave, and the solver's
+    reduction gives the size of the span that pivot_reduce gives."""
     rng = random.Random(f"engine{ring!r}")
     for M in engine_cases(ring, rng):
         n = M.ncols
@@ -394,6 +395,7 @@ def test_engine_matches_tuple_engine(ring):
         Q = pivot_reduce(other)
         assert intersect(P, Q) == tuple_intersect(P, Q)
         solver = SpanSolver(M)
+        assert solver.span_size() == P.cardinality()
         member = (ring.zero,) * n
         for row in M.rows:
             c = random_entry(ring, rng)

@@ -8,7 +8,9 @@ iota is the coordinate map g -> g^-1) the same pair list as the full scan;
 ``check_dual_equivalence`` (one enumeration per code) the same result as
 the report built the long way; and the lex-least search (prefix ids per DFS
 level) the same permutation as the search that projects every word at each
-node.
+node.  ``lcp_check`` and ``DsmSplitter`` read each component's intersection
+size off the sum, |C meet D| = |C| |D| / |C + D|; on every ordered pair of
+ideals that must equal the Zassenhaus intersection and the brute force.
 """
 
 import json
@@ -17,9 +19,19 @@ import pytest
 
 from lcpcodes import cli
 from lcpcodes.algebra import GroupAlgebra
-from lcpcodes.codes import GroupCode, code_dual, code_involute, enumerate_ideals, lcp_check
+from lcpcodes import linalg
+from lcpcodes.codes import (
+    DsmSplitter,
+    GroupCode,
+    code_dual,
+    code_intersect,
+    code_involute,
+    code_sum,
+    enumerate_ideals,
+    lcp_check,
+)
 from lcpcodes.equivalence import _search_lex_least, check_dual_equivalence, verify_permutation
-from lcpcodes.errors import CapExceededError, ValidationError
+from lcpcodes.errors import CapExceededError, NotLcpError, ValidationError
 from lcpcodes.groups import cyclic, direct_product
 from lcpcodes.rings import ChainRing, ProductRing
 
@@ -119,6 +131,90 @@ def test_full_scan_partner_is_the_dual_of_the_involute(searched):
             assert ideals[partner[i]] == D
             assert code_dual(D) == code_involute(C)
             assert verify_permutation(code_dual(D), C, algebra.group.inv)
+
+
+def test_intersection_sizes_from_the_sum(searched):
+    """Per component and in all, on every ordered pair of ideals, the sizes
+    lcp_check reports equal code_intersect and the brute-force word sets."""
+    _, algebra, ideals, _ = searched
+    n, comps = algebra.group.n, algebra.ring.components
+    words = [code_word_set(I) for I in ideals]
+    parts = [[code_word_set(X) for X in I.crt_project()] for I in ideals]
+    for C, wc, pc in zip(ideals, words, parts):
+        for D, wd, pd in zip(ideals, words, parts):
+            rep = lcp_check(C, D, fill_security=False)
+            S, M = code_sum(C, D), code_intersect(C, D)
+            closed = [
+                P.cardinality() * Q.cardinality() // T.cardinality()
+                for P, Q, T in zip(C.components, D.components, S.components)
+            ]
+            assert closed == [X.cardinality() for X in M.components]
+            assert closed == [len(a & b) for a, b in zip(pc, pd)]
+            assert rep.intersection_size == M.cardinality() == len(wc & wd)
+            assert rep.sum_is_full == S.is_full
+            assert rep.component_verdicts == tuple(
+                X.cardinality() == 1 and T.cardinality() == cr.size**n
+                for X, T, cr in zip(M.components, S.components, comps)
+            )
+            assert rep.is_lcp == (len(wc & wd) == 1 and S.is_full)
+
+
+def test_dsm_splitter_decides_as_lcp_check(searched):
+    """DsmSplitter decides from its own reduction as lcp_check does: it
+    refuses every non-LCP pair, and with check=False still splits a pair
+    whose sum is full, into parts that add up and lie in the codes."""
+    _, algebra, ideals, _ = searched
+    sample = list(algebra.elements())[:: max(1, algebra.size // 40)]
+    for C in ideals:
+        for D in ideals:
+            rep = lcp_check(C, D, fill_security=False)
+            try:
+                DsmSplitter(C, D)
+            except NotLcpError:
+                assert not rep.is_lcp
+            else:
+                assert rep.is_lcp
+            if rep.sum_is_full:
+                splitter = DsmSplitter(C, D, check=False)
+                for z in sample:
+                    c, d = splitter.split(z)
+                    assert algebra.add(c, d) == z and C.contains(c) and D.contains(d)
+
+
+def test_dsm_splitter_needs_one_algebra():
+    A = GroupAlgebra(ProductRing.from_modulus(6), cyclic(3))
+    B = GroupAlgebra(ProductRing.from_modulus(6), cyclic(2))
+    with pytest.raises(ValidationError):
+        DsmSplitter(enumerate_ideals(A)[-1], enumerate_ideals(B)[0], check=False)
+
+
+def test_check_dual_equivalence_lists_each_component_once(monkeypatch):
+    """Over F4 x F3, g -> g^-1 moves ideals of F4[C3], so D^perp = iota(C)
+    differs from C and the searches need words; the common and the
+    component searches share one word list per component code, and the
+    report is the one built the long way."""
+    A = GroupAlgebra(ProductRing([ChainRing(2, 1, 2), ChainRing(3)]), cyclic(3))
+    walks = []
+    real = linalg.enumerate_codewords
+
+    def counted(P, cap=linalg.DEFAULT_ENUM_CAP):
+        walks.append(P.key())
+        return real(P, cap)
+
+    searched_pairs = 0
+    for C in enumerate_ideals(A):
+        Dd = code_involute(C)
+        D = code_dual(Dd)
+        if not lcp_check(C, D, fill_security=False).is_lcp:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "enumerate_codewords", counted)
+            walks.clear()
+            got = check_dual_equivalence(C, D)
+        assert len(walks) <= 2 * A.ring.s
+        assert got == dual_equivalence_reference(C, D)
+        searched_pairs += C != Dd
+    assert searched_pairs
 
 
 def test_complement_is_not_always_the_plain_dual():

@@ -6,7 +6,9 @@ component, joined by OR) must equal ``oracles.tallied_weights`` on every
 ideal and its dual of small algebras, on wide coefficient fields and on
 products of two or three components, also of different field widths.  ``find_permutation``, which compares
 weight enumerators before it builds words and answers a code compared with
-itself by the identity, must agree with the search over word lists.
+itself by the identity, must agree with the search over word lists.  The
+walk's packed multiples of each pivot row must equal the packed ring
+products they replace.
 """
 
 import random
@@ -171,6 +173,31 @@ def test_random_spans_match_the_recursion(ring):
             sum(1 << i for i, x in enumerate(w) if x != zero) for w in words
         )
         checked += 1
+
+
+@pytest.mark.parametrize("ring", RANDOM_RINGS + [ChainRing(3, 2, 2), ChainRing(2, 3, 3)], ids=repr)
+def test_packed_multiples_match_ring_products(ring):
+    """The walk's multiples c * row, built by packed addition of the x^k * row,
+    equal the packed ring products, at the ring's own field width and wider."""
+    rng = random.Random(repr(ring))
+    checked = 0
+    while checked < 20:
+        n = rng.randint(1, 6)
+        scales = [ring.p ** rng.randrange(ring.e) for _ in range(rng.randint(0, 3))]  # small spans of Z_{2^40}
+        rows = [
+            tuple(tuple(rng.randrange(ring.pe) * g % ring.pe for _ in range(ring.r)) for _ in range(n))
+            for g in scales
+        ]
+        P = pivot_reduce(RingMatrix(ring, rows, n))
+        if P.cardinality() > 5000:
+            continue
+        checked += 1
+        for w in (linalg._field_width(ring), linalg._field_width(ring) + 3):
+            expected = [
+                [linalg._pack([ring.mul(c, x) for x in row], n, w) for c in ring.transversal(ring.e - t)]
+                for row, t in zip(P.rows, P.pivot_vals)
+            ]
+            assert linalg._packed_multiples(P, w) == expected
 
 
 @pytest.mark.parametrize(
