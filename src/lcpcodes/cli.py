@@ -318,12 +318,9 @@ def cmd_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     }
     if not rep.is_lcp:
         return report, EXIT_NOT_LCP
-    # D^perp is built once; its weights, cached on it, serve both reports
-    Dd = code_dual(D)
-    report["security_parameter"] = security_parameter(
-        C, D, max_enum=args.max_enum, _assume_lcp=True, _d_dual=Dd
-    )
-    eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True, _d_dual=Dd)
+    # D^perp is built once and cached on D, with its weights; it serves both
+    report["security_parameter"] = security_parameter(C, D, max_enum=args.max_enum, _assume_lcp=True)
+    eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
     report["d_c"] = eq.d_c
     report["d_d_dual"] = eq.d_d_dual
     report["equivalence"] = {
@@ -403,13 +400,14 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     # central idempotents.  <x, y> is the coefficient of 1 in x iota(y), so
     # x in D^perp <=> x iota(D) = 0 <=> x in R[G] iota(e) = iota(C); double
     # duality then gives D = iota(C)^perp, so one lcp_check per ideal decides,
-    # and D^perp = iota(C) whether or not the pair is LCP.
+    # and D^perp = iota(C) whether or not the pair is LCP (code_dual records
+    # iota(C) as the dual of D, so D is not dualised again).
     for i, C in enumerate(ideals):
         iC = code_involute(C)
         D = code_dual(iC)
         if not lcp_check(C, D, max_enum=args.max_enum, fill_security=False).is_lcp:
             continue
-        eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True, _d_dual=iC)
+        eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
         if eq.d_c != eq.d_d_dual:
             all_equal = False
         pairs.append(

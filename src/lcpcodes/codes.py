@@ -66,6 +66,7 @@ class GroupCode:
         self.components = tuple(components)
         self._key = None
         self._weights = None
+        self._dual = None
 
     @property
     def generators(self) -> tuple:
@@ -184,11 +185,8 @@ class GroupCode:
         """Closure of every component span under left/right translation by the
         group's generators, which for a finite group means by all of G."""
         group = self.algebra.group
-        n, t, inv = group.n, group.table, group.inv
-        moves = [
-            (_permuter(t[inv[g]]), _permuter(tuple(t[m][inv[g]] for m in range(n))))
-            for g in group.generators
-        ]
+        t, cols, inv = group.table, group.columns, group.inv
+        moves = [(_permuter(t[inv[g]]), _permuter(cols[inv[g]])) for g in group.generators]
         for P in self.components:
             for row in P.rows:
                 for to_left, to_right in moves:
@@ -226,13 +224,19 @@ def code_sum(C: GroupCode, D: GroupCode) -> GroupCode:
 
 
 def code_dual(C: GroupCode) -> GroupCode:
-    """Annihilator under the coordinatewise bilinear form, per component."""
-    n = C.algebra.group.n
-    forms = [kernel(RingMatrix(P.ring, P.rows, n)) for P in C.components]
-    out = GroupCode.from_components(C.algebra, forms)
-    if not out.is_two_sided():
-        raise AssertionError("dual of an ideal must remain an ideal")
-    return out
+    """Annihilator under the coordinatewise bilinear form, per component.
+
+    Computed once and cached on C.  Over a finite Frobenius ring (chain
+    rings and their products) (C^perp)^perp = C, so C is recorded as the
+    dual of the result."""
+    if C._dual is None:
+        n = C.algebra.group.n
+        forms = [kernel(RingMatrix(P.ring, P.rows, n)) for P in C.components]
+        out = GroupCode.from_components(C.algebra, forms)
+        if not out.is_two_sided():
+            raise AssertionError("dual of an ideal must remain an ideal")
+        out._dual, C._dual = C, out
+    return C._dual
 
 
 def code_involute(C: GroupCode) -> GroupCode:
@@ -398,17 +402,15 @@ def security_parameter(
     D: GroupCode,
     max_enum: int = DEFAULT_ENUM_CAP,
     _assume_lcp: bool = False,
-    _d_dual: GroupCode | None = None,
 ) -> int:
     """min{d(C), d(D^perp)} for an LCP pair; the two are checked to be equal.
-    A caller that has already checked the pair passes ``_assume_lcp=True``,
-    and one that also holds D^perp passes it as ``_d_dual``."""
+    A caller that has already checked the pair passes ``_assume_lcp=True``."""
     if not _assume_lcp:
         rep = lcp_check(C, D, fill_security=False)
         if not rep.is_lcp:
             raise NotLcpError("security parameter is only defined for LCP pairs")
     dc = min_distance(C, max_enum)
-    dd = min_distance(code_dual(D) if _d_dual is None else _d_dual, max_enum)
+    dd = min_distance(code_dual(D), max_enum)
     if dc != dd:
         raise AssertionError(
             f"LCP pair with d(C) = {dc} but d(D^perp) = {dd}; these must be equal"

@@ -187,7 +187,6 @@ def check_dual_equivalence(
     D: GroupCode,
     max_enum: int = DEFAULT_ENUM_CAP,
     _assume_lcp: bool = False,
-    _d_dual: GroupCode | None = None,
 ) -> EquivalenceResult:
     """For an LCP pair: compare d(C) with d(D^perp) and search permutations.
 
@@ -197,12 +196,11 @@ def check_dual_equivalence(
     ring the one component search is the common search; over a product ring
     each component's span is listed once, on first need, and serves both
     searches.  A caller that has already checked the pair passes
-    ``_assume_lcp=True``, and one that also holds D^perp passes it as
-    ``_d_dual``.
+    ``_assume_lcp=True``.
     """
     if not _assume_lcp and not lcp_check(C, D, fill_security=False).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
-    Dd = code_dual(D) if _d_dual is None else _d_dual
+    Dd = code_dual(D)
     # the weights are cached on C and Dd, so the searches reuse them
     d_c, d_dd = min_distance(C, max_enum), min_distance(Dd, max_enum)
     if C.algebra.ring.s == 1:

@@ -1,6 +1,7 @@
 """Finite groups stored extensionally as validated Cayley tables.
 
 Index 0 is always the identity; ``table[i][j]`` is the index of g_i * g_j,
+``columns[j]`` column j of the table (the products g_i * g_j over i),
 ``inv[i]`` the index of the inverse of g_i, and ``generators`` a small
 generating set, chosen greedily in index order.  Tables are validated on
 construction: identity, Latin-square property, associativity (Light's test
@@ -48,6 +49,22 @@ class InverseError(ValidationError):
     """Some element lacks a two-sided inverse."""
 
 
+def _check_rows(table) -> int:
+    """The order n of a square table whose entries are ints in 0..n-1 (bools
+    count as ints), checked a row at a time; the first bad entry is named."""
+    n = len(table)
+    if n == 0:
+        raise ValidationError("empty Cayley table")
+    for row in table:
+        if len(row) != n:
+            raise LatinSquareError("Cayley table is not square")
+        kinds = set(map(type, row))
+        if not all(issubclass(k, int) for k in kinds) or min(row) < 0 or max(row) >= n:
+            x = next(x for x in row if not isinstance(x, int) or not 0 <= x < n)
+            raise LatinSquareError(f"table entry {x!r} outside 0..{n - 1}")
+    return n
+
+
 class FiniteGroup:
     """A finite group of order n with identity normalized to index 0.
 
@@ -60,15 +77,7 @@ class FiniteGroup:
 
     def __init__(self, table, labels=None):
         table = tuple(tuple(row) for row in table)
-        n = len(table)
-        if n == 0:
-            raise ValidationError("empty Cayley table")
-        for row in table:
-            if len(row) != n:
-                raise LatinSquareError("Cayley table is not square")
-            for x in row:
-                if not isinstance(x, int) or not 0 <= x < n:
-                    raise LatinSquareError(f"table entry {x!r} outside 0..{n - 1}")
+        n = _check_rows(table)
         self.n = n
         self.table = table
         self.labels = self._default_labels(n) if labels is None else tuple(labels)
@@ -85,14 +94,16 @@ class FiniteGroup:
 
     def _validate(self):
         n, t = self.n, self.table
-        if any(t[0][j] != j for j in range(n)) or any(t[i][0] != i for i in range(n)):
+        self.columns = cols = tuple(zip(*t))
+        ident = tuple(range(n))
+        if t[0] != ident or cols[0] != ident:
             raise IdentityError("index 0 is not a two-sided identity")
-        full = set(range(n))
+        full = set(ident)
         for i in range(n):
             if set(t[i]) != full:
                 raise LatinSquareError(f"row {i} is not a permutation")
         for j in range(n):
-            if {t[i][j] for i in range(n)} != full:
+            if set(cols[j]) != full:
                 raise LatinSquareError(f"column {j} is not a permutation")
 
     def _check_associative(self):
@@ -148,7 +159,7 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         """Whether the table equals its transpose."""
-        return self.table == tuple(zip(*self.table))
+        return self.table == self.columns
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table
@@ -163,15 +174,7 @@ class FiniteGroup:
 def group_from_table(table, labels=None) -> FiniteGroup:
     """Validate a raw Cayley table, relabeling so the identity sits at index 0."""
     table = [list(row) for row in table]
-    n = len(table)
-    if n == 0:
-        raise ValidationError("empty Cayley table")
-    for row in table:
-        if len(row) != n:
-            raise LatinSquareError("Cayley table is not square")
-        for x in row:
-            if not isinstance(x, int) or not 0 <= x < n:
-                raise LatinSquareError(f"table entry {x!r} outside 0..{n - 1}")
+    n = _check_rows(table)
     ident = None
     for i in range(n):
         if all(table[i][j] == j for j in range(n)) and all(table[k][i] == k for k in range(n)):
@@ -272,6 +275,8 @@ def parse_cayley_table(text: str) -> FiniteGroup:
         n = int(lines[0])
     except ValueError as exc:
         raise ValidationError(f"bad order line {lines[0]!r}") from exc
+    if n > MAX_ORDER:
+        raise ValidationError(f"group table order {n} exceeds the {MAX_ORDER} limit")
     if len(lines) != n + 1:
         raise ValidationError(f"expected {n} table rows, found {len(lines) - 1}")
     table = []

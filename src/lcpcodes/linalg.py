@@ -19,7 +19,6 @@ reduced row echelon form.  Over Z_{p^e} the engine works on plain ints
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -36,16 +35,12 @@ __all__ = [
     "kernel",
     "intersect",
     "enumerate_codewords",
-    "support_counts",
     "DEFAULT_ENUM_CAP",
 ]
 
 DEFAULT_ENUM_CAP = 1 << 20
 # Largest table of trailing-row sums in the packed walk.
 _BLOCK = 1 << 10
-# Distinct packed keys that support_counts holds before converting them to
-# masks, which bounds its memory when most supports differ (as over F2).
-_FLUSH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -320,47 +315,22 @@ def _pack(v, n, w):
     return sum(c << ((k * n + i) * w) for i, x in enumerate(v) for k, c in enumerate(x))
 
 
-def _packed_multiples(P: PivotForm, w: int):
-    """For each pivot row, its multiples c * row packed at width w, c through
-    the transversal of <gamma^(e - t)> in its order.
-
-    Such a c is sum_k c_k x^k with each c_k in [0, p^(e-t)), so c * row is a
-    sum of copies of the packed rows x^k * row, added by the walk's
-    carry-free step: no ring multiplication for r = 1, and n per power of x
-    for r > 1.
-    """
-    ring, n = P.ring, P.ncols
-    m, r = ring.pe, ring.r
-    _, unit = _layout(ring, n, w)
-    top, lift, shift = unit << (w - 1), unit * ((1 << (w - 1)) - m), w - 1
-
-    def add(a, b):
-        s = a + b
-        return s - (((s + lift) & top) >> shift) * m
-
-    powers = [tuple(int(i == k) for i in range(r)) for k in range(1, r)]  # x, ..., x^(r-1)
-    mults = []
-    for row, t in zip(P.rows, P.pivot_vals):
-        table = [0]
-        for xrow in [row] + [[ring.mul(xk, x) for x in row] for xk in powers]:
-            copies = itertools.repeat(_pack(xrow, n, w), ring.p ** (ring.e - t) - 1)
-            steps = list(itertools.accumulate(copies, add, initial=0))
-            table = [add(a, c) for a in table for c in steps]
-        mults.append(table)
-    return mults
-
-
 def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     """Yield the span elements as packed ints, in blocks, in the enumeration
     order: row 0 varies slowest, each coefficient through its transversal.
 
     Coefficient k of coordinate i sits in the W-bit field k*n + i of one int.
-    Row j's multiples c * row_j are packed once; the walk adds one multiple
-    per row.  Addition reduces every field mod p^e at once: a field sum s
-    lies below the guard bit, and s + 2^(W-1) - p^e reaches the guard bit
-    exactly when s >= p^e.  The trailing rows are combined into one table of
-    at most _BLOCK sums (always including the last row), and each sum of the
-    leading rows' multiples is added to the whole table.
+    A coefficient c of the transversal of <gamma^(e-t)> is sum_k c_k x^k with
+    each c_k in [0, p^(e-t)) and c_0 varying slowest, so c * row is the sum
+    of the integer multiples c_k * (x^k * row).  The walk therefore has one
+    walk row x^k * row for each k < r of each pivot row, whose multiples
+    0, v, 2v, ..., (p^(e-t) - 1) v are packed sums of copies of v: no ring
+    multiplication for r = 1, and n per power of x for r > 1.  Addition
+    reduces every field mod p^e at once: a field sum s lies below the guard
+    bit, and s + 2^(W-1) - p^e reaches the guard bit exactly when s >= p^e.
+    The trailing walk rows are combined into one table of at most _BLOCK
+    sums (always including the last walk row), and each sum of the leading
+    walk rows' multiples is added to the whole table.
     """
     if P.cardinality() > cap:
         raise CapExceededError(
@@ -369,10 +339,19 @@ def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     ring, n = P.ring, P.ncols
     m = ring.pe
     w, unit = _layout(ring, n, w)
-    top = unit << (w - 1)
-    lift = unit * ((1 << (w - 1)) - m)
-    shift = w - 1
-    mults = _packed_multiples(P, w)
+    top, lift, shift = unit << (w - 1), unit * ((1 << (w - 1)) - m), w - 1
+
+    def add(a, b):
+        s = a + b
+        return s - (((s + lift) & top) >> shift) * m
+
+    powers = [tuple(int(i == k) for i in range(ring.r)) for k in range(1, ring.r)]  # x, ..., x^(r-1)
+    mults = []
+    for row, t in zip(P.rows, P.pivot_vals):
+        copies = ring.p ** (ring.e - t) - 1
+        for xrow in [row] + [[ring.mul(xk, x) for x in row] for xk in powers]:
+            steps = itertools.repeat(_pack(xrow, n, w), copies)
+            mults.append(list(itertools.accumulate(steps, add, initial=0)))
     lead = max(len(mults) - 1, 0)
     while lead > 0 and prod(map(len, mults[lead - 1 :])) <= _BLOCK:
         lead -= 1
@@ -382,8 +361,7 @@ def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     for prefix in itertools.product(*mults[:lead]):
         a = 0
         for b in prefix:
-            s = a + b
-            a = s - (((s + lift) & top) >> shift) * m
+            a = add(a, b)
         yield [s - (((s + lift) & top) >> shift) * m for b in table for s in (a + b,)]
 
 
@@ -421,28 +399,6 @@ def _nonzero_flags(P: PivotForm, cap: int, w: int = 0):
         for _ in range(1, ring.r):
             flags = [f | (f >> (n * w)) for f in flags]
         yield map(top.__and__, flags)
-
-
-def support_counts(P: PivotForm, cap: int = DEFAULT_ENUM_CAP) -> Counter:
-    """How many span elements have each support, as n-bit masks (bit i set
-    when coordinate i is nonzero), counted on the packed walk."""
-    n = P.ncols
-    w, _ = _layout(P.ring, n)
-    # every w-th binary digit of the flags, read from the top, is the mask
-    digits = (n - 1) * w + 1
-    masks, packed = Counter(), Counter()
-    for flags in _nonzero_flags(P, cap):
-        packed.update(flags)
-        if len(packed) > _FLUSH:
-            _flush(packed, masks, w, digits)
-    _flush(packed, masks, w, digits)
-    return masks
-
-
-def _flush(packed, masks, w, digits):
-    """Move the counts of packed guard-bit keys into masks as n-bit masks."""
-    masks.update({int(format(key >> (w - 1), f"0{digits}b")[::w], 2): k for key, k in packed.items()})
-    packed.clear()
 
 
 def _lower_block(ring, rows, split, width) -> PivotForm:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from lcpcodes import cli, equivalence
+from lcpcodes import cli, codes
 
 RUNNING_CONFIG = {
     "ring": [{"p": 2, "e": 1, "r": 1}],
@@ -241,14 +241,12 @@ def test_search_lcp_checks_each_ideal_once(capsys, monkeypatch, tmp_path):
 
 
 def test_search_lcp_takes_each_dual_once(capsys, monkeypatch, tmp_path):
-    """One code_dual per ideal, for its complement D = iota(C)^perp; the
+    """One kernel per ideal, for its complement D = iota(C)^perp; the
     comparison of C with D^perp reuses iota(C) instead of dualising D again
-    (which would make 49 calls)."""
+    (which would make 49 kernels)."""
     calls = []
-    real = cli.code_dual
-    counted = lambda *a, **k: calls.append(1) or real(*a, **k)  # noqa: E731
-    monkeypatch.setattr(cli, "code_dual", counted)
-    monkeypatch.setattr(equivalence, "code_dual", counted)
+    real = codes.kernel
+    monkeypatch.setattr(codes, "kernel", lambda *a, **k: calls.append(1) or real(*a, **k))
     doc, _ = GOLDEN_SEARCH["F2[C2xC2xC2]"]
     path = tmp_path / "f2c2c2c2.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -507,11 +505,16 @@ def test_mask_sampling_is_deterministic_and_in_code():
         ({"ring": 6, "group": {"family": "product", "factors": {"a": 1}}}, "factors"),
         ({"ring": 6, "group": {"family": "cyclic", "n": 3}, "codes": {"C": [[[True, 1]]]}}, "index"),
         ({"ring": 6, "group": {"table": "missing.tbl"}}, "table"),
+        ({"ring": 6, "group": {"table": "c257.tbl"}}, "257"),
     ],
     ids=["codes-list", "e-string", "p-string", "n-string", "modulus-string", "cyclic-no-n",
-         "symmetric-no-m", "table-int", "factors-object", "index-bool", "table-missing"],
+         "symmetric-no-m", "table-int", "factors-object", "index-bool", "table-missing",
+         "table-order"],
 )
 def test_malformed_config_exit_two(tmp_path, doc, word):
+    # a valid Cayley table of C_257, one past the group order limit
+    rows = (" ".join(str((i + j) % 257) for j in range(257)) for i in range(257))
+    (tmp_path / "c257.tbl").write_text("\n".join(["257", *rows]) + "\n", encoding="utf-8")
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     proc = run_process("--config", str(path), "info")

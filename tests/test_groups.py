@@ -61,6 +61,27 @@ def test_validation_errors_are_distinct():
         group_from_table([[0, 1], [1, 0], [1, 0]])
 
 
+@pytest.mark.parametrize("build", [FiniteGroup, group_from_table], ids=["FiniteGroup", "group_from_table"])
+def test_row_check_names_the_first_bad_entry(build):
+    """Rows are checked in order, each for its length and then its entries;
+    bools count as the ints 0 and 1."""
+    assert build([[False, True], [1, 0]]).table == cyclic(2).table
+    cases = [
+        ([[0, 1], [1]], "Cayley table is not square"),
+        ([[0, 1.0], [1, 0]], "table entry 1.0 outside 0..1"),
+        ([[0, 1], [2, "x"]], "table entry 2 outside 0..1"),
+        ([[0, 1], ["x", 2]], "table entry 'x' outside 0..1"),
+        ([[0, -1], [1, 0]], "table entry -1 outside 0..1"),
+        ([[0, 1, 2], [1, 3], [2, 0, 1]], "Cayley table is not square"),
+        ([[0, 1, 2], [1, 2, 3], [2]], "table entry 3 outside 0..2"),
+    ]
+    for table, message in cases:
+        with pytest.raises(LatinSquareError, match=f"^{message}$".replace(".", r"\.")):
+            build(table)
+    with pytest.raises(ValidationError, match="empty Cayley table"):
+        build([])
+
+
 def test_associativity_of_a_large_loop():
     """C66 with the intercalate in rows and columns 1 and 34 swapped is a
     Latin square with identity that is not a group: (1*1)*2 = 35*2 = 37,
@@ -166,6 +187,17 @@ def test_named_families_stop_at_the_order_limit():
     for build, arg in ((cyclic, 257), (dihedral, 129), (cyclic, 100000)):
         with pytest.raises(ValidationError, match="exceeds the 256 limit"):
             build(arg)
+
+
+def test_table_files_stop_at_the_order_limit():
+    """The order line is checked before any row is read."""
+    def text(n):
+        return "\n".join([str(n)] + [" ".join(str((i + j) % n) for j in range(n)) for i in range(n)])
+
+    assert parse_cayley_table(text(256)).n == 256
+    for source in (text(257), "100000\n"):
+        with pytest.raises(ValidationError, match="order .* exceeds the 256 limit"):
+            parse_cayley_table(source)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,19 @@
 """The packed codeword walk against the recursion and the tally it replaced.
 
+The walk has one walk row x^k * row for each power k < r of x and each
+pivot row, and adds one multiple of each walk row per word.
 ``enumerate_codewords`` must yield the words of ``oracles.recursive_codewords``
-in the same order, and ``weight_enumerator`` (support masks per CRT
-component, joined by OR) must equal ``oracles.tallied_weights`` on every
-ideal and its dual of small algebras, on wide coefficient fields and on
-products of two or three components, also of different field widths.  ``find_permutation``, which compares
-weight enumerators before it builds words and answers a code compared with
-itself by the identity, must agree with the search over word lists.  The
-walk's packed multiples of each pivot row must equal the packed ring
-products they replace.
+in the same order, also when the walk runs at a field width wider than the
+ring's own.  The guard bits that ``_nonzero_flags`` yields for each word
+must be exactly the word's support, at the ring's own width and a wider
+one: the OR join of CRT components relies on that bit layout.
+``weight_enumerator`` (support flags per CRT component, joined by OR) must
+equal ``oracles.tallied_weights`` on every ideal and its dual of small
+algebras, on wide coefficient fields and on products of two or three
+components, also of different field widths.  ``find_permutation``, which
+compares weight enumerators before it builds words and answers a code
+compared with itself by the identity, must agree with the search over word
+lists.
 """
 
 import random
@@ -27,7 +32,7 @@ from lcpcodes.equivalence import (
 )
 from lcpcodes.errors import CapExceededError, NotLcpError, ValidationError
 from lcpcodes.groups import cyclic, dihedral, symmetric
-from lcpcodes.linalg import RingMatrix, enumerate_codewords, pivot_reduce, support_counts
+from lcpcodes.linalg import RingMatrix, enumerate_codewords, pivot_reduce
 from lcpcodes.rings import ChainRing, ProductRing
 
 from oracles import listed_permutation_search, recursive_codewords, tallied_weights
@@ -76,15 +81,27 @@ def test_weight_enumerator_matches_the_tally(corpus):
         assert weight_enumerator(fresh) == tallied_weights(C)
 
 
+def widths(ring):
+    """The ring's own field width, and a wider one."""
+    return linalg._field_width(ring), linalg._field_width(ring) + 3
+
+
+def assert_flags_are_supports(P, words):
+    """The walk's flags, at both widths, are the guard bits i*W + W-1 of the
+    nonzero coordinates i of each word, in the enumeration order."""
+    zero = P.ring.zero
+    for w in widths(P.ring):
+        W, _ = linalg._layout(P.ring, P.ncols, w)
+        expected = [sum(1 << (i * W + W - 1) for i, x in enumerate(v) if x != zero) for v in words]
+        walked = linalg._nonzero_flags(P, linalg.DEFAULT_ENUM_CAP, w)
+        assert [f for flags in walked for f in flags] == expected
+
+
 def test_support_counts_match_the_supports_of_the_words(corpus):
     _, codes = corpus
     for C in codes:
         for P in C.components:
-            zero = P.ring.zero
-            expected = Counter(
-                sum(1 << i for i, x in enumerate(w) if x != zero) for w in recursive_codewords(P)
-            )
-            assert support_counts(P) == expected
+            assert_flags_are_supports(P, list(recursive_codewords(P)))
 
 
 def generated(algebra, coefficient_at_identity):
@@ -168,17 +185,15 @@ def test_random_spans_match_the_recursion(ring):
             continue
         words = list(recursive_codewords(P))
         assert list(enumerate_codewords(P)) == words
-        zero = ring.zero
-        assert support_counts(P) == Counter(
-            sum(1 << i for i, x in enumerate(w) if x != zero) for w in words
-        )
+        assert_flags_are_supports(P, words)
         checked += 1
 
 
 @pytest.mark.parametrize("ring", RANDOM_RINGS + [ChainRing(3, 2, 2), ChainRing(2, 3, 3)], ids=repr)
 def test_packed_multiples_match_ring_products(ring):
-    """The walk's multiples c * row, built by packed addition of the x^k * row,
-    equal the packed ring products, at the ring's own field width and wider."""
+    """The walk's multiples c * row, sums of packed multiples of the walk rows
+    x^k * row, give the words of the recursion (which multiplies in the
+    ring) in its order, at the ring's own field width and wider."""
     rng = random.Random(repr(ring))
     checked = 0
     while checked < 20:
@@ -192,12 +207,15 @@ def test_packed_multiples_match_ring_products(ring):
         if P.cardinality() > 5000:
             continue
         checked += 1
-        for w in (linalg._field_width(ring), linalg._field_width(ring) + 3):
-            expected = [
-                [linalg._pack([ring.mul(c, x) for x in row], n, w) for c in ring.transversal(ring.e - t)]
-                for row, t in zip(P.rows, P.pivot_vals)
+        words = list(recursive_codewords(P))
+        for w in widths(ring):
+            field = (1 << w) - 1
+            decoded = [
+                tuple(tuple((x >> ((k * n + i) * w)) & field for k in range(ring.r)) for i in range(n))
+                for block in linalg._packed_blocks(P, linalg.DEFAULT_ENUM_CAP, w)
+                for x in block
             ]
-            assert linalg._packed_multiples(P, w) == expected
+            assert decoded == words
 
 
 @pytest.mark.parametrize(
@@ -209,18 +227,14 @@ def test_packed_multiples_match_ring_products(ring):
     ],
     ids=["F2-12-rows", "Z4096-one-row", "F3-7-rows"],
 )
-def test_walks_past_one_table(ring, n, rows, monkeypatch):
+def test_walks_past_one_table(ring, n, rows):
     rng = random.Random(n)
     mat = [tuple(tuple(rng.randrange(ring.pe) for _ in range(ring.r)) for _ in range(n)) for _ in range(rows)]
     P = pivot_reduce(RingMatrix(ring, mat, n))
     assert P.cardinality() > 1024
     words = list(recursive_codewords(P))
     assert list(enumerate_codewords(P)) == words
-    zero = ring.zero
-    supports = Counter(sum(1 << i for i, x in enumerate(w) if x != zero) for w in words)
-    assert support_counts(P) == supports
-    monkeypatch.setattr(linalg, "_FLUSH", 16)  # convert keys to masks many times mid-walk
-    assert support_counts(P) == supports
+    assert_flags_are_supports(P, words)
 
 
 def test_cap_applies_to_cached_weights():
@@ -233,7 +247,7 @@ def test_cap_applies_to_cached_weights():
 
 def test_support_counts_cap_matches_enumeration():
     P = pivot_reduce(RingMatrix(ChainRing(2), [((1,), (1,), (0,)), ((0,), (1,), (1,))], 3))
-    for fn in (enumerate_codewords, support_counts):
+    for fn in (enumerate_codewords, linalg._nonzero_flags):
         with pytest.raises(CapExceededError, match="span of size 4 exceeds the enumeration cap 3"):
             list(fn(P, 3))
 
