@@ -57,7 +57,7 @@ class GroupAlgebra:
             raise ValidationError(
                 f"element has {len(a)} coefficients, group order is {self.group.n}"
             )
-        return tuple(self.ring.check(c) for c in a)
+        return self.ring.check_row(a)
 
     def elements(self):
         """Iterate the whole algebra (callers cap the size)."""

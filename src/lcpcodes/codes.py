@@ -12,10 +12,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
-from operator import itemgetter
 
 from .algebra import GroupAlgebra
 from .errors import CapExceededError, NotLcpError, ValidationError
+from .groups import _permuter
 from .linalg import (
     DEFAULT_ENUM_CAP,
     RingMatrix,
@@ -51,12 +51,6 @@ __all__ = [
 DEFAULT_IDEAL_CAP = 1 << 12
 
 
-def _permuter(perm):
-    """c -> the tuple of c[perm[m]]; itemgetter returns a bare item for a
-    single index, so a length-1 map is the identity ``tuple``."""
-    return itemgetter(*perm) if len(perm) > 1 else tuple
-
-
 class GroupCode:
     """A two-sided ideal of R[G], held as per-component pivot forms."""
 
@@ -67,6 +61,8 @@ class GroupCode:
         self._key = None
         self._weights = None
         self._dual = None
+        self._involute = None
+        self._parts = None
 
     @property
     def generators(self) -> tuple:
@@ -92,16 +88,13 @@ class GroupCode:
         ideal closed under multiplication from both sides, so a single
         reduction suffices.  Since g * a * h = (g h) * (h^-1 a h), those rows
         are the left translates of the distinct conjugates h^-1 a h; over an
-        abelian group a is its only conjugate.
+        abelian group a is its only conjugate.  The group keeps both sets of
+        index maps, so they are built once per group, not once per call.
         """
         gens = tuple(algebra.check(a) for a in generators)
         group = algebra.group
-        n, t, inv = group.n, group.table, group.inv
-        # m -> h m h^-1 reads h^-1 a h off a; each distinct map once
-        hs = (0,) if group.is_abelian() else range(n)
-        maps = {tuple(t[h][t[m][inv[h]]] for m in range(n)): None for h in hs}
-        conj_maps = list(map(_permuter, maps))
-        shifts = [_permuter(t[inv[g]]) for g in range(n)]
+        n = group.n
+        conj_maps, shifts = group.conjugations, group.left_translations
         forms = []
         for j, cr in enumerate(algebra.ring.components):
             conjugates = {}
@@ -185,8 +178,8 @@ class GroupCode:
         """Closure of every component span under left/right translation by the
         group's generators, which for a finite group means by all of G."""
         group = self.algebra.group
-        t, cols, inv = group.table, group.columns, group.inv
-        moves = [(_permuter(t[inv[g]]), _permuter(cols[inv[g]])) for g in group.generators]
+        lefts, cols, inv = group.left_translations, group.columns, group.inv
+        moves = [(lefts[g], _permuter(cols[inv[g]])) for g in group.generators]
         for P in self.components:
             for row in P.rows:
                 for to_left, to_right in moves:
@@ -196,12 +189,19 @@ class GroupCode:
         return True
 
     def crt_project(self) -> tuple["GroupCode", ...]:
-        """The component codes, each over its own chain-ring algebra."""
-        comps = self.algebra.components
-        return tuple(
-            GroupCode.from_components(comps[j], (self.components[j],))
-            for j in range(len(self.components))
-        )
+        """The component codes, each over its own chain-ring algebra (built
+        once and kept).  Part j of iota(C) is iota of part j of C, so the
+        parts of two codes linked by ``code_involute`` are linked too."""
+        if self._parts is None:
+            comps = self.algebra.components
+            self._parts = tuple(
+                GroupCode.from_components(A, (P,)) for A, P in zip(comps, self.components)
+            )
+            other = self._involute
+            if other is not None and other._parts is not None:
+                for X, Y in zip(self._parts, other._parts):
+                    X._involute, Y._involute = Y, X
+        return self._parts
 
 
 def code_from_generators(algebra: GroupAlgebra, generators) -> GroupCode:
@@ -241,13 +241,20 @@ def code_dual(C: GroupCode) -> GroupCode:
 
 def code_involute(C: GroupCode) -> GroupCode:
     """The image of C under the coordinate map g -> g^-1.  That map reverses
-    products in R[G], so it carries two-sided ideals to two-sided ideals."""
-    inv = C.algebra.group.inv
-    forms = [
-        pivot_reduce(RingMatrix(P.ring, tuple(tuple(row[i] for i in inv) for row in P.rows), P.ncols))
-        for P in C.components
-    ]
-    return GroupCode.from_components(C.algebra, forms)
+    products in R[G], so it carries two-sided ideals to two-sided ideals.
+
+    Computed once and cached on C; the map is an involution, so C is
+    recorded as the image of the result.  It permutes coordinates, so the
+    two codes share one weight enumerator (see ``_weight_distribution``)."""
+    if C._involute is None:
+        get = _permuter(C.algebra.group.inv)
+        forms = [
+            pivot_reduce(RingMatrix(P.ring, tuple(map(get, P.rows)), P.ncols))
+            for P in C.components
+        ]
+        out = GroupCode.from_components(C.algebra, forms)
+        out._involute, C._involute = C, out
+    return C._involute
 
 
 def code_intersect(C: GroupCode, D: GroupCode) -> GroupCode:
@@ -353,33 +360,51 @@ def _weight_distribution(C: GroupCode, max_enum: int):
     the popcount of its flags.  Over a product ring every component is
     walked at one common field width, so the flags line up; a codeword is
     nonzero where any of its components is, and flags a (x words) and
-    flags b (y words) give a | b (x * y words)."""
+    flags b (y words) give a | b (x * y words).  A component's own flags
+    also give the weights of its part in ``crt_project``, which are kept.
+
+    The counts are cached on C.  iota(C) (``code_involute``) is C with its
+    coordinates permuted, so it has the same counts, and whichever of the
+    two is walked first serves both."""
     card = C.cardinality()
     if card > max_enum:  # also when cached, so a cap means the same on every call
         raise CapExceededError(
             f"code of size {card} exceeds the enumeration cap {max_enum}"
         )
+    if C._weights is None and C._involute is not None:
+        C._weights = C._involute._weights
     if C._weights is None:
-        weights = Counter()
+        n = C.algebra.group.n
         if len(C.components) == 1:
+            weights = Counter()
             for flags in _nonzero_flags(C.components[0], max_enum):
                 weights.update(map(int.bit_count, flags))
+            C._weights = tuple(weights[i] for i in range(n + 1))
         else:
             w = max(_field_width(P.ring) for P in C.components)
             keys = Counter({0: 1})
-            for P in C.components:
+            for P, X in zip(C.components, C.crt_project()):
                 part = Counter()
                 for flags in _nonzero_flags(P, max_enum, w):
                     part.update(flags)
+                if X._weights is None:
+                    X._weights = _tally(part, n)
                 joined = Counter()
                 for a, x in keys.items():
                     for b, y in part.items():
                         joined[a | b] += x * y
                 keys = joined
-            for key, k in keys.items():
-                weights[key.bit_count()] += k
-        C._weights = tuple(weights[i] for i in range(C.algebra.group.n + 1))
+            C._weights = _tally(keys, n)
     return C._weights
+
+
+def _tally(keys: Counter, n: int) -> tuple:
+    """Word counts by weight 0..n from counts of nonzero-flag keys; a key's
+    popcount is its weight at any field width."""
+    weights = [0] * (n + 1)
+    for key, k in keys.items():
+        weights[key.bit_count()] += k
+    return tuple(weights)
 
 
 def min_distance(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> int:
@@ -486,10 +511,18 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
     algebra R_j[G], so the components are enumerated on their own and
     combined, visiting sum_j |R_j|^n elements instead of prod_j.  Within one
     R_j[G] every ideal is a sum of principal ideals, and <a> = <u g a h> for
-    every unit u of R_j and all g, h in G (h = 1 suffices when G is abelian),
-    so one closure is taken per orbit of that action.  The principal ideals
-    are then closed under sums by a worklist: each ideal is summed only with
-    the ideals found before it, so every pair is summed once.
+    every unit u of R_j and all g, h in G, so one closure is taken per orbit
+    of that action.  The orbit of a is marked as the unit multiples of the
+    left translates of its conjugates, since g a h = (g h) (h^-1 a h), through
+    the group's kept index maps.  The principal ideals are then closed under
+    sums by a worklist: each ideal is summed only with the ideals found
+    before it, so every pair is summed once, and only when neither ideal
+    lies in the other; otherwise the sum is the larger one, which is already
+    found.  Containment is read off generators: the smaller ideal lies in
+    the larger when its generators are members (a principal ideal is
+    generated by its orbit representative, a sum by the union of its parts'
+    generators).  Skipping those sums leaves the ideals found, and the order
+    in which they are found, unchanged.
     """
     if algebra.size > max_size:
         raise CapExceededError(
@@ -507,31 +540,38 @@ def _chain_ideals(algebra: GroupAlgebra) -> list:
     """Every two-sided ideal of a chain-ring algebra, in discovery order."""
     cr = algebra.ring.components[0]
     group = algebra.group
-    n, t, inv = group.n, group.table, group.inv
-    rights = (0,) if group.is_abelian() else range(n)
-    shifts = {
-        tuple(t[t[inv[g]][m]][inv[h]] for m in range(n)) for g in range(n) for h in rights
-    }
+    conjs, shifts = group.conjugations, group.left_translations
     scalings = [
-        {a: (cr.mul(u, a[0]),) for a in algebra.ring.elements()}
+        {a: (cr.mul(u, a[0]),) for a in algebra.ring.elements()}.__getitem__
         for u in cr.elements()
         if cr.is_unit(u)
     ]
     visited = set()
-    found = {}
+    found = {}  # key -> (ideal, |ideal|, its generators as component rows)
     for a in algebra.elements():
         if a in visited:
             continue
         visited.update(
-            tuple(scale[a[k]] for k in shift) for shift in shifts for scale in scalings
+            tuple(map(scale, shift(c)))
+            for c in [conj(a) for conj in conjs]
+            for shift in shifts
+            for scale in scalings
         )
         code = GroupCode.from_generators(algebra, (a,))
-        found.setdefault(code.key, code)
+        found.setdefault(code.key, (code, code.cardinality(), (tuple(x for (x,) in a),)))
     ideals = list(found.values())
-    for i, X in enumerate(ideals):  # sums found here join the walk
-        for Y in ideals[:i]:
+    for i, (X, cx, gx) in enumerate(ideals):  # sums found here join the walk
+        for Y, cy, gy in ideals[:i]:
+            if cx != cy and (_within(gx, Y) if cx < cy else _within(gy, X)):
+                continue
             S = code_sum(X, Y)
             if S.key not in found:
-                found[S.key] = S
-                ideals.append(S)
-    return ideals
+                found[S.key] = S, S.cardinality(), tuple(dict.fromkeys(gx + gy))
+                ideals.append(found[S.key])
+    return [X for X, _, _ in ideals]
+
+
+def _within(rows, X: GroupCode) -> bool:
+    """Whether the ideal generated by the rows lies in the chain-ring ideal X."""
+    P = X.components[0]
+    return all(membership(v, P) for v in rows)

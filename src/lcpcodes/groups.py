@@ -3,15 +3,19 @@
 Index 0 is always the identity; ``table[i][j]`` is the index of g_i * g_j,
 ``columns[j]`` column j of the table (the products g_i * g_j over i),
 ``inv[i]`` the index of the inverse of g_i, and ``generators`` a small
-generating set, chosen greedily in index order.  Tables are validated on
-construction: identity, Latin-square property, associativity (Light's test
-on the generating set, at every order) and two-sided inverses, each with its
-own error type.
+generating set, chosen greedily in index order.  ``left_translations`` and
+``conjugations`` read g a and h^-1 a h off the coefficient tuple of an
+element a of R[G]; they are built on first use and kept on the group.
+Tables are validated on construction: identity, Latin-square property,
+associativity (Light's test on the generating set, at every order) and
+two-sided inverses, each with its own error type.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import ValidationError
 
@@ -47,6 +51,12 @@ class AssociativityError(ValidationError):
 
 class InverseError(ValidationError):
     """Some element lacks a two-sided inverse."""
+
+
+def _permuter(perm):
+    """c -> the tuple of c[perm[m]]; itemgetter returns a bare item for a
+    single index, so a length-1 map is the identity ``tuple``."""
+    return itemgetter(*perm) if len(perm) > 1 else tuple
 
 
 def _check_rows(table) -> int:
@@ -160,6 +170,23 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         """Whether the table equals its transpose."""
         return self.table == self.columns
+
+    @cached_property
+    def left_translations(self) -> tuple:
+        """For each g, the getter of the coefficients of g a from those of a:
+        (g a)_m = a_(g^-1 m)."""
+        t = self.table
+        return tuple(_permuter(t[i]) for i in self.inv)
+
+    @cached_property
+    def conjugations(self) -> tuple:
+        """The getters of h^-1 a h from a, one per distinct map m -> h m h^-1
+        (over an abelian group only the identity)."""
+        if self.is_abelian():
+            return (tuple,)
+        t, inv = self.table, self.inv
+        maps = {tuple(t[h][t[m][inv[h]]] for m in range(self.n)): None for h in range(self.n)}
+        return tuple(map(_permuter, maps))
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table

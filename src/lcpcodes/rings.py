@@ -337,15 +337,19 @@ class ChainRing:
         return tuple(a)
 
     def check_row(self, v) -> tuple:
-        """check() of every entry of the vector v, as a tuple.  Over Z_{p^e}
-        a row of 1-tuples of ints in range, the form every element takes
-        after check(), is validated in bulk."""
+        """check() of every entry of the vector v, as a tuple.  A row already
+        in the form check() returns is validated in bulk; any other row is
+        checked entry by entry, so errors are those of check()."""
         v = tuple(v)
-        if self.r == 1 and set(map(type, v)) == {tuple} and set(map(len, v)) == {1}:
-            xs = [x for (x,) in v]
-            if set(map(type, xs)) == {int} and 0 <= min(xs) and max(xs) < self.pe:
-                return v
-        return tuple(map(self.check, v))
+        return v if self._canonical(v) else tuple(map(self.check, v))
+
+    def _canonical(self, v) -> bool:
+        """Whether every entry of v is a tuple of r ints in [0, p^e), the
+        form check() returns (False for an empty v)."""
+        if set(map(type, v)) != {tuple} or set(map(len, v)) != {self.r}:
+            return False
+        xs = [x for (x,) in v] if self.r == 1 else [c for x in v for c in x]
+        return set(map(type, xs)) == {int} and 0 <= min(xs) and max(xs) < self.pe
 
     def from_int(self, k: int):
         """Constant polynomial k mod p^e."""
@@ -518,6 +522,20 @@ class ProductRing:
         if len(a) != self.s:
             raise ValidationError(f"element {a!r} has arity {len(a)}, ring has {self.s} components")
         return tuple(c.check(part) for c, part in zip(self.components, a))
+
+    def check_row(self, v) -> tuple:
+        """check() of every entry of the vector v, as a tuple.  A row of
+        s-tuples whose component columns are each in the form
+        ``ChainRing.check`` returns is validated in bulk; any other row is
+        checked entry by entry, so errors are those of check()."""
+        v = tuple(v)
+        if (
+            set(map(type, v)) == {tuple}
+            and set(map(len, v)) == {self.s}
+            and all(c._canonical(col) for c, col in zip(self.components, zip(*v)))
+        ):
+            return v
+        return tuple(map(self.check, v))
 
     def elements(self) -> list:
         if self._elements is None:

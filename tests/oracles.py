@@ -235,6 +235,28 @@ def principal_closure_ideals(algebra):
     return sorted(seen.values(), key=lambda c: (c.cardinality(), c.key))
 
 
+def summed_worklist_ideals(algebra):
+    """Every two-sided ideal of a chain-ring algebra in the order the sum
+    worklist finds them when it sums every pair: the principal ideals in
+    order of their first generator in ``algebra.elements()``, then each
+    ideal summed with every ideal found before it, new sums joining the
+    walk."""
+    from lcpcodes.codes import GroupCode, code_sum
+
+    found = {}
+    for a in algebra.elements():
+        code = GroupCode.from_generators(algebra, (a,))
+        found.setdefault(code.key, code)
+    ideals = list(found.values())
+    for i, X in enumerate(ideals):
+        for Y in ideals[:i]:
+            S = code_sum(X, Y)
+            if S.key not in found:
+                found[S.key] = S
+                ideals.append(S)
+    return ideals
+
+
 def full_scan_lcp_pairs(ideals):
     """Indices (i, j) of every LCP pair, by testing all ordered pairs."""
     from lcpcodes.codes import lcp_check

@@ -174,3 +174,39 @@ def test_format_element():
     assert A_Z6C2.format_element(a) == "3 + 4*g"
     assert A_Z6C2.format_element(A_Z6C2.zero()) == "0"
     assert A_Z6C2.format_element(A_Z6C2.one()) == "1"
+
+
+F4C2 = GroupAlgebra(ProductRing([ChainRing(2, 1, 2)]), cyclic(2))
+
+
+@pytest.mark.parametrize(
+    "algebra, element, error, message",
+    [
+        (A_Z6C2, (((1,), (0,)),), ValidationError, "element has 1 coefficients, group order is 2"),
+        (A_Z6C2, (((1,), (0,)),) * 3, ValidationError, "element has 3 coefficients, group order is 2"),
+        (A_Z6C2, (((1,),), ((0,), (1,))), ValidationError, "element ((1,),) has arity 1, ring has 2 components"),
+        (A_Z6C2, (((1, 0), (0,)), ((0,), (1,))), ValidationError, "element (1, 0) has arity 2, ring F2 needs 1"),
+        (F4C2, (((0, 1),), ((1,),)), ValidationError, "element (1,) has arity 1, ring F4 needs 2"),
+        (A_Z6C2, (((2,), (0,)), ((0,), (1,))), ValidationError, "coefficient 2 of (2,) outside [0, 2)"),
+        # the first bad coefficient in group order, not in component order
+        (A_Z6C2, (((0,), (3,)), ((2,), (0,))), ValidationError, "coefficient 3 of (3,) outside [0, 3)"),
+        (A_Z6C2, (((1.0,), (0,)), ((0,), (1,))), ValidationError, "coefficient 1.0 of (1.0,) outside [0, 2)"),
+        (F4C2, (((0, "x"),), ((1, 1),)), ValidationError, "coefficient 'x' of (0, 'x') outside [0, 2)"),
+        (F4C2, ((5,), ((1, 1),)), ValidationError, "element 5 of F4 must be a coefficient tuple"),
+        (A_Z6C2, (None, ((0,), (1,))), TypeError, "object of type 'NoneType' has no len()"),
+    ],
+)
+def test_check_messages(algebra, element, error, message):
+    """Every refusal of check names the first bad coefficient, in group
+    order, with the message the entry-by-entry check gives."""
+    with pytest.raises(error) as info:
+        algebra.check(element)
+    assert str(info.value) == message
+
+
+def test_check_returns_canonical_tuples():
+    """Lists become tuples; bools pass as ints, as ChainRing.check lets them."""
+    assert A_Z6C2.check([[[1], [2]], ((0,), (1,))]) == (((1,), (2,)), ((0,), (1,)))
+    assert A_Z6C2.check((((True,), (0,)), ((0,), (2,)))) == (((True,), (0,)), ((0,), (2,)))
+    a = random_element(A_Z12C2, random.Random(5))
+    assert A_Z12C2.check(a) == a

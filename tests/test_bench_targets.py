@@ -59,3 +59,27 @@ def test_traced_commands_run_after_the_parser_is_built(tmp_path, capsys):
     capsys.readouterr()
     assert tracer.calls["cli.cmd_code"] == 1
     assert tracer.incl_s["cli.cmd_code"] > 0
+
+
+def test_traced_search_counts_closures_inside_enumeration(tmp_path, capsys):
+    """The traced run reads ``codes.enumerate_ideals.useful_ratio`` as the
+    ideals found per ``GroupCode.from_generators`` call made inside
+    ``enumerate_ideals``; a closure that bypassed that name would not be
+    counted, and the ratio would read 0."""
+    path = tmp_path / "z4c4.json"
+    path.write_text(
+        '{"ring": [{"p": 2, "e": 2}], "group": {"family": "cyclic", "n": 4}, "codes": {}}',
+        encoding="utf-8",
+    )
+    argv = ["--config", str(path), "--json", "search-lcp"]
+    assert lcpcodes.cli.main(argv) == 0
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install(spans.targets())
+    try:
+        assert lcpcodes.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.counts["codes.enumerate_ideals.constructed"] > 0
+    assert 0 < spans.layer_metrics(tracer)["codes.enumerate_ideals.useful_ratio"] <= 1

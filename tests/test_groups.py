@@ -218,6 +218,34 @@ def test_constructed_group_invariants(G):
         assert t[i][G.inv[i]] == 0 and t[G.inv[i]][i] == 0
 
 
+@pytest.mark.parametrize(
+    "G",
+    [cyclic(1), cyclic(2), cyclic(6), dihedral(3), dihedral(4), symmetric(3),
+     direct_product(dihedral(3), cyclic(2))],
+    ids=lambda g: f"order{g.n}",
+)
+def test_translation_and_conjugation_getters(G):
+    """left_translations[g] reads g a off a, and conjugations reads h^-1 a h
+    off a for every h, once per distinct result; both are kept on the group."""
+    n, t, inv = G.n, G.table, G.inv
+    a = tuple(f"a{m}" for m in range(n))  # a = sum of a_m g_m
+    for g in range(n):
+        want = [None] * n
+        for m in range(n):
+            want[t[g][m]] = a[m]  # g (a_m g_m) = a_m (g g_m)
+        assert G.left_translations[g](a) == tuple(want)
+    conjugates = set()
+    for h in range(n):
+        want = [None] * n
+        for m in range(n):
+            want[t[t[inv[h]][m]][h]] = a[m]
+        conjugates.add(tuple(want))
+    got = [conj(a) for conj in G.conjugations]
+    assert len(got) == len(set(got)) and set(got) == conjugates
+    assert G.left_translations is G.left_translations
+    assert G.conjugations is G.conjugations
+
+
 def test_abelian_flag():
     assert cyclic(6).is_abelian()
     assert not symmetric(3).is_abelian()

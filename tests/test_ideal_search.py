@@ -1,16 +1,19 @@
 """Ideal enumeration and the LCP pair search against the paths they replaced.
 
 ``enumerate_ideals`` (one closure per unit-and-translate orbit, per CRT
-component, sums by worklist) must give the same ideals in the same order as
-the principal-ideal fixed point in ``oracles.py``; ``search-lcp`` (one check
-of each ideal C against its only candidate complement iota(C)^perp, where
-iota is the coordinate map g -> g^-1) the same pair list as the full scan;
+component, sums of incomparable ideals by worklist) must give the same
+ideals in the same order as the principal-ideal fixed point in
+``oracles.py``; ``search-lcp`` (one check of each ideal C against its only
+candidate complement iota(C)^perp, where iota is the coordinate map
+g -> g^-1) the same pair list as the full scan;
 ``check_dual_equivalence`` (one enumeration per code) the same result as
 the report built the long way; and the lex-least search (prefix ids per DFS
 level) the same permutation as the search that projects every word at each
 node.  ``lcp_check`` and ``DsmSplitter`` read each component's intersection
 size off the sum, |C meet D| = |C| |D| / |C + D|; on every ordered pair of
 ideals that must equal the Zassenhaus intersection and the brute force.
+C and iota(C) share one weight enumerator, whichever is walked first, and
+that must equal the brute-force tally of each.
 """
 
 import json
@@ -20,6 +23,7 @@ import pytest
 from lcpcodes import cli
 from lcpcodes.algebra import GroupAlgebra
 from lcpcodes import linalg
+from lcpcodes import codes
 from lcpcodes.codes import (
     DsmSplitter,
     GroupCode,
@@ -29,6 +33,8 @@ from lcpcodes.codes import (
     code_sum,
     enumerate_ideals,
     lcp_check,
+    min_distance,
+    weight_enumerator,
 )
 from lcpcodes.equivalence import _search_lex_least, check_dual_equivalence, verify_permutation
 from lcpcodes.errors import CapExceededError, NotLcpError, ValidationError
@@ -42,12 +48,15 @@ from oracles import (
     full_scan_lcp_pairs,
     principal_closure_ideals,
     scanned_lex_least_search,
+    summed_worklist_ideals,
+    tallied_weights,
 )
 
 SEARCH_CORPUS = {
     "F2[C6]": ([{"p": 2}], {"family": "cyclic", "n": 6}),
     "F3[C4]": ([{"p": 3}], {"family": "cyclic", "n": 4}),
     "Z4[C3]": ([{"p": 2, "e": 2}], {"family": "cyclic", "n": 3}),
+    "Z4[C4]": ([{"p": 2, "e": 2}], {"family": "cyclic", "n": 4}),  # 7 of 23 ideals not principal
     "F4[C3]": ([{"p": 2, "r": 2}], {"family": "cyclic", "n": 3}),
     "GR(4,2)[C3]": ([{"p": 2, "e": 2, "r": 2}], {"family": "cyclic", "n": 3}),
     "Z6[C3]": (6, {"family": "cyclic", "n": 3}),
@@ -73,6 +82,47 @@ def searched(request, tmp_path_factory):
 def test_enumerate_ideals_matches_principal_closure(searched):
     _, algebra, old, _ = searched
     assert [I.key for I in enumerate_ideals(algebra)] == [I.key for I in old]
+
+
+# Sums the worklist makes when it skips nested pairs; summing every pair
+# made 351, 253, 1081 and 6.
+SUM_BOUNDS = {
+    "GR(4,2)[C3]": (ProductRing([ChainRing(2, 2, 2)]), cyclic(3), 162),
+    "Z4[C4]": (ProductRing([ChainRing(2, 2)]), cyclic(4), 81),
+    "Z4[C2xC2]": (ProductRing([ChainRing(2, 2)]), direct_product(cyclic(2), cyclic(2)), 525),
+    "F3[C7]": (ProductRing([ChainRing(3)]), cyclic(7), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_BOUNDS))
+def test_enumerate_ideals_sums_only_incomparable_ideals(name, monkeypatch):
+    """A sum of two ideals one of which contains the other is the larger
+    one, already found, so the worklist does not make it.  It finds the
+    ideals in the order the worklist that sums every pair finds them, and
+    sums exactly the pairs of that order where neither ideal contains the
+    other (by word sets)."""
+    ring, group, bound = SUM_BOUNDS[name]
+    algebra = GroupAlgebra(ring, group)
+    order = summed_worklist_ideals(algebra)
+    summed = []
+
+    def counted(X, Y):
+        summed.append((X.key, Y.key))
+        return code_sum(X, Y)
+
+    monkeypatch.setattr(codes, "code_sum", counted)
+    found = codes._chain_ideals(algebra)
+    monkeypatch.undo()
+    assert [X.key for X in found] == [X.key for X in order]
+    words = [code_word_set(X) for X in order]
+    incomparable = [
+        (X.key, Y.key)
+        for i, (X, wx) in enumerate(zip(order, words))
+        for Y, wy in zip(order[:i], words[:i])
+        if not (wx <= wy or wy <= wx)
+    ]
+    assert summed == incomparable
+    assert len(summed) <= bound
 
 
 def test_search_lcp_report_matches_full_scan(searched, capsys):
@@ -114,6 +164,52 @@ def test_involute_maps_every_codeword_through_the_inverses(searched):
     for C in ideals:
         image = {tuple(w[inv[m]] for m in range(n)) for w in code_word_set(C)}
         assert code_word_set(code_involute(C)) == image
+
+
+def test_involute_shares_the_weight_enumerator(searched):
+    """g -> g^-1 permutes coordinates, so C and iota(C) have one weight
+    enumerator: computed from C first or from iota(C) first, both equal the
+    brute-force tallies, also for the CRT parts.  The cap still holds for
+    the code that was not walked: |iota(C)| = |C|."""
+    _, algebra, ideals, _ = searched
+    for ideal in ideals:
+        for c_first in (True, False):
+            C = GroupCode.from_components(algebra, ideal.components)  # nothing cached
+            iC = code_involute(C)
+            pair = (C, iC) if c_first else (iC, C)  # walked in this order
+            assert [weight_enumerator(X) for X in pair] == [tallied_weights(X) for X in pair]
+            for X in pair:
+                parts = X.crt_project()
+                assert [weight_enumerator(Y) for Y in parts] == [tallied_weights(Y) for Y in parts]
+            if C.cardinality() > 1:
+                with pytest.raises(CapExceededError):
+                    min_distance(pair[1], C.cardinality() - 1)
+
+
+def test_check_dual_equivalence_walks_each_component_of_c_once(monkeypatch):
+    """Over Z6[C4], for each LCP pair (C, iota(C)^perp) as search-lcp forms
+    it, C's components are walked once: D^perp = iota(C) shares C's weights,
+    and the CRT parts of both take theirs from that walk."""
+    A = GroupAlgebra(ProductRing.from_modulus(6), cyclic(4))
+    walked = []
+    real = codes._nonzero_flags
+
+    def counted(P, *rest):
+        walked.append(P)
+        return real(P, *rest)
+
+    monkeypatch.setattr(codes, "_nonzero_flags", counted)
+    results = []
+    for C in enumerate_ideals(A):
+        D = code_dual(code_involute(C))
+        if lcp_check(C, D, fill_security=False).is_lcp:
+            results.append((C, D, check_dual_equivalence(C, D, _assume_lcp=True)))
+    monkeypatch.undo()
+    assert len(results) == 16
+    assert 0 < len(walked) <= len(results) * A.ring.s
+    for C, D, got in results:
+        fresh = [GroupCode.from_components(A, X.components) for X in (C, D)]
+        assert got == dual_equivalence_reference(*fresh)
 
 
 def test_full_scan_partner_is_the_dual_of_the_involute(searched):

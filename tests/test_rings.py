@@ -157,6 +157,32 @@ def test_element_check():
         assert ring.check_row([]) == ()
 
 
+def _checked(fn, *args):
+    try:
+        return fn(*args)
+    except (ValidationError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_product_row_check_matches_entry_by_entry():
+    """ProductRing.check_row gives what check gives entry by entry: the same
+    tuple, or the same error for the first bad entry."""
+    Z6 = ProductRing.from_modulus(6)
+    F4F3 = ProductRing([F4, ChainRing(3)])
+    entries = [
+        ((1,), (2,)), ((1,),), ((2,), (0,)), ((0,), (3,)), ([1], (0,)), ((True,), (0,)),
+        ((1.0,), (0,)), (("a",), (0,)), (5, (0,)), [(1,), (1,)], ((1, 0), (1,)), ((0, 1), (2,)),
+        ((0, 2), (0,)), ((1,), (0,), (0,)), 5, None,
+    ]
+    for ring in (Z6, F4F3):
+        for a in entries:
+            for row in ([ring.zero, a, ring.one], [a, ((9,), (9,))], (a,)):
+                assert _checked(ring.check_row, row) == _checked(lambda r: tuple(map(ring.check, r)), row)
+        assert ring.check_row([]) == ()
+        row = (ring.one, ring.zero)
+        assert ring.check_row(row) == row
+
+
 def _op_tables(ring):
     elems = ring.elements()
     add = {(a, b): ring.add(a, b) for a in elems for b in elems}
