@@ -257,6 +257,15 @@ def code_involute(C: GroupCode) -> GroupCode:
     return C._involute
 
 
+def _link_involute(C: GroupCode, X: GroupCode):
+    """Record X as iota(C), both ways, when its key says it is, so the two
+    share one weight walk.  For an LCP pair (C, D) of two-sided ideals
+    D^perp = iota(C) (see ``cli.cmd_search_lcp``); the keys are compared,
+    not assumed equal."""
+    if C._involute is not X and code_involute(C).key == X.key:
+        X._involute, C._involute = C, X
+
+
 def code_intersect(C: GroupCode, D: GroupCode) -> GroupCode:
     """Componentwise C_j meet D_j, by one Zassenhaus reduction per component."""
     _same_algebra(C, D)
@@ -434,8 +443,10 @@ def security_parameter(
         rep = lcp_check(C, D, fill_security=False)
         if not rep.is_lcp:
             raise NotLcpError("security parameter is only defined for LCP pairs")
+    Dd = code_dual(D)
+    _link_involute(C, Dd)
     dc = min_distance(C, max_enum)
-    dd = min_distance(code_dual(D), max_enum)
+    dd = min_distance(Dd, max_enum)
     if dc != dd:
         raise AssertionError(
             f"LCP pair with d(C) = {dc} but d(D^perp) = {dd}; these must be equal"

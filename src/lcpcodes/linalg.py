@@ -11,9 +11,18 @@ Howell property: for every k, the rows whose pivot column is >= k span all
 of the module that vanishes on the first k columns.  Kernels and
 intersections are read off that property from one augmented reduction each.
 Over fields the saturation step is a no-op and the form is the ordinary
-reduced row echelon form.  Over Z_{p^e} the engine works on plain ints
-(``_IntScalars``), over GR(p^e, r) with r > 1 on coefficient tuples
-(``_TupleScalars``); rows enter and leave it as tuples of ring elements.
+reduced row echelon form.
+
+Rows enter and leave the engine as tuples of ring elements; inside, the
+scalars are in one of three forms, picked by ``_scalars`` from the ring's
+shape.  Over Z_{p^e} (r = 1) each is its one int (``_IntScalars``).  Over
+GR(p^e, r) with r > 1 and at most _TABLE_SIZE = 256 elements each is its
+q-adic digit index, q = p^r (``ChainRing.index``: digit d holds the base-p
+digits d of the coefficients), on which valuation, quotient by gamma^t and
+scaling by gamma^k are the same int operations in base q; products,
+differences and unit inverses are read from the ring's tables, each slot
+computed on its first read (``_TableScalars``).  Larger rings keep
+coefficient tuples and the ring's own arithmetic (``_TupleScalars``).
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ __all__ = [
 DEFAULT_ENUM_CAP = 1 << 20
 # Largest table of trailing-row sums in the packed walk.
 _BLOCK = 1 << 10
+# Largest ring with r > 1 whose Howell engine runs on table-indexed ints;
+# its product and difference tables have |R|^2 slots each.
+_TABLE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -100,12 +112,17 @@ def _span_size(ring, vals) -> int:
 
 
 class _IntScalars:
-    """Z_{p^e} (r = 1): the engine keeps each scalar as its one int."""
+    """Z_{p^e} (r = 1): the engine keeps each scalar as its one int.
+
+    Over GR(p^e, r) the same ints serve as the q-adic digit indices of
+    ``ChainRing.index`` (q = p^r): valuation, quotient and ``gamma_scale``
+    read base q and mod q^e = |R|, which are p and p^e when r = 1.
+    """
 
     zero = 0
 
     def __init__(self, ring):
-        self.p, self.e, self.pe = ring.p, ring.e, ring.pe
+        self.q, self.e, self.size = ring.q, ring.e, ring.size
 
     @staticmethod
     def load(row):
@@ -122,39 +139,80 @@ class _IntScalars:
     def valuation(self, x):
         if not x:
             return self.e
-        p, v = self.p, 0
-        while not x % p:
-            x //= p
+        q, v = self.q, 0
+        while not x % q:
+            x //= q
             v += 1
         return v
 
     def quotient(self, x, t):
         """x // gamma^t: the exact quotient when valuation(x) >= t, else the
         quotient that leaves x's canonical residue mod gamma^t."""
-        return x // self.p**t
+        return x // self.q**t
 
     def make_monic(self, piv, col, t):
         """piv scaled by a unit so that piv[col] is exactly gamma^t."""
-        u = piv[col] // self.p**t
+        u = piv[col] // self.q**t
         if u == 1:
             return piv
-        pe = self.pe
-        ui = pow(u, -1, pe)
-        return [ui * x % pe for x in piv]
+        size = self.size
+        ui = pow(u, -1, size)
+        return [ui * x % size for x in piv]
 
     def submul(self, row, w, support):
         """row -= w * piv, for piv given by its support."""
-        pe = self.pe
+        size = self.size
         for k, pk in support:
-            row[k] = (row[k] - w * pk) % pe
+            row[k] = (row[k] - w * pk) % size
 
     def gamma_scale(self, row, k):
-        g, pe = self.p**k, self.pe
-        return [g * x % pe for x in row]
+        g, size = self.q**k, self.size
+        return [g * x % size for x in row]
+
+
+class _TableScalars(_IntScalars):
+    """GR(p^e, r), r > 1, |R| <= _TABLE_SIZE: scalars are the ints of
+    ``ChainRing.index``, and the unit inverse and the row updates read the
+    ring's ``IndexTables``, each slot computed on its first read."""
+
+    def __init__(self, ring):
+        super().__init__(ring)
+        self.tables = ring.index_tables()
+
+    def load(self, row):
+        return list(map(self.tables.code.__getitem__, row))
+
+    def store(self, row):
+        return tuple(map(self.tables.elements.__getitem__, row))
+
+    def make_monic(self, piv, col, t):
+        u = piv[col] // self.q**t
+        if u == 1:
+            return piv
+        tab = self.tables
+        ui = tab.inv[u]
+        if ui is None:
+            ui = tab.fill_inv(u)
+        mul, fill, base = tab.mul, tab.fill_mul, ui * self.size
+        return [m if (m := mul[base + x]) is not None else fill(base + x) for x in piv]
+
+    def submul(self, row, w, support):
+        tab, size = self.tables, self.size
+        mul, sub = tab.mul, tab.sub
+        base = w * size
+        for k, pk in support:
+            m = mul[base + pk]
+            if m is None:
+                m = tab.fill_mul(base + pk)
+            d = sub[row[k] * size + m]
+            if d is None:
+                d = tab.fill_sub(row[k] * size + m)
+            row[k] = d
 
 
 class _TupleScalars:
-    """GR(p^e, r), r > 1: scalars stay coefficient tuples, through the ring."""
+    """GR(p^e, r), r > 1, |R| > _TABLE_SIZE: scalars stay coefficient
+    tuples, through the ring."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -189,7 +247,14 @@ class _TupleScalars:
 
 
 def _scalars(ring):
-    return _IntScalars(ring) if ring.r == 1 else _TupleScalars(ring)
+    """The scalar kit for the ring, from its shape alone: plain ints for
+    r = 1, table-indexed ints for r > 1 up to _TABLE_SIZE elements (tables
+    of |R|^2 slots), coefficient tuples beyond."""
+    if ring.r == 1:
+        return _IntScalars(ring)
+    if ring.size <= _TABLE_SIZE:
+        return _TableScalars(ring)
+    return _TupleScalars(ring)
 
 
 def _support(s, entries, start):

@@ -289,6 +289,7 @@ class ChainRing:
         self._elements = None
         self._transversals: dict[int, list] = {}
         self._inv_cache: dict[tuple, tuple] = {}
+        self._tables = None
 
     # -- identity / display ------------------------------------------------
 
@@ -370,6 +371,29 @@ class ChainRing:
         if k not in self._transversals:
             self._transversals[k] = list(itertools.product(range(self.p**k), repeat=self.r))
         return self._transversals[k]
+
+    def index(self, a) -> int:
+        """The q-adic digit index of a: sum_d q^d * sum_i c_{i,d} p^i, with
+        c_{i,d} the d-th base-p digit of coefficient c_i, in [0, size).
+
+        Digit d of the index is the layer gamma^d of a, so zero is 0, one is
+        1, valuation(a) is v_q(index), div_gamma(a, t) has index
+        index // q^t and gamma^k * a has index index * q^k mod q^e.  For
+        r = 1 the index is the one coefficient."""
+        p, q = self.p, self.q
+        out, scale = 0, 1
+        for _ in range(self.e):
+            out += scale * sum(c % p * p**i for i, c in enumerate(a))
+            a = [c // p for c in a]
+            scale *= q
+        return out
+
+    def index_tables(self) -> "IndexTables":
+        """The ring's arithmetic on indices, allocated on the first call and
+        kept on the ring; its slots are filled as they are read."""
+        if self._tables is None:
+            self._tables = IndexTables(self)
+        return self._tables
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -468,6 +492,46 @@ class ChainRing:
         below p^t)."""
         pt = self.p**t
         return tuple(c // pt for c in a)
+
+
+class IndexTables:
+    """Products, differences and unit inverses of a chain ring on element
+    indices (``ChainRing.index``), from flat tables of size^2 slots filled
+    on first read.
+
+    ``mul[a * size + b]`` and ``sub[a * size + b]`` hold the indices of
+    a * b and a - b, and ``inv[u]`` the index of the unit u's inverse, or
+    None while unread; ``fill_mul``, ``fill_sub`` and ``fill_inv`` compute
+    one slot with the ring's own ``mul``, ``sub`` and ``inverse`` (a
+    product fills both of its slots).  ``elements`` and ``code`` map
+    indices to elements and back.
+    """
+
+    def __init__(self, ring: ChainRing):
+        self.ring = ring
+        self.size = size = ring.size
+        self.code = {a: ring.index(a) for a in ring.elements()}
+        self.elements = sorted(self.code, key=self.code.__getitem__)
+        self.mul = [None] * (size * size)
+        self.sub = [None] * (size * size)
+        self.inv = [None] * size
+
+    def fill_mul(self, slot: int) -> int:
+        a, b = divmod(slot, self.size)
+        els = self.elements
+        k = self.code[self.ring.mul(els[a], els[b])]
+        self.mul[slot] = self.mul[b * self.size + a] = k
+        return k
+
+    def fill_sub(self, slot: int) -> int:
+        a, b = divmod(slot, self.size)
+        els = self.elements
+        self.sub[slot] = k = self.code[self.ring.sub(els[a], els[b])]
+        return k
+
+    def fill_inv(self, u: int) -> int:
+        self.inv[u] = k = self.code[self.ring.inverse(self.elements[u])]
+        return k
 
 
 class ProductRing:

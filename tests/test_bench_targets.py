@@ -83,3 +83,26 @@ def test_traced_search_counts_closures_inside_enumeration(tmp_path, capsys):
     capsys.readouterr()
     assert tracer.counts["codes.enumerate_ideals.constructed"] > 0
     assert 0 < spans.layer_metrics(tracer)["codes.enumerate_ideals.useful_ratio"] <= 1
+
+
+def test_traced_search_counts_table_products(tmp_path, capsys):
+    """Over GR(4,2) the Howell engine reads products from tables, and each
+    slot is filled through ``ChainRing.mul`` looked up when it is filled, so
+    the traced ``rings.mul.calls`` counts the products computed and
+    ``rings.mul.ext_share`` has calls to share."""
+    path = tmp_path / "gr42c3.json"
+    path.write_text(
+        '{"ring": [{"p": 2, "e": 2, "r": 2}], "group": {"family": "cyclic", "n": 3}, "codes": {}}',
+        encoding="utf-8",
+    )
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install(spans.targets())
+    try:
+        assert lcpcodes.cli.main(["--config", str(path), "--json", "search-lcp"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["rings.mul.calls"] > 0
+    assert metrics["rings.mul.ext_share"] == 1.0  # every product is in GR(4,2)

@@ -226,6 +226,46 @@ def test_search_lcp_report_bytes_are_pinned(capsys, tmp_path, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# GR(4,2)[C49], shaped like the benchmark's reduce jobs: C = u x^5 (1 - x)
+# and D = u' x^20 (1 - x^7) with u, u' units (a non-LCP pair, D inside C),
+# F = <sum of all g>, the complement of C.  The digests of the `--json`
+# stdout were recorded with coefficient-tuple scalars, before the engine
+# took r > 1 rings on table-indexed ints.
+GR42_C49 = {
+    "ring": [{"p": 2, "e": 2, "r": 2}],
+    "group": {"family": "cyclic", "n": 49},
+    "codes": {
+        "C": [[[5, [[3, 1]]], [6, [[1, 3]]]]],
+        "D": [[[20, [[1, 2]]], [27, [[3, 2]]]]],
+        "F": [[[i, [[1, 0]]] for i in range(49)]],
+    },
+    "seed": 11,
+}
+GR42_MESSAGE = json.dumps([[3, [[2, 1]]], [4, [[2, 3]]], [10, [[0, 1]]], [11, [[0, 3]]]])
+GOLDEN_EXTENSION = {
+    "code": (GR42_C49, ["code", "C"], 0, "6fb76bd7db463818aae91255cf097de62d90bd9fbe600f8df01286afd69b6ff5"),
+    "dual": (GR42_C49, ["dual", "D"], 0, "db420be731d23b030d5193974e4b83b795b9ba020888504c357c6e032b94ae2e"),
+    "crt": (GR42_C49, ["crt", "D"], 0, "d8a5568b5004d50c7a917e3ffd4f73681ec553a0d3a039011a811b133514f9ae"),
+    "lcp": (GR42_C49, ["lcp", "C", "D"], 1, "99be1aec76fafd20ade2984e506f8cad938dd12a7ae2aff5230dcf97ebee2045"),
+    "dsm": (GR42_C49, ["dsm", "C", "F", GR42_MESSAGE], 0,
+            "d49375ca6e7c527ac3661596f3b1af0a06b38f2c6fbf04780c299e204eb72ad4"),
+    "search-lcp F4[C5]": (
+        {"ring": [{"p": 2, "r": 2}], "group": {"family": "cyclic", "n": 5}, "codes": {}},
+        ["search-lcp"], 0, "ca4570ad775b51ef88245fd3e3ba1f17f99dd1a53f881b33be2c60499bbe45b2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXTENSION))
+def test_extension_ring_report_bytes_are_pinned(capsys, tmp_path, name):
+    doc, argv, exit_code, digest = GOLDEN_EXTENSION[name]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "--config", str(path), "--json", *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_search_lcp_checks_each_ideal_once(capsys, monkeypatch, tmp_path):
     """One lcp_check per ideal: F2[C2xC2xC2] has 47 ideals, and scanning
     every same-size candidate took 425 checks."""

@@ -1,11 +1,12 @@
 """Fast paths against the constructions they replaced.
 
 The ideal closure from conjugates, two-sidedness by group generators, the
-Zassenhaus intersection, the Howell kernel and the plain-int Howell engine
-are each compared with the old construction kept in ``oracles.py`` or with
-brute force: on the ideal corpora of small algebras, on non-abelian groups,
-on random matrices over rings up to 64-bit primes, and at lengths 40-70
-where brute force cannot reach.
+Zassenhaus intersection, the Howell kernel and the Howell engine on ints
+(plain, or table-indexed for small Galois rings) are each compared with the
+old construction kept in ``oracles.py`` or with brute force: on the ideal
+corpora of small algebras, on non-abelian groups, on random matrices over
+rings up to 64-bit primes, and at lengths 40-70 where brute force cannot
+reach.
 """
 
 import itertools
@@ -20,7 +21,11 @@ from lcpcodes.groups import cyclic, dihedral, direct_product, symmetric
 from lcpcodes.linalg import (
     RingMatrix,
     SpanSolver,
+    _IntScalars,
     _lower_block,
+    _scalars,
+    _TableScalars,
+    _TupleScalars,
     enumerate_codewords,
     intersect,
     kernel,
@@ -48,11 +53,14 @@ F2, F3, F4, F5 = ChainRing(2), ChainRing(3), ChainRing(2, 1, 2), ChainRing(5)
 Z4, Z8, Z9 = ChainRing(2, 2), ChainRing(2, 3), ChainRing(3, 2)
 GR42 = ChainRing(2, 2, 2)
 Z27, Z2_40, F_M61 = ChainRing(3, 3), ChainRing(2, 40), ChainRing(2**61 - 1)
+F9, GR82, GR92, GR44 = ChainRing(3, 1, 2), ChainRing(2, 3, 2), ChainRing(3, 2, 2), ChainRing(2, 2, 4)
+F343, GR83 = ChainRing(7, 1, 3), ChainRing(2, 3, 3)
 # every scalar shape the Howell engine meets: Z_{p^e} and F_p of all sizes
-# (the Z6 and Z10 components among them), and a Galois ring with r > 1
+# (the Z6 and Z10 components among them); Galois rings with r > 1 up to the
+# table bound, GR(4,4) at exactly 256 elements; F343 and GR(8,3) beyond it
 ENGINE_RINGS = list(
     dict.fromkeys(
-        [Z4, Z8, Z9, Z27, F5, Z2_40, F_M61, GR42]
+        [Z4, Z8, Z9, Z27, F5, Z2_40, F_M61, GR42, F4, F9, GR82, GR92, GR44, F343, GR83]
         + list(ProductRing.from_modulus(6).components)
         + list(ProductRing.from_modulus(10).components)
     )
@@ -348,7 +356,7 @@ def random_rows(ring, rng, nrows, width):
     return tuple(tuple(random_entry(ring, rng) for _ in range(width)) for _ in range(nrows))
 
 
-@pytest.mark.parametrize("ring", ENGINE_RINGS + [F4], ids=repr)
+@pytest.mark.parametrize("ring", ENGINE_RINGS, ids=repr)
 def test_lower_block_is_already_canonical(ring):
     """The rows a Howell form keeps right of the split need no second
     reduction: the lower block equals the pivot form of its own rows."""
@@ -378,6 +386,15 @@ def engine_cases(ring, rng):
     for _ in range(40):
         width = rng.randint(1, 7)
         yield RingMatrix(ring, random_rows(ring, rng, rng.randint(0, 7), width), width)
+
+
+@pytest.mark.parametrize("ring", ENGINE_RINGS, ids=repr)
+def test_engine_picks_its_scalars_from_the_ring_shape(ring):
+    """Plain ints for r = 1, table-indexed ints for r > 1 up to 256
+    elements, coefficient tuples beyond."""
+    small = (F4, GR42, F9, GR82, GR92, GR44)  # r > 1, at most 256 elements
+    expected = _IntScalars if ring.r == 1 else _TableScalars if ring in small else _TupleScalars
+    assert type(_scalars(ring)) is expected
 
 
 @pytest.mark.parametrize("ring", ENGINE_RINGS, ids=repr)

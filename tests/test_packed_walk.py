@@ -16,6 +16,7 @@ compared with itself by the identity, must agree with the search over word
 lists.
 """
 
+import json
 import random
 from collections import Counter
 
@@ -311,15 +312,8 @@ def test_cli_checks_each_pair_once(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-def test_lcp_builds_the_dual_once(tmp_path, capsys, monkeypatch):
-    """On an LCP pair the security parameter and the equivalence report share
-    one D^perp: one kernel, and one weight walk for each of C and D^perp."""
-    path = tmp_path / "pair.json"
-    path.write_text(
-        '{"ring": [{"p": 2}], "group": {"family": "cyclic", "n": 3},'
-        ' "codes": {"C": [[[0, 1], [1, 1]]], "D": [[[0, 1], [1, 1], [2, 1]]]}}',
-        encoding="utf-8",
-    )
+def _count_lcp_reductions(path, monkeypatch):
+    """Kernels and weight walks made by the `lcp` command on the config."""
     calls = Counter()
 
     def counted(name, fn):
@@ -332,8 +326,37 @@ def test_lcp_builds_the_dual_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("lcpcodes.codes.kernel", counted("kernel", linalg.kernel))
     monkeypatch.setattr("lcpcodes.codes._nonzero_flags", counted("walk", linalg._nonzero_flags))
     assert cli.main(["--config", str(path), "--json", "lcp", "C", "D"]) == 0
+    return calls
+
+
+def test_lcp_builds_the_dual_once(tmp_path, capsys, monkeypatch):
+    """On an LCP pair the security parameter and the equivalence report share
+    one D^perp: one kernel, and one weight walk, of C, which serves D^perp
+    too: D^perp = iota(C) for an LCP pair, checked on the keys."""
+    path = tmp_path / "pair.json"
+    path.write_text(
+        '{"ring": [{"p": 2}], "group": {"family": "cyclic", "n": 3},'
+        ' "codes": {"C": [[[0, 1], [1, 1]]], "D": [[[0, 1], [1, 1], [2, 1]]]}}',
+        encoding="utf-8",
+    )
+    calls = _count_lcp_reductions(path, monkeypatch)
     capsys.readouterr()
-    assert calls == {"kernel": 1, "walk": 2}
+    assert calls == {"kernel": 1, "walk": 1}
+
+
+def test_lcp_walks_each_component_of_c_once_over_a_product_ring(tmp_path, capsys, monkeypatch):
+    """Over Z6 = F2 x F3 the one walk of C is one walk per CRT component,
+    and d(D^perp) is read off it."""
+    path = tmp_path / "pair.json"
+    path.write_text(
+        '{"ring": 6, "group": {"family": "cyclic", "n": 5},'
+        ' "codes": {"C": [[[0, 1], [1, -1]]], "D": [[[0, 1], [1, 1], [2, 1], [3, 1], [4, 1]]]}}',
+        encoding="utf-8",
+    )
+    calls = _count_lcp_reductions(path, monkeypatch)
+    report = json.loads(capsys.readouterr().out)
+    assert report["d_c"] == report["d_d_dual"] == 2
+    assert calls == {"kernel": 2, "walk": 2}
 
 
 def test_direct_call_still_checks_the_pair():

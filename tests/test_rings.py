@@ -7,6 +7,7 @@ import pytest
 
 from lcpcodes import rings
 from lcpcodes.errors import CapExceededError, NotInvertibleError, ValidationError
+from lcpcodes.linalg import _scalars
 from lcpcodes.rings import ChainRing, ProductRing, _fp_is_irreducible, default_modulus, factorize, is_prime
 
 from oracles import trial_division_factorize, trial_division_irreducible, trial_division_is_prime
@@ -335,3 +336,65 @@ def test_is_prime_and_factorize_at_64_bits():
     # the least strong pseudoprime to every base 2..37 is past the exact range
     with pytest.raises(ValidationError):
         is_prime(399165290221 * 798330580441)
+
+
+# Galois rings with r > 1 whose Howell engine runs on table-indexed ints
+INDEXED = [ChainRing(2, 1, 2), ChainRing(2, 2, 2), ChainRing(3, 1, 2), ChainRing(3, 2, 2), ChainRing(2, 2, 4)]
+
+
+@pytest.mark.parametrize("ring", INDEXED, ids=repr)
+def test_index_encoding_carries_the_gamma_operations(ring):
+    """The q-adic digit index round-trips, and valuation, division by
+    gamma^t and scaling by gamma^k are v_q, // q^t and * q^k mod |R| on it."""
+    p, q, size = ring.p, ring.q, ring.size
+    assert ring.index(ring.zero) == 0 and ring.index(ring.one) == 1
+    tables = ring.index_tables()
+    for a in ring.elements():
+        k = ring.index(a)
+        assert 0 <= k < size
+        # base-p digit i of q-adic digit d is the base-p digit d of c_i
+        decoded = tuple(
+            sum(k // q**d // p**i % p * p**d for d in range(ring.e)) for i in range(ring.r)
+        )
+        assert decoded == a == tables.elements[k] and tables.code[a] == k
+        v = 0
+        while v < ring.e and k % q ** (v + 1) == 0:
+            v += 1
+        assert v == ring.valuation(a)
+        for t in range(ring.e + 1):
+            assert ring.index(ring.div_gamma(a, t)) == k // q**t
+            assert ring.index(ring.mul(ring.gamma_power(t), a)) == k * q**t % size
+
+
+@pytest.mark.parametrize("ring", INDEXED, ids=repr)
+def test_index_tables_match_ring_arithmetic(ring, monkeypatch):
+    """Table products, differences and inverses equal the ring's: on every
+    pair up to 16 elements, on 3000 drawn pairs beyond.  Building the kit
+    computes no product; each slot is filled on its first read."""
+    calls = []
+    real = ChainRing.mul
+    monkeypatch.setattr(ChainRing, "mul", lambda self, a, b: calls.append(1) or real(self, a, b))
+    _scalars(ring)
+    assert calls == []
+    tables = ring.index_tables()
+    assert tables is ring.index_tables()
+    size, els = ring.size, tables.elements
+    if size <= 16:
+        pairs = list(itertools.product(range(size), repeat=2))
+    else:
+        rng = random.Random(repr(ring))
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(3000)]
+    for i, j in pairs:
+        a, b = els[i], els[j]
+        slot = i * size + j
+        prod_ = tables.mul[slot] if tables.mul[slot] is not None else tables.fill_mul(slot)
+        diff = tables.sub[slot] if tables.sub[slot] is not None else tables.fill_sub(slot)
+        assert els[prod_] == real(ring, a, b)
+        assert els[diff] == ring.sub(a, b)
+    assert len(calls) <= len(pairs)
+    for k, a in enumerate(els):
+        if ring.is_unit(a):
+            u = tables.fill_inv(k)
+            assert tables.inv[k] == u
+            assert els[u] == ring.inverse(a)
+            assert real(ring, a, els[u]) == ring.one
