@@ -16,13 +16,14 @@ reduced row echelon form.
 Rows enter and leave the engine as tuples of ring elements; inside, the
 scalars are in one of three forms, picked by ``_scalars`` from the ring's
 shape.  Over Z_{p^e} (r = 1) each is its one int (``_IntScalars``).  Over
-GR(p^e, r) with r > 1 and at most _TABLE_SIZE = 256 elements each is its
-q-adic digit index, q = p^r (``ChainRing.index``: digit d holds the base-p
-digits d of the coefficients), on which valuation, quotient by gamma^t and
-scaling by gamma^k are the same int operations in base q; products,
-differences and unit inverses are read from the ring's tables, each slot
-computed on its first read (``_TableScalars``).  Larger rings keep
-coefficient tuples and the ring's own arithmetic (``_TupleScalars``).
+GR(p^e, r) with r > 1 and at most _TABLE_SIZE = 16 elements (F4, F8, F16,
+F9 and GR(4,2)) each is its q-adic digit index, q = p^r
+(``ChainRing.index``: digit d holds the base-p digits d of the
+coefficients), on which valuation, quotient by gamma^t and scaling by
+gamma^k are the same int operations in base q; products, differences and
+unit inverses are read from the ring's tables, built when the engine first
+meets the ring (``_TableScalars``).  Larger rings keep coefficient tuples
+and the ring's own arithmetic (``_TupleScalars``).
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ __all__ = [
 DEFAULT_ENUM_CAP = 1 << 20
 # Largest table of trailing-row sums in the packed walk.
 _BLOCK = 1 << 10
-# Largest ring with r > 1 whose Howell engine runs on table-indexed ints;
-# its product and difference tables have |R|^2 slots each.
-_TABLE_SIZE = 256
+# Largest ring with r > 1 whose Howell engine runs on table-indexed ints,
+# with product and difference tables of |R|^2 slots each: GR(4,2), the
+# largest such ring the table engine was measured on against tuples.
+_TABLE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ class _IntScalars:
 class _TableScalars(_IntScalars):
     """GR(p^e, r), r > 1, |R| <= _TABLE_SIZE: scalars are the ints of
     ``ChainRing.index``, and the unit inverse and the row updates read the
-    ring's ``IndexTables``, each slot computed on its first read."""
+    ring's ``IndexTables``."""
 
     def __init__(self, ring):
         super().__init__(ring)
@@ -190,24 +192,14 @@ class _TableScalars(_IntScalars):
         if u == 1:
             return piv
         tab = self.tables
-        ui = tab.inv[u]
-        if ui is None:
-            ui = tab.fill_inv(u)
-        mul, fill, base = tab.mul, tab.fill_mul, ui * self.size
-        return [m if (m := mul[base + x]) is not None else fill(base + x) for x in piv]
+        mul, base = tab.mul, tab.inv[u] * self.size
+        return [mul[base + x] for x in piv]
 
     def submul(self, row, w, support):
         tab, size = self.tables, self.size
-        mul, sub = tab.mul, tab.sub
-        base = w * size
+        mul, sub, base = tab.mul, tab.sub, w * size
         for k, pk in support:
-            m = mul[base + pk]
-            if m is None:
-                m = tab.fill_mul(base + pk)
-            d = sub[row[k] * size + m]
-            if d is None:
-                d = tab.fill_sub(row[k] * size + m)
-            row[k] = d
+            row[k] = sub[row[k] * size + mul[base + pk]]
 
 
 class _TupleScalars:
@@ -249,7 +241,8 @@ class _TupleScalars:
 def _scalars(ring):
     """The scalar kit for the ring, from its shape alone: plain ints for
     r = 1, table-indexed ints for r > 1 up to _TABLE_SIZE elements (tables
-    of |R|^2 slots), coefficient tuples beyond."""
+    of |R|^2 slots, built on the ring's first use), coefficient tuples
+    beyond."""
     if ring.r == 1:
         return _IntScalars(ring)
     if ring.size <= _TABLE_SIZE:

@@ -389,8 +389,8 @@ class ChainRing:
         return out
 
     def index_tables(self) -> "IndexTables":
-        """The ring's arithmetic on indices, allocated on the first call and
-        kept on the ring; its slots are filled as they are read."""
+        """The ring's arithmetic on indices, built on the first call and
+        kept on the ring."""
         if self._tables is None:
             self._tables = IndexTables(self)
         return self._tables
@@ -496,42 +496,27 @@ class ChainRing:
 
 class IndexTables:
     """Products, differences and unit inverses of a chain ring on element
-    indices (``ChainRing.index``), from flat tables of size^2 slots filled
-    on first read.
+    indices (``ChainRing.index``), as flat tables of size^2 slots.
 
     ``mul[a * size + b]`` and ``sub[a * size + b]`` hold the indices of
-    a * b and a - b, and ``inv[u]`` the index of the unit u's inverse, or
-    None while unread; ``fill_mul``, ``fill_sub`` and ``fill_inv`` compute
-    one slot with the ring's own ``mul``, ``sub`` and ``inverse`` (a
-    product fills both of its slots).  ``elements`` and ``code`` map
-    indices to elements and back.
+    a * b and a - b, and ``inv[u]`` the index of the unit u's inverse (None
+    for a non-unit).  ``elements`` and ``code`` map indices to elements and
+    back.  Every slot is computed once, when the tables are built, with the
+    ring's own ``mul`` and ``sub``.
     """
 
     def __init__(self, ring: ChainRing):
-        self.ring = ring
-        self.size = size = ring.size
-        self.code = {a: ring.index(a) for a in ring.elements()}
-        self.elements = sorted(self.code, key=self.code.__getitem__)
-        self.mul = [None] * (size * size)
-        self.sub = [None] * (size * size)
-        self.inv = [None] * size
-
-    def fill_mul(self, slot: int) -> int:
-        a, b = divmod(slot, self.size)
-        els = self.elements
-        k = self.code[self.ring.mul(els[a], els[b])]
-        self.mul[slot] = self.mul[b * self.size + a] = k
-        return k
-
-    def fill_sub(self, slot: int) -> int:
-        a, b = divmod(slot, self.size)
-        els = self.elements
-        self.sub[slot] = k = self.code[self.ring.sub(els[a], els[b])]
-        return k
-
-    def fill_inv(self, u: int) -> int:
-        self.inv[u] = k = self.code[self.ring.inverse(self.elements[u])]
-        return k
+        size = ring.size
+        self.code = code = {a: ring.index(a) for a in ring.elements()}
+        self.elements = els = sorted(code, key=code.__getitem__)
+        mul, sub = ring.mul, ring.sub
+        self.mul = table = [0] * (size * size)
+        for i, a in enumerate(els):
+            for j in range(i, size):
+                table[i * size + j] = table[j * size + i] = code[mul(a, els[j])]
+        self.sub = [code[sub(a, b)] for a in els for b in els]
+        rows = [table[u * size : (u + 1) * size] for u in range(size)]
+        self.inv = [row.index(1) if 1 in row else None for row in rows]
 
 
 class ProductRing:

@@ -57,7 +57,8 @@ F9, GR82, GR92, GR44 = ChainRing(3, 1, 2), ChainRing(2, 3, 2), ChainRing(3, 2, 2
 F343, GR83 = ChainRing(7, 1, 3), ChainRing(2, 3, 3)
 # every scalar shape the Howell engine meets: Z_{p^e} and F_p of all sizes
 # (the Z6 and Z10 components among them); Galois rings with r > 1 up to the
-# table bound, GR(4,4) at exactly 256 elements; F343 and GR(8,3) beyond it
+# table bound of 16 elements (F4, F9, GR(4,2) at exactly 16) and beyond it
+# (GR(8,2), GR(9,2), GR(4,4), F343, GR(8,3))
 ENGINE_RINGS = list(
     dict.fromkeys(
         [Z4, Z8, Z9, Z27, F5, Z2_40, F_M61, GR42, F4, F9, GR82, GR92, GR44, F343, GR83]
@@ -390,9 +391,9 @@ def engine_cases(ring, rng):
 
 @pytest.mark.parametrize("ring", ENGINE_RINGS, ids=repr)
 def test_engine_picks_its_scalars_from_the_ring_shape(ring):
-    """Plain ints for r = 1, table-indexed ints for r > 1 up to 256
+    """Plain ints for r = 1, table-indexed ints for r > 1 up to 16
     elements, coefficient tuples beyond."""
-    small = (F4, GR42, F9, GR82, GR92, GR44)  # r > 1, at most 256 elements
+    small = (F4, GR42, F9)  # r > 1, at most 16 elements
     expected = _IntScalars if ring.r == 1 else _TableScalars if ring in small else _TupleScalars
     assert type(_scalars(ring)) is expected
 
