@@ -3,7 +3,8 @@
 An element of R[G] is the coefficient tuple (a_{g_0}, ..., a_{g_{n-1}}) in
 the fixed group order; each coefficient is a product-ring element.  Keeping
 coefficients in the product representation makes the component-splitting map
-a cheap re-slicing: chain-ring algebras are simply the s = 1 case.
+a transpose (``component_rows``, inverted by ``from_component_rows``):
+chain-ring algebras are simply the s = 1 case.
 """
 
 from __future__ import annotations
@@ -14,7 +15,19 @@ from .errors import ValidationError
 from .groups import FiniteGroup
 from .rings import ProductRing
 
-__all__ = ["GroupAlgebra"]
+__all__ = ["GroupAlgebra", "component_rows", "from_component_rows"]
+
+
+def component_rows(a) -> tuple:
+    """An element as its s component rows: row j holds the n coefficients'
+    parts in ring component j."""
+    return tuple(zip(*a))
+
+
+def from_component_rows(rows) -> tuple:
+    """The element whose component rows are ``rows`` (inverse of
+    ``component_rows``)."""
+    return tuple(zip(*rows))
 
 
 class GroupAlgebra:
@@ -53,10 +66,7 @@ class GroupAlgebra:
         return tuple(self.ring.one if k == i else z for k in range(self.group.n))
 
     def check(self, a):
-        if len(a) != self.group.n:
-            raise ValidationError(
-                f"element has {len(a)} coefficients, group order is {self.group.n}"
-            )
+        self._arity(a)
         return self.ring.check_row(a)
 
     def elements(self):
@@ -64,14 +74,6 @@ class GroupAlgebra:
         coeffs = self.ring.elements()
         for combo in itertools.product(coeffs, repeat=self.group.n):
             yield combo
-
-    # -- coordinate isomorphism (identity on coefficients, by construction) -----
-
-    def to_vector(self, a):
-        return self.check(a)
-
-    def from_vector(self, v):
-        return self.check(v)
 
     # -- module and ring operations ----------------------------------------------
 
@@ -134,11 +136,7 @@ class GroupAlgebra:
 
     def crt_project(self, a):
         """Split an element into its per-component images."""
-        if self.ring.s == 1:
-            return (a,)
-        return tuple(
-            tuple((coeff[j],) for coeff in a) for j in range(self.ring.s)
-        )
+        return tuple(tuple(zip(row)) for row in component_rows(a))
 
     def crt_lift(self, parts):
         """Reassemble an element from per-component images (inverse of the split)."""
@@ -152,9 +150,7 @@ class GroupAlgebra:
                 raise ValidationError("component element has the wrong group order")
         if self.ring.s == 1:
             return self.check(parts[0])
-        return tuple(
-            tuple(parts[j][i][0] for j in range(self.ring.s)) for i in range(n)
-        )
+        return from_component_rows([component_rows(part)[0] for part in parts])
 
     # -- display ------------------------------------------------------------------
 

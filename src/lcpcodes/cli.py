@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .algebra import GroupAlgebra
+from .algebra import GroupAlgebra, from_component_rows
 from .codes import (
     DEFAULT_IDEAL_CAP,
     DsmSplitter,
@@ -215,10 +215,15 @@ def load_config(path: str) -> InstanceConfig:
             raise ValidationError(f"code {name!r} must map to a list of generators")
         elements = [parse_element(algebra, g) for g in gens]
         codes[name] = GroupCode.from_generators(algebra, elements)
-    seed = doc.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        raise ValidationError(f"seed {seed!r} must be a non-negative integer")
+    seed = _check_seed(doc.get("seed", 0))
     return InstanceConfig(ring=ring, group=group, algebra=algebra, codes=codes, seed=seed)
+
+
+def _check_seed(seed):
+    """A seed the 64-bit ``Lcg`` takes as it is, not reduced mod 2^64."""
+    if not _is_int(seed) or not 0 <= seed <= Lcg.MASK:
+        raise ValidationError(f"seed {seed!r} must be an integer in [0, 2^64)")
+    return seed
 
 
 def _get_code(cfg: InstanceConfig, name: str) -> GroupCode:
@@ -305,7 +310,7 @@ def cmd_mindist(cfg: InstanceConfig, args) -> tuple[dict, int]:
 def cmd_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     C = _get_code(cfg, args.name_c)
     D = _get_code(cfg, args.name_d)
-    rep = lcp_check(C, D, fill_security=False)
+    rep = lcp_check(C, D)
     report = {
         "command": "lcp",
         "c": args.name_c,
@@ -337,8 +342,7 @@ def _sample_mask(D: GroupCode, rng: Lcg):
     Components are visited in ring order and rows top to bottom; each draw
     indexes the same lexicographic transversal used by codeword enumeration.
     """
-    A = D.algebra
-    n = A.group.n
+    n = D.algebra.group.n
     parts = []
     for P in D.components:
         cr = P.ring
@@ -350,7 +354,7 @@ def _sample_mask(D: GroupCode, rng: Lcg):
                 for i in range(n):
                     acc[i] = cr.add(acc[i], cr.mul(c, row[i]))
         parts.append(acc)
-    return tuple(tuple(parts[j][i] for j in range(A.ring.s)) for i in range(n))
+    return from_component_rows(parts)
 
 
 def cmd_dsm(cfg: InstanceConfig, args) -> tuple[dict, int]:
@@ -405,7 +409,7 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     for i, C in enumerate(ideals):
         iC = code_involute(C)
         D = code_dual(iC)
-        if not lcp_check(C, D, max_enum=args.max_enum, fill_security=False).is_lcp:
+        if not lcp_check(C, D).is_lcp:
             continue
         eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
         if eq.d_c != eq.d_d_dual:
@@ -464,17 +468,15 @@ def cmd_crt(cfg: InstanceConfig, args) -> tuple[dict, int]:
 # rendering
 
 
-def _render_pivot(P, indent="  "):
-    lines = [
-        f"{indent}pivot cols {list(P['pivot_cols'])}, gamma-valuations {list(P['pivot_vals'])}"
-    ]
+def _render_pivot(P):
+    lines = [f"  pivot cols {list(P['pivot_cols'])}, gamma-valuations {list(P['pivot_vals'])}"]
     for row in P["rows"]:
         cells = []
         for x in row:
             cells.append(str(x[0]) if len(x) == 1 else str(tuple(x)))
-        lines.append(f"{indent}[ " + "  ".join(cells) + " ]")
+        lines.append("  [ " + "  ".join(cells) + " ]")
     if not P["rows"]:
-        lines.append(f"{indent}(zero span)")
+        lines.append("  (zero span)")
     return lines
 
 
@@ -633,9 +635,11 @@ def main(argv=None) -> int:
     try:
         if args.config is None:
             raise ValidationError("--config is required")
+        for flag, cap in (("--max-enum", args.max_enum), ("--max-ideals", args.max_ideals)):
+            if cap < 0:
+                raise ValidationError(f"{flag} {cap} must be non-negative")
         cfg = load_config(args.config)
-        if args.seed is None:
-            args.seed = cfg.seed
+        args.seed = _check_seed(cfg.seed if args.seed is None else args.seed)
         report, code = globals()[args.fn](cfg, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

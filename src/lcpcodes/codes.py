@@ -2,8 +2,10 @@
 
 All product-ring computation is componentwise-first: a code is stored as one
 pivot form per CRT component, operations act per component, and the Chinese
-product reassembles results.  Duality uses the standard coordinatewise
-bilinear form on the coefficient vectors.
+product reassembles results (``code_crt_combine`` builds it in a given target
+algebra).  Duality uses the standard coordinatewise bilinear form on the
+coefficient vectors.  ``lcp_check`` decides a pair from code sizes alone and
+lists no codeword; ``security_parameter`` adds the distances of an LCP pair.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
-from .algebra import GroupAlgebra
+from .algebra import GroupAlgebra, component_rows, from_component_rows
 from .errors import CapExceededError, NotLcpError, ValidationError
 from .groups import _permuter
 from .linalg import (
@@ -27,7 +29,6 @@ from .linalg import (
     membership,
     pivot_reduce,
 )
-from .rings import ProductRing
 
 __all__ = [
     "GroupCode",
@@ -70,12 +71,12 @@ class GroupCode:
         the component pivot rows embedded with zeros in the other components
         (built on first use)."""
         if self._generators is None:
-            zeros = tuple(cr.zero for cr in self.algebra.ring.components)
-            gens = []
-            for j, form in enumerate(self.components):
-                for row in form.rows:
-                    gens.append(tuple(zeros[:j] + (x,) + zeros[j + 1 :] for x in row))
-            self._generators = tuple(gens)
+            zeros = [(P.ring.zero,) * P.ncols for P in self.components]
+            self._generators = tuple(
+                from_component_rows(zeros[:j] + [row] + zeros[j + 1 :])
+                for j, form in enumerate(self.components)
+                for row in form.rows
+            )
         return self._generators
 
     # -- constructors -------------------------------------------------------
@@ -95,13 +96,13 @@ class GroupCode:
         group = algebra.group
         n = group.n
         conj_maps, shifts = group.conjugations, group.left_translations
+        split = [component_rows(a) for a in gens]
         forms = []
         for j, cr in enumerate(algebra.ring.components):
             conjugates = {}
-            for a in gens:
-                aj = tuple(a[i][j] for i in range(n))
+            for a_rows in split:
                 for conj in conj_maps:
-                    conjugates[conj(aj)] = None
+                    conjugates[conj(a_rows[j])] = None
             rows = {}
             for c in conjugates:
                 for shift in shifts:
@@ -136,12 +137,8 @@ class GroupCode:
         return self.cardinality() == self.algebra.size
 
     def contains(self, a) -> bool:
-        a = self.algebra.check(a)
-        n = self.algebra.group.n
-        for j, P in enumerate(self.components):
-            if not membership(tuple(a[i][j] for i in range(n)), P):
-                return False
-        return True
+        rows = component_rows(self.algebra.check(a))
+        return all(membership(row, P) for row, P in zip(rows, self.components))
 
     def codewords(self, cap: int = DEFAULT_ENUM_CAP):
         """All codewords as algebra elements (product of component streams)."""
@@ -149,10 +146,9 @@ class GroupCode:
             raise CapExceededError(
                 f"code of size {self.cardinality()} exceeds the enumeration cap {cap}"
             )
-        n = self.algebra.group.n
         streams = [list(P.codewords(cap)) for P in self.components]
         for combo in itertools.product(*streams):
-            yield tuple(tuple(part[i] for part in combo) for i in range(n))
+            yield from_component_rows(combo)
 
     @property
     def key(self):
@@ -279,25 +275,13 @@ def code_intersect(C: GroupCode, D: GroupCode) -> GroupCode:
     return GroupCode.from_components(C.algebra, forms)
 
 
-def code_crt_combine(parts, algebra: GroupAlgebra | None = None) -> GroupCode:
-    """Chinese product of chain-ring codes over a common group."""
+def code_crt_combine(parts, algebra: GroupAlgebra) -> GroupCode:
+    """Chinese product of chain-ring codes: part j is a code of the target
+    algebra's component j (``GroupAlgebra.components``)."""
     parts = tuple(parts)
-    if not parts:
-        raise ValidationError("need at least one component code")
-    group = parts[0].algebra.group
-    comps = []
-    for part in parts:
-        if part.algebra.group != group:
-            raise ValidationError("component codes use different groups")
-        if part.algebra.ring.s != 1:
-            raise ValidationError("component codes must be chain-ring codes")
-        comps.append(part.algebra.ring.components[0])
-    if algebra is None:
-        algebra = GroupAlgebra(ProductRing(comps), group)
-    else:
-        if tuple(algebra.ring.components) != tuple(comps) or algebra.group != group:
-            raise ValidationError("target algebra does not match the component codes")
-    return GroupCode.from_components(algebra, [p.components[0] for p in parts])
+    if tuple(part.algebra for part in parts) != algebra.components:
+        raise ValidationError("component codes do not match the target algebra's components")
+    return GroupCode.from_components(algebra, [part.components[0] for part in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -310,57 +294,41 @@ class LcpReport:
     intersection_size: int
     sum_is_full: bool
     component_verdicts: tuple
-    security_parameter: int | None
 
 
-def lcp_check(
-    C: GroupCode,
-    D: GroupCode,
-    max_enum: int = DEFAULT_ENUM_CAP,
-    fill_security: bool = True,
-) -> LcpReport:
-    """Decide whether (C, D) is a linear complementary pair.
+def lcp_check(C: GroupCode, D: GroupCode) -> LcpReport:
+    """Decide whether (C, D) is a linear complementary pair; no codeword is
+    listed or walked (``security_parameter`` gives the distances).
 
     Runs both the direct test (trivial intersection and full sum) and the
-    componentwise test, which must agree; when the pair is LCP the security
-    parameter min{d(C), d(D^perp)} is attached.  Both read the sum alone:
-    for finite modules |P meet Q| * |P + Q| = |P| * |Q| (second isomorphism
-    theorem), so each component's intersection size is |P| |Q| / |P + Q|.
-    """
+    componentwise test (``_component_verdict``), which must agree.  Both
+    read the sum alone."""
     _same_algebra(C, D)
     total = code_sum(C, D)
-    isizes = [
-        _meet_size(P, Q, S.cardinality())
-        for P, Q, S in zip(C.components, D.components, total.components)
-    ]
+    parts = zip(C.components, D.components, total.components)
+    isizes, verdicts = zip(*(_component_verdict(P, Q, S.cardinality()) for P, Q, S in parts))
     isize = prod(isizes)
     sum_full = total.cardinality() == C.algebra.size
-    n = C.algebra.group.n
-    verdicts = tuple(
-        i == 1 and P.cardinality() * Q.cardinality() == cr.size**n
-        for i, P, Q, cr in zip(isizes, C.components, D.components, C.algebra.ring.components)
-    )
     direct = isize == 1 and sum_full
     if direct != all(verdicts):
         raise AssertionError("direct and componentwise LCP verdicts disagree")
-    sec = None
-    if direct and fill_security:
-        sec = security_parameter(C, D, max_enum=max_enum, _assume_lcp=True)
     return LcpReport(
         is_lcp=direct,
         intersection_size=isize,
         sum_is_full=sum_full,
         component_verdicts=verdicts,
-        security_parameter=sec,
     )
 
 
-def _meet_size(P, Q, sum_size: int) -> int:
-    """|P meet Q| = |P| |Q| / |P + Q|, given sum_size = |P + Q|."""
+def _component_verdict(P, Q, sum_size: int) -> tuple[int, bool]:
+    """(|P meet Q|, whether P and Q are complementary), given sum_size =
+    |P + Q|.  For finite modules |P meet Q| * |P + Q| = |P| * |Q| (second
+    isomorphism theorem); the pair is complementary when the meet is 0 and
+    the sum is all of R_j^n."""
     size, rest = divmod(P.cardinality() * Q.cardinality(), sum_size)
     if rest:
         raise AssertionError(f"|P| |Q| is not a multiple of |P + Q| = {sum_size}")
-    return size
+    return size, size == 1 and sum_size == P.ring.size**P.ncols
 
 
 def _weight_distribution(C: GroupCode, max_enum: int):
@@ -439,10 +407,8 @@ def security_parameter(
 ) -> int:
     """min{d(C), d(D^perp)} for an LCP pair; the two are checked to be equal.
     A caller that has already checked the pair passes ``_assume_lcp=True``."""
-    if not _assume_lcp:
-        rep = lcp_check(C, D, fill_security=False)
-        if not rep.is_lcp:
-            raise NotLcpError("security parameter is only defined for LCP pairs")
+    if not _assume_lcp and not lcp_check(C, D).is_lcp:
+        raise NotLcpError("security parameter is only defined for LCP pairs")
     Dd = code_dual(D)
     _link_involute(C, Dd)
     dc = min_distance(C, max_enum)
@@ -463,23 +429,19 @@ class DsmSplitter:
 
     The stacked generator systems are pre-reduced once per component, so each
     ``split`` is a single linear solve.  That reduction also gives |P + Q|,
-    which decides the pair as in ``lcp_check``: it is LCP when every
-    component has |P| |Q| = |P + Q| = |R_j|^n.
+    which decides the pair per component as in ``lcp_check``.
     """
 
-    def __init__(self, C: GroupCode, D: GroupCode, check: bool = True):
+    def __init__(self, C: GroupCode, D: GroupCode):
         _same_algebra(C, D)
         self.C, self.D = C, D
         n = C.algebra.group.n
         self._solvers = []
-        self._c_row_counts = []
         for P, Q in zip(C.components, D.components):
             solver = SpanSolver(RingMatrix(P.ring, P.rows + Q.rows, n))
-            size = solver.span_size()
-            if check and not (_meet_size(P, Q, size) == 1 and size == P.ring.size**n):
+            if not _component_verdict(P, Q, solver.span_size())[1]:
                 raise NotLcpError("direct sum masking needs an LCP pair")
             self._solvers.append(solver)
-            self._c_row_counts.append(len(P.rows))
 
     def split(self, z):
         """The unique (c, d) with z = c + d, c in C, d in D."""
@@ -487,20 +449,18 @@ class DsmSplitter:
         z = A.check(z)
         n = A.group.n
         c_parts = []
-        for j, (solver, nc) in enumerate(zip(self._solvers, self._c_row_counts)):
-            cr = A.ring.components[j]
-            zj = tuple(z[i][j] for i in range(n))
-            coeffs = solver.solve(zj)
+        for solver, P, zj in zip(self._solvers, self.C.components, component_rows(z)):
+            cr = P.ring
+            coeffs = solver.solve(zj)  # C's rows come first in the stack
             if coeffs is None:
                 raise AssertionError("LCP pair failed to span the algebra")
             cj = [cr.zero] * n
-            rows = self.C.components[j].rows
-            for coef, row in zip(coeffs[:nc], rows):
+            for coef, row in zip(coeffs, P.rows):
                 if coef != cr.zero:
                     for i in range(n):
                         cj[i] = cr.add(cj[i], cr.mul(coef, row[i]))
             c_parts.append(cj)
-        c = tuple(tuple(c_parts[j][i] for j in range(A.ring.s)) for i in range(n))
+        c = from_component_rows(c_parts)
         d = A.sub(z, c)
         if not (self.C.contains(c) and self.D.contains(d)):
             raise AssertionError("split parts fall outside the pair's codes")
@@ -569,7 +529,7 @@ def _chain_ideals(algebra: GroupAlgebra) -> list:
             for scale in scalings
         )
         code = GroupCode.from_generators(algebra, (a,))
-        found.setdefault(code.key, (code, code.cardinality(), (tuple(x for (x,) in a),)))
+        found.setdefault(code.key, (code, code.cardinality(), component_rows(a)))
     ideals = list(found.values())
     for i, (X, cx, gx) in enumerate(ideals):  # sums found here join the walk
         for Y, cy, gy in ideals[:i]:

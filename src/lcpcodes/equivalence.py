@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .algebra import from_component_rows
 from .codes import GroupCode, code_dual, lcp_check, min_distance, weight_enumerator
 from .errors import CapExceededError, NotLcpError, ValidationError
 from .linalg import DEFAULT_ENUM_CAP, membership
@@ -192,40 +193,38 @@ def check_dual_equivalence(
 
     Permutations are searched per CRT component and once over the whole
     product ring; the block note records both outcomes, since component
-    permutations need not assemble into a single common one.  Over a chain
-    ring the one component search is the common search; over a product ring
-    each component's span is listed once, on first need, and serves both
-    searches.  A caller that has already checked the pair passes
+    permutations need not assemble into a single common one.  Each
+    component's span is listed once, on first need, and serves both
+    searches; over a chain ring the one component search is the common
+    search.  A caller that has already checked the pair passes
     ``_assume_lcp=True``.
     """
-    if not _assume_lcp and not lcp_check(C, D, fill_security=False).is_lcp:
+    if not _assume_lcp and not lcp_check(C, D).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
     Dd = code_dual(D)
     # the weights are cached on C and Dd, so the searches reuse them
     d_c, d_dd = min_distance(C, max_enum), min_distance(Dd, max_enum)
-    if C.algebra.ring.s == 1:
-        full = find_permutation(Dd, C, max_enum)
-        parts = [full]
-    else:
-        s, lists = C.algebra.ring.s, {}
+    s, lists = C.algebra.ring.s, {}
 
-        def span(code, j):  # component j's span, listed once per call
-            if (id(code), j) not in lists:
-                lists[id(code), j] = list(code.components[j].codewords(max_enum))
-            return lists[id(code), j]
+    def span(code, j):  # component j's span, listed once per call
+        if (id(code), j) not in lists:
+            lists[id(code), j] = list(code.components[j].codewords(max_enum))
+        return lists[id(code), j]
 
-        def words(code):  # in GroupCode.codewords order and shape
-            spans = [span(code, j) for j in range(s)]
-            return [tuple(zip(*combo)) for combo in itertools.product(*spans)]
+    def words(code):  # in GroupCode.codewords order and shape
+        spans = [span(code, j) for j in range(s)]
+        return [from_component_rows(combo) for combo in itertools.product(*spans)]
 
-        def part(code, j):  # as the component code's codewords
-            return [tuple(zip(w)) for w in span(code, j)]
+    def part(code, j):  # as the component code's codewords
+        return [from_component_rows((w,)) for w in span(code, j)]
 
-        full = find_permutation(Dd, C, max_enum, lambda: (words(Dd), words(C)))
-        parts = [
-            find_permutation(Ddj, Cj, max_enum, lambda j=j: (part(Dd, j), part(C, j)))
-            for j, (Cj, Ddj) in enumerate(zip(C.crt_project(), Dd.crt_project()))
-        ]
+    # a chain-ring code is its own part, and keeps its cached weights
+    pairs = zip(C.crt_project(), Dd.crt_project()) if s > 1 else [(C, Dd)]
+    parts = [
+        find_permutation(Ddj, Cj, max_enum, lambda j=j: (part(Dd, j), part(C, j)))
+        for j, (Cj, Ddj) in enumerate(pairs)
+    ]
+    full = parts[0] if s == 1 else find_permutation(Dd, C, max_enum, lambda: (words(Dd), words(C)))
 
     def note(label, res):
         if res.status == STATUS_FOUND:

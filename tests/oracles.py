@@ -265,7 +265,7 @@ def full_scan_lcp_pairs(ideals):
         (i, j)
         for i, C in enumerate(ideals)
         for j, D in enumerate(ideals)
-        if lcp_check(C, D, fill_security=False).is_lcp
+        if lcp_check(C, D).is_lcp
     ]
 
 
@@ -276,7 +276,7 @@ def dual_equivalence_reference(C, D, max_enum=1 << 20):
     from lcpcodes.codes import code_dual, lcp_check, min_distance
     from lcpcodes.equivalence import STATUS_FOUND, EquivalenceResult, find_permutation
 
-    if not lcp_check(C, D, fill_security=False).is_lcp:
+    if not lcp_check(C, D).is_lcp:
         raise ValueError("not an LCP pair")
     Dd = code_dual(D)
     d_c = min_distance(C, max_enum)

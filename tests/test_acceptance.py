@@ -83,7 +83,7 @@ def lcp_pairs(corpora):
         found = []
         for C in ideals:
             for D in ideals:
-                if lcp_check(C, D, fill_security=False).is_lcp:
+                if lcp_check(C, D).is_lcp:
                     found.append((C, D))
         pairs[name] = found
     return pairs
@@ -187,7 +187,7 @@ def test_criterion_3_lcp_verdict_agreement(corpora):
     for name, algebra, ideals in corpora:
         for C in ideals:
             for D in ideals:
-                rep = lcp_check(C, D, fill_security=False)
+                rep = lcp_check(C, D)
                 checked += 1
                 direct = rep.intersection_size == 1 and rep.sum_is_full
                 if rep.is_lcp != direct or rep.is_lcp != all(rep.component_verdicts):
@@ -287,7 +287,7 @@ def test_criterion_6_dsm_roundtrip_and_reproducibility(
             continue
         for C, D in lcp_pairs[name]:
             pair_count += 1
-            splitter = DsmSplitter(C, D, check=False)
+            splitter = DsmSplitter(C, D)
             reps = Counter()
             table = {}
             for c in code_word_set(C):
@@ -337,7 +337,7 @@ def test_criterion_7_lcd_special_case(corpora):
         zero = algebra.zero()
         for C in ideals:
             Cd = code_dual(C)
-            rep = lcp_check(C, Cd, fill_security=False)
+            rep = lcp_check(C, Cd)
             trivial = code_word_set(C) & code_word_set(Cd) == {zero}
             if rep.is_lcp != trivial:
                 failures.append((name, "verdict", C))

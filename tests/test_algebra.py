@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lcpcodes.algebra import GroupAlgebra
+from lcpcodes.algebra import GroupAlgebra, component_rows, from_component_rows
 from lcpcodes.errors import ValidationError
 from lcpcodes.groups import cyclic, symmetric
 from lcpcodes.rings import ChainRing, ProductRing
@@ -16,6 +16,7 @@ A_F2C3 = GroupAlgebra(F2, cyclic(3))
 A_Z6C2 = GroupAlgebra(ProductRing.from_modulus(6), cyclic(2))
 A_Z6C3 = GroupAlgebra(ProductRing.from_modulus(6), cyclic(3))
 A_Z12C2 = GroupAlgebra(ProductRing.from_modulus(12), cyclic(2))
+A_F4F3C2 = GroupAlgebra(ProductRing([ChainRing(2, 1, 2), ChainRing(3, 1, 1)]), cyclic(2))
 
 
 def ints(algebra, *values):
@@ -35,13 +36,22 @@ def random_element(algebra, rng):
     return tuple(coeffs)
 
 
-def test_vector_maps_are_identity_with_validation():
-    a = ints(A_F2C3, 1, 1, 0)
-    assert A_F2C3.to_vector(a) == a
-    assert A_F2C3.from_vector(A_F2C3.to_vector(a)) == a
-    assert A_F2C3.to_vector(A_F2C3.zero()) == A_F2C3.zero()
-    with pytest.raises(ValidationError):
-        A_F2C3.to_vector(a[:2])
+@pytest.mark.parametrize("algebra", [A_Z6C3, A_F4F3C2], ids=["Z6[C3]", "(F4xF3)[C2]"])
+def test_component_rows_invert_and_match_the_crt_maps(algebra):
+    """Row j of an element holds the coefficients' parts in component j; the
+    two layout helpers are inverse, and agree with crt_project and crt_lift
+    on every element."""
+    s, seen = algebra.ring.s, 0
+    for a in algebra.elements():
+        rows = component_rows(a)
+        assert rows == tuple(tuple(c[j] for c in a) for j in range(s))
+        assert from_component_rows(rows) == a
+        assert component_rows(from_component_rows(rows)) == rows
+        parts = tuple(tuple((x,) for x in row) for row in rows)
+        assert algebra.crt_project(a) == parts
+        assert algebra.crt_lift(parts) == a
+        seen += 1
+    assert s == 2 and seen == algebra.size
 
 
 def test_add_and_scale_examples():

@@ -546,10 +546,12 @@ def test_mask_sampling_is_deterministic_and_in_code():
         ({"ring": 6, "group": {"family": "cyclic", "n": 3}, "codes": {"C": [[[True, 1]]]}}, "index"),
         ({"ring": 6, "group": {"table": "missing.tbl"}}, "table"),
         ({"ring": 6, "group": {"table": "c257.tbl"}}, "257"),
+        (dict(RUNNING_CONFIG, seed=-1), "seed"),
+        (dict(RUNNING_CONFIG, seed=2**64), "seed"),
     ],
     ids=["codes-list", "e-string", "p-string", "n-string", "modulus-string", "cyclic-no-n",
          "symmetric-no-m", "table-int", "factors-object", "index-bool", "table-missing",
-         "table-order"],
+         "table-order", "seed-negative", "seed-2^64"],
 )
 def test_malformed_config_exit_two(tmp_path, doc, word):
     # a valid Cayley table of C_257, one past the group order limit
@@ -562,6 +564,38 @@ def test_malformed_config_exit_two(tmp_path, doc, word):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and word in proc.stderr
+
+
+DSM_ARGS = ["dsm", "C", "D", "[[1,1],[2,1]]"]
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["--seed", "-1", *DSM_ARGS], "seed -1"),
+        (["--seed", str(2**64), *DSM_ARGS], "seed"),
+        ([*DSM_ARGS, "--seed", str(2**64 + 1)], "seed"),
+        (["--max-enum", "-1", "mindist", "C"], "--max-enum -1"),
+        (["mindist", "C", "--max-enum", "-1"], "--max-enum -1"),
+        (["--max-ideals", "-5", "search-lcp"], "--max-ideals -5"),
+    ],
+    ids=["seed-negative", "seed-2^64", "seed-2^64+1", "max-enum", "max-enum-after", "max-ideals"],
+)
+def test_malformed_flag_exit_two(cfg_path, argv, word):
+    """A seed outside [0, 2^64) or a negative cap is a usage error, not a
+    seed reduced mod 2^64 or a cap that every code exceeds."""
+    proc = run_process("--config", cfg_path, *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and word in proc.stderr
+
+
+def test_flag_bounds_are_inclusive(capsys, cfg_path):
+    code, report, _ = run_json(capsys, "--config", cfg_path, "--json", "--seed", str(2**64 - 1), *DSM_ARGS)
+    assert code == 0 and report["seed"] == 2**64 - 1
+    code, out, err = run(capsys, "--config", cfg_path, "--max-enum", "0", "mindist", "C")
+    assert code == 3 and out == "" and "enumeration cap 0" in err
 
 
 def test_main_builds_one_parser_and_leaks_no_option(capsys, monkeypatch, cfg_path, z6_path):

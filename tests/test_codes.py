@@ -2,6 +2,7 @@
 
 import pytest
 
+from lcpcodes import codes, linalg
 from lcpcodes.algebra import GroupAlgebra
 from lcpcodes.codes import (
     DsmSplitter,
@@ -155,6 +156,11 @@ def test_crt_combine_validation():
     other = code_from_generators(A_F2C3, [A_F2C3.one()])
     with pytest.raises(ValidationError):
         code_crt_combine([full_f2, other], algebra=A_Z6C2)
+    full_f3 = code_from_generators(comp_f3, [comp_f3.one()])
+    for parts in ([], [full_f3, full_f2], [full_f2, full_f3, full_f3]):
+        with pytest.raises(ValidationError):
+            code_crt_combine(parts, algebra=A_Z6C2)
+    assert code_crt_combine([full_f2, full_f3], algebra=A_Z6C2).is_full
 
 
 def test_lcp_check_examples(running_pair):
@@ -162,7 +168,6 @@ def test_lcp_check_examples(running_pair):
     rep = lcp_check(C, D)
     assert rep.is_lcp and rep.intersection_size == 1 and rep.sum_is_full
     assert rep.component_verdicts == (True,)
-    assert rep.security_parameter == 2
 
     rep_cc = lcp_check(C, C)
     assert not rep_cc.is_lcp and rep_cc.intersection_size == 4
@@ -181,11 +186,38 @@ def test_lcp_check_one_component_meets_trivially():
     rep = lcp_check(C, D)
     assert rep.intersection_size == 3
     assert rep.component_verdicts == (True, False)
-    assert not rep.is_lcp and not rep.sum_is_full and rep.security_parameter is None
+    assert not rep.is_lcp and not rep.sum_is_full
     assert [X.cardinality() for X in code_intersect(C, D).components] == [1, 3]
     assert len(code_word_set(C) & code_word_set(D)) == 3
     with pytest.raises(NotLcpError):
         DsmSplitter(C, D)
+
+
+def test_lcp_check_decides_without_walking(monkeypatch):
+    """lcp_check reads code sizes only.  On Z6[C35], where 35 is a unit of
+    both fields, <g - 1> and <sum g> are complementary; |C| = 6^34 is far
+    above the enumeration cap, and no word is walked or listed."""
+    A = GroupAlgebra(ProductRing.from_modulus(6), cyclic(35))
+    C = code_from_generators(A, [ints(A, 5, 1, *[0] * 33)])
+    D = code_from_generators(A, [ints(A, *[1] * 35)])
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    walk, listing = linalg._nonzero_flags, linalg.enumerate_codewords
+    monkeypatch.setattr(codes, "_nonzero_flags", counted("walk", walk))
+    monkeypatch.setattr(linalg, "_nonzero_flags", counted("walk", walk))
+    monkeypatch.setattr(linalg, "enumerate_codewords", counted("listing", listing))
+    rep = lcp_check(C, D)
+    assert C.cardinality() == 6**34 and D.cardinality() == 6
+    assert rep.is_lcp and rep.component_verdicts == (True, True)
+    assert rep.intersection_size == 1 and rep.sum_is_full
+    assert calls == []
 
 
 def test_lcp_check_mismatched_algebras(running_pair):

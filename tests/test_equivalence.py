@@ -203,7 +203,7 @@ def test_distance_equality_across_z6c2_corpus():
     pairs = 0
     for C in ideals:
         for D in ideals:
-            if not lcp_check(C, D, fill_security=False).is_lcp:
+            if not lcp_check(C, D).is_lcp:
                 continue
             pairs += 1
             res = check_dual_equivalence(C, D)
@@ -230,7 +230,7 @@ def test_nontrivial_permutations_over_f2c7():
     seen_nontrivial = False
     for C in ideals:
         for D in ideals:
-            if not lcp_check(C, D, fill_security=False).is_lcp:
+            if not lcp_check(C, D).is_lcp:
                 continue
             res = check_dual_equivalence(C, D)
             assert res.status == STATUS_FOUND
@@ -254,7 +254,7 @@ def test_distance_equality_over_nonabelian_f2s3():
     pair_distances = set()
     for C in ideals:
         for D in ideals:
-            if not lcp_check(C, D, fill_security=False).is_lcp:
+            if not lcp_check(C, D).is_lcp:
                 continue
             res = check_dual_equivalence(C, D)
             assert res.status == STATUS_FOUND

@@ -202,7 +202,7 @@ def test_check_dual_equivalence_walks_each_component_of_c_once(monkeypatch):
     results = []
     for C in enumerate_ideals(A):
         D = code_dual(code_involute(C))
-        if lcp_check(C, D, fill_security=False).is_lcp:
+        if lcp_check(C, D).is_lcp:
             results.append((C, D, check_dual_equivalence(C, D, _assume_lcp=True)))
     monkeypatch.undo()
     assert len(results) == 16
@@ -221,7 +221,7 @@ def test_full_scan_partner_is_the_dual_of_the_involute(searched):
     assert len(partner) == len(pairs)
     for i, C in enumerate(ideals):
         D = code_dual(code_involute(C))
-        is_lcp = lcp_check(C, D, fill_security=False).is_lcp
+        is_lcp = lcp_check(C, D).is_lcp
         assert (i in partner) == is_lcp
         if is_lcp:
             assert ideals[partner[i]] == D
@@ -238,7 +238,7 @@ def test_intersection_sizes_from_the_sum(searched):
     parts = [[code_word_set(X) for X in I.crt_project()] for I in ideals]
     for C, wc, pc in zip(ideals, words, parts):
         for D, wd, pd in zip(ideals, words, parts):
-            rep = lcp_check(C, D, fill_security=False)
+            rep = lcp_check(C, D)
             S, M = code_sum(C, D), code_intersect(C, D)
             closed = [
                 P.cardinality() * Q.cardinality() // T.cardinality()
@@ -257,21 +257,19 @@ def test_intersection_sizes_from_the_sum(searched):
 
 def test_dsm_splitter_decides_as_lcp_check(searched):
     """DsmSplitter decides from its own reduction as lcp_check does: it
-    refuses every non-LCP pair, and with check=False still splits a pair
-    whose sum is full, into parts that add up and lie in the codes."""
+    refuses every non-LCP pair, and splits every element along an LCP pair
+    into parts that add up and lie in the codes."""
     _, algebra, ideals, _ = searched
     sample = list(algebra.elements())[:: max(1, algebra.size // 40)]
     for C in ideals:
         for D in ideals:
-            rep = lcp_check(C, D, fill_security=False)
+            rep = lcp_check(C, D)
             try:
-                DsmSplitter(C, D)
+                splitter = DsmSplitter(C, D)
             except NotLcpError:
                 assert not rep.is_lcp
             else:
                 assert rep.is_lcp
-            if rep.sum_is_full:
-                splitter = DsmSplitter(C, D, check=False)
                 for z in sample:
                     c, d = splitter.split(z)
                     assert algebra.add(c, d) == z and C.contains(c) and D.contains(d)
@@ -281,7 +279,7 @@ def test_dsm_splitter_needs_one_algebra():
     A = GroupAlgebra(ProductRing.from_modulus(6), cyclic(3))
     B = GroupAlgebra(ProductRing.from_modulus(6), cyclic(2))
     with pytest.raises(ValidationError):
-        DsmSplitter(enumerate_ideals(A)[-1], enumerate_ideals(B)[0], check=False)
+        DsmSplitter(enumerate_ideals(A)[-1], enumerate_ideals(B)[0])
 
 
 def test_check_dual_equivalence_lists_each_component_once(monkeypatch):
@@ -301,7 +299,7 @@ def test_check_dual_equivalence_lists_each_component_once(monkeypatch):
     for C in enumerate_ideals(A):
         Dd = code_involute(C)
         D = code_dual(Dd)
-        if not lcp_check(C, D, fill_security=False).is_lcp:
+        if not lcp_check(C, D).is_lcp:
             continue
         with monkeypatch.context() as m:
             m.setattr(linalg, "enumerate_codewords", counted)
