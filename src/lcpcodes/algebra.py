@@ -148,9 +148,8 @@ class GroupAlgebra:
         for part in parts:
             if len(part) != n:
                 raise ValidationError("component element has the wrong group order")
-        if self.ring.s == 1:
-            return self.check(parts[0])
-        return from_component_rows([component_rows(part)[0] for part in parts])
+        rows = [row for part in parts for row in component_rows(part)]
+        return self.check(from_component_rows(rows))
 
     # -- display ------------------------------------------------------------------
 

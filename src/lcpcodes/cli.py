@@ -337,10 +337,14 @@ def cmd_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
 
 
 def _sample_mask(D: GroupCode, rng: Lcg):
-    """Deterministic uniform mask: one transversal draw per pivot row.
+    """Deterministic uniform mask: one draw per pivot row.
 
-    Components are visited in ring order and rows top to bottom; each draw
-    indexes the same lexicographic transversal used by codeword enumeration.
+    Components are visited in ring order and rows top to bottom.  A row
+    with pivot gamma^t takes a coefficient c = sum_k c_k x^k, every c_k in
+    [0, p^(e-t)): the draw is an index below q^(e-t), whose base-p^(e-t)
+    digits are c_0 (most significant) to c_(r-1), the order in which
+    codeword enumeration walks the coefficients.  No list of coefficients
+    is built.
     """
     n = D.algebra.group.n
     parts = []
@@ -348,8 +352,9 @@ def _sample_mask(D: GroupCode, rng: Lcg):
         cr = P.ring
         acc = [cr.zero] * n
         for row, t in zip(P.rows, P.pivot_vals):
-            reps = cr.transversal(cr.e - t)
-            c = reps[rng.randrange(len(reps))]
+            base = cr.p ** (cr.e - t)
+            index = rng.randrange(base**cr.r)
+            c = tuple(index // base**k % base for k in reversed(range(cr.r)))
             if c != cr.zero:
                 for i in range(n):
                     acc[i] = cr.add(acc[i], cr.mul(c, row[i]))

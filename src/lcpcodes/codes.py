@@ -186,12 +186,14 @@ class GroupCode:
 
     def crt_project(self) -> tuple["GroupCode", ...]:
         """The component codes, each over its own chain-ring algebra (built
-        once and kept).  Part j of iota(C) is iota of part j of C, so the
-        parts of two codes linked by ``code_involute`` are linked too."""
+        once and kept); a chain-ring code is its own part.  Part j of
+        iota(C) is iota of part j of C, so the parts of two codes linked by
+        ``code_involute`` are linked too."""
         if self._parts is None:
             comps = self.algebra.components
             self._parts = tuple(
-                GroupCode.from_components(A, (P,)) for A, P in zip(comps, self.components)
+                self if A is self.algebra else GroupCode.from_components(A, (P,))
+                for A, P in zip(comps, self.components)
             )
             other = self._involute
             if other is not None and other._parts is not None:
@@ -241,7 +243,7 @@ def code_involute(C: GroupCode) -> GroupCode:
 
     Computed once and cached on C; the map is an involution, so C is
     recorded as the image of the result.  It permutes coordinates, so the
-    two codes share one weight enumerator (see ``_weight_distribution``)."""
+    two codes share one weight enumerator (see ``weight_enumerator``)."""
     if C._involute is None:
         get = _permuter(C.algebra.group.inv)
         forms = [
@@ -331,14 +333,15 @@ def _component_verdict(P, Q, sum_size: int) -> tuple[int, bool]:
     return size, size == 1 and sum_size == P.ring.size**P.ncols
 
 
-def _weight_distribution(C: GroupCode, max_enum: int):
-    """Codeword counts by weight, from the nonzero flags of the packed walk
-    (one guard bit per coordinate).  Over a chain ring a word's weight is
-    the popcount of its flags.  Over a product ring every component is
-    walked at one common field width, so the flags line up; a codeword is
-    nonzero where any of its components is, and flags a (x words) and
-    flags b (y words) give a | b (x * y words).  A component's own flags
-    also give the weights of its part in ``crt_project``, which are kept.
+def weight_enumerator(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> tuple:
+    """Codeword counts by Hamming weight 0..n, from the nonzero flags of
+    the packed walk (one guard bit per coordinate).  Over a chain ring a
+    word's weight is the popcount of its flags.  Over a product ring every
+    component is walked at one common field width, so the flags line up; a
+    codeword is nonzero where any of its components is, and flags a
+    (x words) and flags b (y words) give a | b (x * y words).  A
+    component's own flags also give the weights of its part in
+    ``crt_project``, which are kept.
 
     The counts are cached on C.  iota(C) (``code_involute``) is C with its
     coordinates permuted, so it has the same counts, and whichever of the
@@ -387,16 +390,11 @@ def _tally(keys: Counter, n: int) -> tuple:
 def min_distance(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     """Minimum Hamming weight of a nonzero codeword; n + 1 for the zero code."""
     n = C.algebra.group.n
-    wd = _weight_distribution(C, max_enum)
+    wd = weight_enumerator(C, max_enum)
     for w in range(1, n + 1):
         if wd[w]:
             return w
     return n + 1
-
-
-def weight_enumerator(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> tuple:
-    """Codeword counts by Hamming weight 0..n."""
-    return _weight_distribution(C, max_enum)
 
 
 def security_parameter(
@@ -427,9 +425,11 @@ def security_parameter(
 class DsmSplitter:
     """Decomposes R[G] along a fixed complementary pair C + D.
 
-    The stacked generator systems are pre-reduced once per component, so each
-    ``split`` is a single linear solve.  That reduction also gives |P + Q|,
-    which decides the pair per component as in ``lcp_check``.
+    Per component one ``SpanSolver`` reduces the Zassenhaus matrix of C and
+    D: their stacked rows, with C's rows as the images of C's rows and zero
+    images for D's.  Each ``split`` is then one solve per component, whose
+    image of z is its C part.  That reduction also gives |P + Q|, which
+    decides the pair per component as in ``lcp_check``.
     """
 
     def __init__(self, C: GroupCode, D: GroupCode):
@@ -438,7 +438,10 @@ class DsmSplitter:
         n = C.algebra.group.n
         self._solvers = []
         for P, Q in zip(C.components, D.components):
-            solver = SpanSolver(RingMatrix(P.ring, P.rows + Q.rows, n))
+            zeros = ((P.ring.zero,) * n,) * len(Q.rows)
+            solver = SpanSolver(
+                RingMatrix(P.ring, P.rows + Q.rows, n), RingMatrix(P.ring, P.rows + zeros, n)
+            )
             if not _component_verdict(P, Q, solver.span_size())[1]:
                 raise NotLcpError("direct sum masking needs an LCP pair")
             self._solvers.append(solver)
@@ -447,19 +450,9 @@ class DsmSplitter:
         """The unique (c, d) with z = c + d, c in C, d in D."""
         A = self.C.algebra
         z = A.check(z)
-        n = A.group.n
-        c_parts = []
-        for solver, P, zj in zip(self._solvers, self.C.components, component_rows(z)):
-            cr = P.ring
-            coeffs = solver.solve(zj)  # C's rows come first in the stack
-            if coeffs is None:
-                raise AssertionError("LCP pair failed to span the algebra")
-            cj = [cr.zero] * n
-            for coef, row in zip(coeffs, P.rows):
-                if coef != cr.zero:
-                    for i in range(n):
-                        cj[i] = cr.add(cj[i], cr.mul(coef, row[i]))
-            c_parts.append(cj)
+        c_parts = [solver.solve(zj) for solver, zj in zip(self._solvers, component_rows(z))]
+        if None in c_parts:
+            raise AssertionError("LCP pair failed to span the algebra")
         c = from_component_rows(c_parts)
         d = A.sub(z, c)
         if not (self.C.contains(c) and self.D.contains(d)):

@@ -219,7 +219,7 @@ def check_dual_equivalence(
         return [from_component_rows((w,)) for w in span(code, j)]
 
     # a chain-ring code is its own part, and keeps its cached weights
-    pairs = zip(C.crt_project(), Dd.crt_project()) if s > 1 else [(C, Dd)]
+    pairs = zip(C.crt_project(), Dd.crt_project())
     parts = [
         find_permutation(Ddj, Cj, max_enum, lambda j=j: (part(Dd, j), part(C, j)))
         for j, (Cj, Ddj) in enumerate(pairs)

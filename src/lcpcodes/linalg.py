@@ -8,8 +8,11 @@ reduced to canonical representatives modulo <gamma^t>, and for every pivot
 with t > 0 the saturation row gamma^(e-t) * row is folded back in.  The form
 is canonical, so equal spans have equal forms.  The saturation rows give the
 Howell property: for every k, the rows whose pivot column is >= k span all
-of the module that vanishes on the first k columns.  Kernels and
-intersections are read off that property from one augmented reduction each.
+of the module that vanishes on the first k columns.  Kernels,
+intersections and ``SpanSolver``'s image solve are each read off one
+reduction of [rows | images] (``_augment``): [M^T | I] for the kernel of
+M, the Zassenhaus matrix [P | P], [Q | 0] for P meet Q, and the same
+matrix, reduced over its left block, for the C part of a direct sum C + D.
 Over fields the saturation step is a no-op and the form is the ordinary
 reduced row echelon form.
 
@@ -473,6 +476,11 @@ def _lower_block(ring, rows, split, width) -> PivotForm:
     return PivotForm(ring, width - split, tuple(red), tuple(cols), tuple(vals))
 
 
+def _augment(rows, images):
+    """The rows [row | image] of an augmented reduction, one per row."""
+    return [row + image for row, image in zip(rows, images, strict=True)]
+
+
 def kernel(M: RingMatrix) -> PivotForm:
     """Pivot form of {x : M x^T = 0}.
 
@@ -481,11 +489,9 @@ def kernel(M: RingMatrix) -> PivotForm:
     """
     ring, n, m = M.ring, M.ncols, len(M.rows)
     zero, one = ring.zero, ring.one
-    aug = [
-        tuple(row[k] for row in M.rows) + tuple(one if i == k else zero for i in range(n))
-        for k in range(n)
-    ]
-    return _lower_block(ring, aug, m, m + n)
+    columns = [tuple(row[k] for row in M.rows) for k in range(n)]
+    identity = [tuple(one if i == k else zero for i in range(n)) for k in range(n)]
+    return _lower_block(ring, _augment(columns, identity), m, m + n)
 
 
 def intersect(P: PivotForm, Q: PivotForm) -> PivotForm:
@@ -498,43 +504,48 @@ def intersect(P: PivotForm, Q: PivotForm) -> PivotForm:
     if P.ring != Q.ring or P.ncols != Q.ncols:
         raise ValidationError("intersection needs spans in the same module")
     n, zero = P.ncols, P.ring.zero
-    rows = [row + row for row in P.rows] + [row + (zero,) * n for row in Q.rows]
-    return _lower_block(P.ring, rows, n, 2 * n)
+    images = P.rows + ((zero,) * n,) * len(Q.rows)
+    return _lower_block(P.ring, _augment(P.rows + Q.rows, images), n, 2 * n)
 
 
 class SpanSolver:
-    """Writes vectors as explicit combinations of a fixed list of generators.
+    """``solve(v)`` is sum_i c_i * images_i for a c with sum_i c_i M_i = v.
 
-    The generator matrix is reduced once with identity bookkeeping columns;
-    each ``solve`` is then a single membership-style reduction.
+    [M | images] is reduced once over M's columns; each ``solve`` reduces
+    [v | 0] by those pivots, which leaves [0 | -sum_i c_i * images_i].  The
+    image is well defined when the images vanish on every relation among
+    M's rows (sum_i a_i M_i = 0 implies sum_i a_i images_i = 0); identity
+    images give the coefficients.  For C's and D's rows with images C's
+    rows and zero rows (the Zassenhaus matrix of ``intersect``) and an LCP
+    pair, a relation sum a_i p_i + sum b_j q_j = 0 puts sum a_i p_i in
+    C meet D = 0, so ``solve`` gives the C part of the direct sum.
     """
 
-    def __init__(self, M: RingMatrix):
+    def __init__(self, M: RingMatrix, images: RingMatrix):
+        if images.ring != M.ring or len(images.rows) != len(M.rows):
+            raise ValidationError("images need one row per row of M, over M's ring")
         self.ring = M.ring
         self.ncols = M.ncols
-        self.nrows = len(M.rows)
-        zero, one = M.ring.zero, M.ring.one
-        aug = [
-            tuple(row) + tuple(one if i == j else zero for j in range(self.nrows))
-            for i, row in enumerate(M.rows)
-        ]
-        rows, cols, vals = _howell(M.ring, aug, M.ncols + self.nrows, M.ncols)
+        self._width = images.ncols
+        aug = _augment(M.rows, images.rows)
+        rows, cols, vals = _howell(M.ring, aug, M.ncols + images.ncols, M.ncols)
         self._s = _scalars(M.ring)
         self._pivots = _engine_pivots(self._s, rows, cols, vals)
         self._vals = tuple(vals)
 
     def span_size(self) -> int:
-        """Size of the span of the generators.  The reduction picks its
-        pivots on the generator columns exactly as ``pivot_reduce`` of the
-        generators would, so those pivots give the size of their span."""
+        """Size of the span of M's rows.  The reduction picks its pivots on
+        M's columns exactly as ``pivot_reduce`` of M would, so those pivots
+        give the size of the span."""
         return _span_size(self.ring, self._vals)
 
     def solve(self, target):
-        """Coefficients c with sum_i c_i * row_i = target, or None."""
+        """The image of target (see the class docstring), or None when
+        target is outside the span of M's rows."""
         ring, s = self.ring, self._s
         if len(target) != self.ncols:
             raise ValidationError("target length mismatch")
-        v = s.load(ring.check_row(target)) + [s.zero] * self.nrows
+        v = s.load(ring.check_row(target)) + [s.zero] * self._width
         if not _reduce_against(s, v, self._pivots):
             return None
         if s.nonzero(v[: self.ncols]):

@@ -287,7 +287,6 @@ class ChainRing:
         self.gamma = (p % self.pe,) + (0,) * (r - 1)
         self._key = (p, e, r, self.modulus)
         self._elements = None
-        self._transversals: dict[int, list] = {}
         self._inv_cache: dict[tuple, tuple] = {}
         self._tables = None
 
@@ -361,16 +360,6 @@ class ChainRing:
         if self._elements is None:
             self._elements = list(itertools.product(range(self.pe), repeat=self.r))
         return self._elements
-
-    def transversal(self, k: int) -> list:
-        """Canonical representatives of the quotient mod <gamma^k>, k in [0, e].
-
-        These are the tuples with every coefficient in [0, p^k); there are
-        q^k of them and they enumerate residues mod gamma^k exactly once.
-"""
-        if k not in self._transversals:
-            self._transversals[k] = list(itertools.product(range(self.p**k), repeat=self.r))
-        return self._transversals[k]
 
     def index(self, a) -> int:
         """The q-adic digit index of a: sum_d q^d * sum_i c_{i,d} p^i, with

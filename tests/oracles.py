@@ -296,6 +296,19 @@ def dual_equivalence_reference(C, D, max_enum=1 << 20):
     return EquivalenceResult(full.status, full.permutation, d_c, d_dd, "; ".join(notes))
 
 
+_TRANSVERSALS = {}
+
+
+def transversal(ring, k):
+    """Canonical representatives of the quotient of a chain ring mod
+    <gamma^k>, k in [0, e]: the tuples with every coefficient in [0, p^k),
+    q^k of them, each residue mod gamma^k exactly once (cached per ring)."""
+    cache = _TRANSVERSALS.setdefault(ring, {})
+    if k not in cache:
+        cache[k] = list(itertools.product(range(ring.p**k), repeat=ring.r))
+    return cache[k]
+
+
 def recursive_codewords(P, cap=1 << 20):
     """The span of a pivot form by recursion over its rows, with ring
     arithmetic per coordinate: row 0 varies slowest, each coefficient
@@ -313,7 +326,7 @@ def recursive_codewords(P, cap=1 << 20):
             yield tuple(acc)
             return
         row = P.rows[j]
-        for c in ring.transversal(ring.e - P.pivot_vals[j]):
+        for c in transversal(ring, ring.e - P.pivot_vals[j]):
             if c == ring.zero:
                 yield from rec(j + 1, acc)
             else:
@@ -676,3 +689,39 @@ def tuple_solve(M, target):
     if not _tuple_reduce_against(ring, v, rows, cols, vals) or any(x != zero for x in v[:ncols]):
         return None
     return tuple(ring.neg(x) for x in v[ncols:])
+
+
+# ---------------------------------------------------------------------------
+# The direct-sum split as it stood before the image solve: coefficients of
+# z's component rows on the stacked rows of C and D, then C's part summed
+# by hand, entry by entry.
+
+
+def identity_images(ring, m):
+    """The m x m identity as a ``RingMatrix``: images that make
+    ``SpanSolver.solve`` return the coefficients themselves."""
+    from lcpcodes.linalg import RingMatrix
+
+    rows = tuple(tuple(ring.one if i == j else ring.zero for j in range(m)) for i in range(m))
+    return RingMatrix(ring, rows, m)
+
+
+def coefficient_split(C, D, z):
+    """(c, d) with z = c + d, c in C, d in D: per component, coefficients
+    on C's rows followed by D's from an identity-image solve, and c the
+    sum of the coefficients times C's rows."""
+    from lcpcodes.algebra import component_rows, from_component_rows
+    from lcpcodes.linalg import RingMatrix, SpanSolver
+
+    A = C.algebra
+    n = A.group.n
+    parts = []
+    for P, Q, zj in zip(C.components, D.components, component_rows(z)):
+        ring, rows = P.ring, P.rows + Q.rows
+        coeffs = SpanSolver(RingMatrix(ring, rows, n), identity_images(ring, len(rows))).solve(zj)
+        cj = zero_vec(ring, n)
+        for coef, row in zip(coeffs, P.rows):
+            cj = vec_add(ring, cj, vec_scale(ring, coef, row))
+        parts.append(cj)
+    c = from_component_rows(parts)
+    return c, A.sub(z, c)

@@ -113,6 +113,16 @@ def test_crt_lift_validation():
         A_Z6C2.crt_lift((parts[0][:1], parts[1]))
 
 
+def test_crt_lift_checks_every_component():
+    """Parts holding coefficients outside their component ring are refused
+    over a product ring as over a chain ring: 7 and 9 are not residues of
+    Z2 and Z3."""
+    with pytest.raises(ValidationError):
+        A_Z6C2.crt_lift(((((7,),), ((0,),)), (((9,),), ((1,),))))
+    with pytest.raises(ValidationError):
+        A_F2C3.crt_lift(((((7,),), ((0,),), ((0,),)),))
+
+
 def test_split_is_ring_homomorphism():
     rng = random.Random(13)
     for algebra in (A_Z6C3, A_Z12C2):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -321,13 +322,18 @@ def test_unparseable_config_exit_two(capsys, tmp_path):
     assert code == 2
 
 
-def run_process(*argv):
-    """The CLI in a fresh interpreter, as a user runs it."""
+def run_process(*argv, address_space=None):
+    """The CLI in a fresh interpreter, as a user runs it; address_space
+    (bytes) caps the interpreter's virtual memory (RLIMIT_AS)."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = None
+    if address_space is not None:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run(
         [sys.executable, "-m", "lcpcodes.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit,
     )
 
 
@@ -348,6 +354,28 @@ def test_code_over_a_64_bit_modulus(tmp_path, modulus):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["cardinality"] == modulus**4
+
+
+def test_dsm_over_a_61_bit_prime_in_512_mib(tmp_path):
+    """A mask coefficient is drawn as an index below p and no list of
+    coefficients is built, so dsm over Z_(2^61-1)[C4] round-trips in a
+    512 MiB address space."""
+    p = 2**61 - 1
+    doc = {
+        "ring": p,
+        "group": {"family": "cyclic", "n": 4},
+        "codes": {"C": [[[0, 1], [1, 1], [2, 1], [3, 1]]], "D": [[[0, p - 1], [1, 1]]]},
+    }
+    path = tmp_path / "p61.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_process(
+        "--config", str(path), "--json", "dsm", "C", "D", "[[0,5],[1,5],[2,5],[3,5]]",
+        address_space=512 << 20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["exact_roundtrip"] is True
+    assert report["recovered_message"] == report["message"]
 
 
 def test_unfactorable_modulus_exit_three(capsys, tmp_path):

@@ -39,6 +39,7 @@ from oracles import (
     brute_kernel,
     brute_span,
     code_word_set,
+    identity_images,
     is_ideal_subset,
     subgroup_closure,
     translate_closure_key,
@@ -412,7 +413,7 @@ def test_engine_matches_tuple_engine(ring):
         other = RingMatrix(ring, random_rows(ring, rng, rng.randint(0, 4), n), n)
         Q = pivot_reduce(other)
         assert intersect(P, Q) == tuple_intersect(P, Q)
-        solver = SpanSolver(M)
+        solver = SpanSolver(M, identity_images(ring, len(M.rows)))
         assert solver.span_size() == P.cardinality()
         member = (ring.zero,) * n
         for row in M.rows:

@@ -13,10 +13,13 @@ node.  ``lcp_check`` and ``DsmSplitter`` read each component's intersection
 size off the sum, |C meet D| = |C| |D| / |C + D|; on every ordered pair of
 ideals that must equal the Zassenhaus intersection and the brute force.
 C and iota(C) share one weight enumerator, whichever is walked first, and
-that must equal the brute-force tally of each.
+that must equal the brute-force tally of each.  ``DsmSplitter``'s image
+solve must give the split that coefficients summed by hand gave
+(``oracles.coefficient_split``).
 """
 
 import json
+import random
 
 import pytest
 
@@ -44,6 +47,7 @@ from lcpcodes.rings import ChainRing, ProductRing
 from oracles import (
     all_ideal_subsets,
     code_word_set,
+    coefficient_split,
     dual_equivalence_reference,
     full_scan_lcp_pairs,
     principal_closure_ideals,
@@ -273,6 +277,20 @@ def test_dsm_splitter_decides_as_lcp_check(searched):
                 for z in sample:
                     c, d = splitter.split(z)
                     assert algebra.add(c, d) == z and C.contains(c) and D.contains(d)
+
+
+def test_dsm_split_matches_the_coefficient_split(searched):
+    """The image solve gives the split that coefficients on the stacked
+    rows of C and D, summed by hand over C's rows, gave: on every LCP pair,
+    at random elements."""
+    _, algebra, ideals, pairs = searched
+    rng = random.Random(f"split{algebra!r}")
+    elements = list(algebra.elements())
+    for i, j in pairs:
+        C, D = ideals[i], ideals[j]
+        splitter = DsmSplitter(C, D)
+        for z in rng.sample(elements, min(8, len(elements))):
+            assert splitter.split(z) == coefficient_split(C, D, z)
 
 
 def test_dsm_splitter_needs_one_algebra():

@@ -16,7 +16,7 @@ from lcpcodes.linalg import (
 )
 from lcpcodes.rings import ChainRing
 
-from oracles import brute_kernel, brute_span
+from oracles import brute_kernel, brute_span, identity_images
 
 Z4 = ChainRing(2, 2, 1)
 F2 = ChainRing(2, 1, 1)
@@ -192,7 +192,7 @@ def test_span_solver_round_trip():
         ring = [Z4, F4, Z9][rng.randrange(3)]
         mat = _random_matrix(ring, rng)
         span = brute_span(ring, mat.rows, mat.ncols)
-        solver = SpanSolver(mat)
+        solver = SpanSolver(mat, identity_images(ring, len(mat.rows)))
         for v in itertools.islice(sorted(span), 12):
             coeffs = solver.solve(v)
             assert coeffs is not None
@@ -208,6 +208,49 @@ def test_span_solver_round_trip():
             )
             if v not in span:
                 assert solver.solve(v) is None
+
+
+def test_span_solver_maps_to_images():
+    """With images that vanish on every relation among the rows, solve(v)
+    is sum_i c_i * images_i for the coefficients an identity-image solver
+    finds, whichever combination it picks.  Images of the form X * T for a
+    fixed matrix T have that property: a relation sum a_i M_i = 0 gives
+    sum a_i (M_i T) = 0."""
+    rng = random.Random(404)
+    for _ in range(25):
+        ring = [Z4, F4, Z9][rng.randrange(3)]
+        mat = _random_matrix(ring, rng)
+        width = rng.randint(1, 4)
+        T = [[tuple(rng.randrange(ring.pe) for _ in range(ring.r)) for _ in range(width)]
+             for _ in range(mat.ncols)]
+
+        def times_t(v):
+            acc = [ring.zero] * width
+            for x, trow in zip(v, T):
+                for j, y in enumerate(trow):
+                    acc[j] = ring.add(acc[j], ring.mul(x, y))
+            return tuple(acc)
+
+        images = RingMatrix(ring, tuple(map(times_t, mat.rows)), width)
+        solver = SpanSolver(mat, images)
+        coefficients = SpanSolver(mat, identity_images(ring, len(mat.rows)))
+        assert solver.span_size() == pivot_reduce(mat).cardinality()
+        for v in itertools.islice(sorted(brute_span(ring, mat.rows, mat.ncols)), 12):
+            acc = [ring.zero] * width
+            for c, image in zip(coefficients.solve(v), images.rows):
+                for j, y in enumerate(image):
+                    acc[j] = ring.add(acc[j], ring.mul(c, y))
+            assert solver.solve(v) == tuple(acc) == times_t(v)
+        outside = tuple(ring.one for _ in range(mat.ncols))
+        assert (solver.solve(outside) is None) == (coefficients.solve(outside) is None)
+
+
+def test_span_solver_needs_one_image_per_row():
+    mat = M(Z4, [[1, 2], [0, 2]])
+    with pytest.raises(ValidationError):
+        SpanSolver(mat, identity_images(Z4, 1))
+    with pytest.raises(ValidationError):
+        SpanSolver(mat, identity_images(Z9, 2))
 
 
 def test_ring_matrix_validation():

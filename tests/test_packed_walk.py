@@ -13,9 +13,11 @@ algebras, on wide coefficient fields and on products of two or three
 components, also of different field widths.  ``find_permutation``, which
 compares weight enumerators before it builds words and answers a code
 compared with itself by the identity, must agree with the search over word
-lists.
+lists.  A ``dsm`` mask drawn with index digits d is, per component, the
+word ``enumerate_codewords`` yields at the index d names.
 """
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -23,7 +25,7 @@ from collections import Counter
 import pytest
 
 from lcpcodes import cli, equivalence, linalg
-from lcpcodes.algebra import GroupAlgebra
+from lcpcodes.algebra import GroupAlgebra, component_rows
 from lcpcodes.codes import GroupCode, code_dual, enumerate_ideals, lcp_check, weight_enumerator
 from lcpcodes.equivalence import (
     STATUS_EXHAUSTED,
@@ -73,6 +75,41 @@ def test_codewords_match_the_recursion_in_order(corpus):
     for C in codes:
         for P in C.components:
             assert list(enumerate_codewords(P)) == list(recursive_codewords(P))
+
+
+class _Draws:
+    """A stand-in for ``cli.Lcg`` that returns given indices in turn."""
+
+    def __init__(self, indices):
+        self.indices = iter(indices)
+        self.bounds = []
+
+    def randrange(self, n):
+        self.bounds.append(n)
+        return next(self.indices)
+
+
+def test_mask_is_the_enumerated_word_at_its_index(corpus):
+    """The mask drawn with indices d_j (one per pivot row, row 0 first) is,
+    per component, the word ``enumerate_codewords`` yields at the
+    mixed-radix index d names, row 0 the most significant digit: a seed
+    picks the same word the enumeration order gives it."""
+    _, codes = corpus
+    rng = random.Random(11)
+    for C in codes:
+        radices = [
+            [P.ring.q ** (P.ring.e - t) for t in P.pivot_vals] for P in C.components
+        ]
+        for _ in range(3):
+            digits = [[rng.randrange(b) for b in bases] for bases in radices]
+            draws = _Draws([d for ds in digits for d in ds])
+            mask = cli._sample_mask(C, draws)
+            assert draws.bounds == [b for bases in radices for b in bases]
+            for P, bases, ds, row in zip(C.components, radices, digits, component_rows(mask)):
+                index = 0
+                for b, d in zip(bases, ds):
+                    index = index * b + d
+                assert row == next(itertools.islice(enumerate_codewords(P), index, None))
 
 
 def test_weight_enumerator_matches_the_tally(corpus):
