@@ -146,8 +146,11 @@ class GroupAlgebra:
             )
         n = self.group.n
         for part in parts:
-            if len(part) != n:
+            if not isinstance(part, (tuple, list)) or len(part) != n:
                 raise ValidationError("component element has the wrong group order")
+            for x in part:
+                if not isinstance(x, (tuple, list)) or len(x) != 1:
+                    raise ValidationError(f"component coefficient {x!r} is not a 1-tuple")
         rows = [row for part in parts for row in component_rows(part)]
         return self.check(from_component_rows(rows))
 

@@ -3,7 +3,7 @@
 Reads a JSON instance description (ring, group, named codes), runs the
 requested computation and prints a human-readable or ``--json`` report.
 Exit codes: 0 success (and "is LCP" for ``lcp``), 1 "not LCP", 2 validation
-problem, 3 resource cap exceeded.
+problem, 3 resource cap exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import GroupAlgebra, from_component_rows
 from .codes import (
@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_NOT_LCP = 1
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 class Lcg:
@@ -75,8 +76,9 @@ class InstanceConfig:
     ring: ProductRing
     group: FiniteGroup
     algebra: GroupAlgebra
-    codes: dict
+    generators: dict  # code name -> its parsed, canonical generators
     seed: int
+    codes: dict = field(default_factory=dict)  # code name -> GroupCode, closed on first use
 
 
 def parse_ring(obj) -> ProductRing:
@@ -209,14 +211,13 @@ def load_config(path: str) -> InstanceConfig:
     codes_doc = doc.get("codes", {})
     if not isinstance(codes_doc, dict):
         raise ValidationError(f"'codes' must map code names to generator lists, got {codes_doc!r}")
-    codes = {}
+    generators = {}
     for name, gens in codes_doc.items():
         if not isinstance(gens, list):
             raise ValidationError(f"code {name!r} must map to a list of generators")
-        elements = [parse_element(algebra, g) for g in gens]
-        codes[name] = GroupCode.from_generators(algebra, elements)
+        generators[name] = tuple(parse_element(algebra, g) for g in gens)
     seed = _check_seed(doc.get("seed", 0))
-    return InstanceConfig(ring=ring, group=group, algebra=algebra, codes=codes, seed=seed)
+    return InstanceConfig(ring=ring, group=group, algebra=algebra, generators=generators, seed=seed)
 
 
 def _check_seed(seed):
@@ -227,9 +228,14 @@ def _check_seed(seed):
 
 
 def _get_code(cfg: InstanceConfig, name: str) -> GroupCode:
-    if name not in cfg.codes:
-        known = ", ".join(sorted(cfg.codes)) or "(none)"
+    """The named code, closed the first time a command asks for it; its
+    generators were parsed and checked with the config."""
+    if name not in cfg.generators:
+        known = ", ".join(sorted(cfg.generators)) or "(none)"
         raise ValidationError(f"unknown code {name!r}; config defines: {known}")
+    if name not in cfg.codes:
+        gens = cfg.generators[name]
+        cfg.codes[name] = GroupCode.from_generators(cfg.algebra, gens, _canonical=True)
     return cfg.codes[name]
 
 
@@ -271,7 +277,7 @@ def cmd_info(cfg: InstanceConfig, args) -> tuple[dict, int]:
         },
         "group": {"order": cfg.group.n, "abelian": cfg.group.is_abelian()},
         "algebra_size": cfg.algebra.size,
-        "codes": sorted(cfg.codes),
+        "codes": sorted(cfg.generators),
     }
     return report, EXIT_OK
 
@@ -646,16 +652,17 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         args.seed = _check_seed(cfg.seed if args.seed is None else args.seed)
         report, code = globals()[args.fn](cfg, args)
+        text = json.dumps(report, sort_keys=True) if args.json else render_report(report, cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(render_report(report, cfg))
+    except Exception as exc:  # a fault of the program, not a verdict: never exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    print(text)
     return code
 
 

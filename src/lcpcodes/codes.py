@@ -82,7 +82,7 @@ class GroupCode:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_generators(cls, algebra: GroupAlgebra, generators) -> "GroupCode":
+    def from_generators(cls, algebra: GroupAlgebra, generators, *, _canonical=False) -> "GroupCode":
         """Smallest two-sided ideal containing the generators.
 
         Per component the rows g * a * h for all group elements g, h span an
@@ -91,8 +91,11 @@ class GroupCode:
         are the left translates of the distinct conjugates h^-1 a h; over an
         abelian group a is its only conjugate.  The group keeps both sets of
         index maps, so they are built once per group, not once per call.
+        The generators are checked against the algebra, unless the caller
+        made them canonical (``_canonical``: parsed literals, elements of
+        ``algebra.elements()``).
         """
-        gens = tuple(algebra.check(a) for a in generators)
+        gens = tuple(generators) if _canonical else tuple(map(algebra.check, generators))
         group = algebra.group
         n = group.n
         conj_maps, shifts = group.conjugations, group.left_translations
@@ -521,7 +524,7 @@ def _chain_ideals(algebra: GroupAlgebra) -> list:
             for shift in shifts
             for scale in scalings
         )
-        code = GroupCode.from_generators(algebra, (a,))
+        code = GroupCode.from_generators(algebra, (a,), _canonical=True)
         found.setdefault(code.key, (code, code.cardinality(), component_rows(a)))
     ideals = list(found.values())
     for i, (X, cx, gx) in enumerate(ideals):  # sums found here join the walk

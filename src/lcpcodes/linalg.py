@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import prod
+from operator import xor
 
 from .errors import CapExceededError, ValidationError
 from .rings import ChainRing
@@ -358,15 +359,19 @@ def membership(v, P: PivotForm) -> bool:
 
 
 def _field_width(ring):
-    """Bits per packed field: the sum of two reduced coefficients below one
-    guard bit."""
+    """Bits per packed field: one bit when p^e = 2, where fields are added
+    with XOR, the sum mod 2, which carries into no other field; else the
+    sum of two reduced coefficients below one guard bit."""
+    if ring.pe == 2:
+        return 1
     return (2 * ring.pe - 1).bit_length() + 1
 
 
 def _layout(ring, n, w=0):
     """(W, a 1 in each of the r*n fields) for packed vectors of R^n.  W is
     the ring's own width, or w when that is wider: a field sum s < 2p^e still
-    stays below the guard bit, as 2p^e <= 2^(W-1)."""
+    stays below the guard bit, as 2p^e <= 2^(W-1), and an XOR sum (p^e = 2)
+    stays in its field at any width."""
     w = max(w, _field_width(ring))
     return w, ((1 << (ring.r * n * w)) - 1) // ((1 << w) - 1)
 
@@ -389,9 +394,11 @@ def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     multiplication for r = 1, and n per power of x for r > 1.  Addition
     reduces every field mod p^e at once: a field sum s lies below the guard
     bit, and s + 2^(W-1) - p^e reaches the guard bit exactly when s >= p^e.
-    The trailing walk rows are combined into one table of at most _BLOCK
-    sums (always including the last walk row), and each sum of the leading
-    walk rows' multiples is added to the whole table.
+    When p^e = 2 addition is XOR, the sum mod 2 at any width, and each walk
+    row has the multiples 0 and v.  The trailing walk rows are combined into
+    one table of at most _BLOCK sums (always including the last walk row),
+    and each sum of the leading walk rows' multiples is added to the whole
+    table.
     """
     if P.cardinality() > cap:
         raise CapExceededError(
@@ -400,11 +407,21 @@ def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     ring, n = P.ring, P.ncols
     m = ring.pe
     w, unit = _layout(ring, n, w)
-    top, lift, shift = unit << (w - 1), unit * ((1 << (w - 1)) - m), w - 1
+    if m == 2:
+        add = xor
 
-    def add(a, b):
-        s = a + b
-        return s - (((s + lift) & top) >> shift) * m
+        def add_all(a, table):
+            return [a ^ b for b in table]
+
+    else:
+        top, lift, shift = unit << (w - 1), unit * ((1 << (w - 1)) - m), w - 1
+
+        def add(a, b):
+            s = a + b
+            return s - (((s + lift) & top) >> shift) * m
+
+        def add_all(a, table):
+            return [s - (((s + lift) & top) >> shift) * m for b in table for s in (a + b,)]
 
     powers = [tuple(int(i == k) for i in range(ring.r)) for k in range(1, ring.r)]  # x, ..., x^(r-1)
     mults = []
@@ -417,13 +434,10 @@ def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     while lead > 0 and prod(map(len, mults[lead - 1 :])) <= _BLOCK:
         lead -= 1
     table = [0]
-    for row in mults[lead:]:
-        table = [s - (((s + lift) & top) >> shift) * m for a in table for b in row for s in (a + b,)]
+    for row in reversed(mults[lead:]):  # the later walk row varies faster
+        table = [s for a in row for s in add_all(a, table)]
     for prefix in itertools.product(*mults[:lead]):
-        a = 0
-        for b in prefix:
-            a = add(a, b)
-        yield [s - (((s + lift) & top) >> shift) * m for b in table for s in (a + b,)]
+        yield add_all(reduce(add, prefix, 0), table)
 
 
 def enumerate_codewords(P: PivotForm, cap: int = DEFAULT_ENUM_CAP):
@@ -449,17 +463,22 @@ def _nonzero_flags(P: PivotForm, cap: int, w: int = 0):
 
     A reduced field plus 2^(W-1) - 1 reaches its guard bit exactly when it
     is nonzero; for r > 1 the guard bits of every coefficient block are ORed
-    onto block 0.  Spans walked at one common w give flags that line up.
+    onto block 0.  At W = 1 (p^e = 2) a field is its own guard bit: an
+    r = 1 word is its own flags, and for r > 1 the blocks are ORed onto
+    block 0 and masked.  Spans walked at one common w give flags that line
+    up.
     """
     ring, n = P.ring, P.ncols
     w, unit = _layout(ring, n, w)
     fill = unit * ((1 << (w - 1)) - 1)
     top = (unit & ((1 << (n * w)) - 1)) << (w - 1)  # the guard bits of block 0
-    for words in _packed_blocks(P, cap, w):
-        flags = map(fill.__add__, words)
+    block = n * w
+    for flags in _packed_blocks(P, cap, w):
+        if w > 1:
+            flags = map(fill.__add__, flags)
         for _ in range(1, ring.r):
-            flags = [f | (f >> (n * w)) for f in flags]
-        yield map(top.__and__, flags)
+            flags = [f | (f >> block) for f in flags]
+        yield flags if w == 1 and ring.r == 1 else map(top.__and__, flags)
 
 
 def _lower_block(ring, rows, split, width) -> PivotForm:

@@ -113,6 +113,28 @@ def test_crt_lift_validation():
         A_Z6C2.crt_lift((parts[0][:1], parts[1]))
 
 
+A_F2C2 = GroupAlgebra(F2, cyclic(2))
+
+
+@pytest.mark.parametrize(
+    "algebra, parts",
+    [
+        (A_F2C2, [(1, 2)]),
+        (A_F2C2, [5]),
+        (A_F2C2, [(((1,), (0,)), ((0,),))]),  # a coefficient of two components
+        (A_Z6C2, [(1, 2), (1, 2)]),
+        (A_Z6C2, [(((1,),), ((0,),)), (1, 2)]),
+    ],
+    ids=["Z2-ints", "Z2-int-part", "Z2-two-parts", "Z6-ints", "Z6-second-ints"],
+)
+def test_crt_lift_refuses_parts_of_bare_ints(algebra, parts):
+    """A part must list n coefficients of its component's algebra, each a
+    1-tuple holding a ring element; bare ints are a ValidationError, not a
+    TypeError."""
+    with pytest.raises(ValidationError):
+        algebra.crt_lift(parts)
+
+
 def test_crt_lift_checks_every_component():
     """Parts holding coefficients outside their component ring are refused
     over a product ring as over a chain ring: 7 and 9 are not residues of

@@ -312,6 +312,79 @@ def test_unknown_code_exit_two(capsys, cfg_path):
     assert "unknown code" in err
 
 
+@pytest.fixture
+def closures(monkeypatch):
+    """The generators of every ideal closure, in call order."""
+    calls = []
+    real = codes.GroupCode.from_generators.__func__
+
+    def counted(cls, algebra, generators, **kwargs):
+        calls.append(tuple(generators))
+        return real(cls, algebra, generators, **kwargs)
+
+    monkeypatch.setattr(codes.GroupCode, "from_generators", classmethod(counted))
+    return calls
+
+
+def test_codes_are_closed_on_first_use(capsys, cfg_path, closures):
+    """A command closes the codes it reads, each once; ``info`` lists every
+    name and closes none."""
+    code, report, _ = run_json(capsys, "--config", cfg_path, "--json", "info")
+    assert code == 0 and report["codes"] == ["C", "D", "Z"] and closures == []
+    assert run_json(capsys, "--config", cfg_path, "--json", "mindist", "Z")[0] == 0
+    assert closures == [()]
+    closures.clear()
+    assert run_json(capsys, "--config", cfg_path, "--json", "lcp", "C", "C")[0] == 1
+    assert len(closures) == 1
+    closures.clear()
+    assert run_json(capsys, "--config", cfg_path, "--json", "lcp", "C", "D")[0] == 0
+    assert len(closures) == 2
+
+
+@pytest.mark.parametrize(
+    "bad, word",
+    [([[[7, 1]]], "group index 7"), ([[[0, "x"]]], "coefficient"), ("x", "list of generators")],
+    ids=["index", "coefficient", "not-a-list"],
+)
+def test_malformed_unused_code_exit_two(capsys, tmp_path, closures, bad, word):
+    """Every generator is parsed and checked with the config, so a malformed
+    code exits 2 with its one-line message also when the command does not
+    read it."""
+    path = tmp_path / "unused.json"
+    doc = dict(RUNNING_CONFIG, codes=dict(RUNNING_CONFIG["codes"], B=bad))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(path), "mindist", "C")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and word in err
+    assert closures == []
+
+
+@pytest.mark.parametrize("fault", [MemoryError("no room"), AssertionError("invariant broken")], ids=repr)
+def test_internal_fault_exits_four(capsys, monkeypatch, cfg_path, fault):
+    """A fault of the program is not a verdict: one line and exit 4, not a
+    traceback and exit 1, which means "not LCP"."""
+
+    def broken(cfg, args):
+        raise fault
+
+    monkeypatch.setattr(cli, "cmd_code", broken)
+    code, out, err = run(capsys, "--config", cfg_path, "--json", "code", "C")
+    assert (code, out) == (4, "")
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"
+
+
+def test_interrupt_is_not_an_internal_fault(monkeypatch, cfg_path):
+    """Only ``Exception`` is caught: an interrupt, or a per-job time limit
+    raised as a ``BaseException``, still propagates."""
+
+    def interrupted(cfg, args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_code", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["--config", cfg_path, "code", "C"])
+
+
 def test_unparseable_config_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

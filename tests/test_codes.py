@@ -220,6 +220,26 @@ def test_lcp_check_decides_without_walking(monkeypatch):
     assert calls == []
 
 
+def test_from_generators_checks_its_generators():
+    """The public constructor refuses a coefficient outside its ring (2 over
+    F2) and an element of the wrong length."""
+    zero = A_F2C3.ring.zero
+    with pytest.raises(ValidationError, match="coefficient 2 of"):
+        GroupCode.from_generators(A_F2C3, [(((2,),), zero, zero)])
+    with pytest.raises(ValidationError, match="group order is 3"):
+        GroupCode.from_generators(A_F2C3, [A_F2C2.one()])
+
+
+def test_ideal_enumeration_checks_no_element_again(monkeypatch):
+    """The elements ``enumerate_ideals`` closes come canonical from
+    ``algebra.elements()``, so no closure checks them again."""
+    checked = []
+    real = GroupAlgebra.check
+    monkeypatch.setattr(GroupAlgebra, "check", lambda self, a: checked.append(a) or real(self, a))
+    ideals = enumerate_ideals(GroupAlgebra(F2, cyclic(3)))
+    assert len(ideals) == 4 and checked == []
+
+
 def test_lcp_check_mismatched_algebras(running_pair):
     C, _ = running_pair
     other = code_from_generators(A_F2C2, [A_F2C2.one()])

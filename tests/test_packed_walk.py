@@ -6,7 +6,10 @@ pivot row, and adds one multiple of each walk row per word.
 in the same order, also when the walk runs at a field width wider than the
 ring's own.  The guard bits that ``_nonzero_flags`` yields for each word
 must be exactly the word's support, at the ring's own width and a wider
-one: the OR join of CRT components relies on that bit layout.
+one: the OR join of CRT components relies on that bit layout.  When
+p^e = 2 a field is one bit and the walk adds with XOR, which is the sum mod 2
+at any width, so an F2 component walked at a product ring's wider width
+gives the same words and flags.
 ``weight_enumerator`` (support flags per CRT component, joined by OR) must
 equal ``oracles.tallied_weights`` on every ideal and its dual of small
 algebras, on wide coefficient fields and on products of two or three
@@ -53,6 +56,8 @@ WEIGHT_CORPUS = {
     "Z10[C3]": (ProductRing.from_modulus(10), cyclic(3)),
     "Z12[C2]": (ProductRing.from_modulus(12), cyclic(2)),
     "F4[C4]": (chain(2, 1, 2), cyclic(4)),
+    "F8[C3]": (chain(2, 1, 3), cyclic(3)),
+    "F16[C3]": (chain(2, 1, 4), cyclic(3)),
     "F9[C2]": (chain(3, 1, 2), cyclic(2)),
     "F5[C4]": (chain(5), cyclic(4)),
     "F7[C3]": (chain(7), cyclic(3)),
@@ -178,6 +183,8 @@ MIXED_WIDTHS = {
     "F4xF3[C2]": (ProductRing([ChainRing(2, 1, 2), ChainRing(3)]), cyclic(2)),  # r = 2 next to r = 1
     "GR(4,2)xF3[C1]": (ProductRing([ChainRing(2, 2, 2), ChainRing(3)]), cyclic(1)),
     "Z8xGR(3,2)[C2]": (ProductRing([ChainRing(2, 3), ChainRing(3, 1, 2)]), cyclic(2)),
+    "F2xF4[C3]": (ProductRing([ChainRing(2), ChainRing(2, 1, 2)]), cyclic(3)),  # both one-bit fields
+    "F2xF3[C4]": (ProductRing([ChainRing(2), ChainRing(3)]), cyclic(4)),  # XOR at width 4
 }
 
 
@@ -202,6 +209,8 @@ RANDOM_RINGS = [
     ChainRing(2, 3),
     ChainRing(3, 2),
     ChainRing(2, 1, 2),
+    ChainRing(2, 1, 3),
+    ChainRing(2, 1, 4),
     ChainRing(2, 2, 2),
     ChainRing(7, 1, 3),
     ChainRing(2, 40),
@@ -254,6 +263,31 @@ def test_packed_multiples_match_ring_products(ring):
                 for x in block
             ]
             assert decoded == words
+
+
+def test_field_width_is_one_bit_exactly_when_p_e_is_two():
+    """So the random spans above walk F2, F4, F8 and F16 with XOR at widths
+    1 and 4, the width at which an F2 component of F2 x F3 is walked."""
+    for ring in RANDOM_RINGS + [ChainRing(3, 1, 2), ChainRing(5), ChainRing(3, 2, 2), ChainRing(2, 3, 3)]:
+        assert (linalg._field_width(ring) == 1) == (ring.pe == 2)
+        if ring.pe == 2:
+            assert widths(ring) == (1, 4)
+
+
+def test_binary_golay_weight_enumerator():
+    """The cyclic [23, 12, 7] Golay code <x^11 + x^10 + x^6 + x^5 + x^4 +
+    x^2 + 1> in F2[C23] and its dual, its [23, 11, 8] even-weight subcode,
+    have the closed-form weight enumerators."""
+    algebra = GroupAlgebra(chain(2), cyclic(23))
+    one, zero = algebra.ring.one, algebra.ring.zero
+    g = tuple(one if i in (0, 2, 4, 5, 6, 10, 11) else zero for i in range(23))
+    C = GroupCode.from_generators(algebra, [g])
+    expected = dict.fromkeys(range(24), 0)
+    expected.update({0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1})
+    assert weight_enumerator(C) == tuple(expected.values())
+    dual = dict.fromkeys(range(24), 0)
+    dual.update({0: 1, 8: 506, 12: 1288, 16: 253})
+    assert weight_enumerator(code_dual(C)) == tuple(dual.values())
 
 
 @pytest.mark.parametrize(
