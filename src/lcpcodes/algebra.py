@@ -66,6 +66,8 @@ class GroupAlgebra:
         return tuple(self.ring.one if k == i else z for k in range(self.group.n))
 
     def check(self, a):
+        if not isinstance(a, (tuple, list)):
+            raise ValidationError(f"element {a!r} must be a tuple of coefficients")
         self._arity(a)
         return self.ring.check_row(a)
 

@@ -407,7 +407,7 @@ def cmd_dsm(cfg: InstanceConfig, args) -> tuple[dict, int]:
 
 def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     ideals = enumerate_ideals(cfg.algebra, max_size=args.max_ideals)
-    index = {C.key: i for i, C in enumerate(ideals)}
+    index = {C.components: i for i, C in enumerate(ideals)}
     pairs = []
     all_equal = True
     # The only possible complement of C is D = iota(C)^perp, iota: g -> g^-1.
@@ -428,7 +428,7 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
         pairs.append(
             {
                 "c": i,
-                "d": index[D.key],
+                "d": index[D.components],
                 "c_cardinality": C.cardinality(),
                 "d_cardinality": D.cardinality(),
                 "d_c": eq.d_c,

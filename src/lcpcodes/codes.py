@@ -24,6 +24,7 @@ from .linalg import (
     SpanSolver,
     _field_width,
     _nonzero_flags,
+    _scalars,
     intersect,
     kernel,
     membership,
@@ -91,9 +92,10 @@ class GroupCode:
         are the left translates of the distinct conjugates h^-1 a h; over an
         abelian group a is its only conjugate.  The group keeps both sets of
         index maps, so they are built once per group, not once per call.
-        The generators are checked against the algebra, unless the caller
-        made them canonical (``_canonical``: parsed literals, elements of
-        ``algebra.elements()``).
+        Each generator's component row is put in the engine's form once,
+        and the maps move those rows.  The generators are checked against
+        the algebra, unless the caller made them canonical (``_canonical``:
+        parsed literals, elements of ``algebra.elements()``).
         """
         gens = tuple(generators) if _canonical else tuple(map(algebra.check, generators))
         group = algebra.group
@@ -102,15 +104,17 @@ class GroupCode:
         split = [component_rows(a) for a in gens]
         forms = []
         for j, cr in enumerate(algebra.ring.components):
+            load = _scalars(cr).load
             conjugates = {}
             for a_rows in split:
+                a_j = tuple(load(a_rows[j]))
                 for conj in conj_maps:
-                    conjugates[conj(a_rows[j])] = None
+                    conjugates[conj(a_j)] = None
             rows = {}
             for c in conjugates:
                 for shift in shifts:
                     rows[shift(c)] = None
-            forms.append(pivot_reduce(RingMatrix(cr, tuple(rows), n)))
+            forms.append(pivot_reduce(RingMatrix(cr, tuple(rows), n), _engine_rows=True))
         return cls(algebra, gens, forms)
 
     @classmethod
@@ -160,15 +164,15 @@ class GroupCode:
             self._key = tuple(P.key() for P in self.components)
         return self._key
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # equal keys, read off the engine rows
         return (
             isinstance(other, GroupCode)
             and self.algebra == other.algebra
-            and self.key == other.key
+            and self.components == other.components
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.key))
+        return hash((self.algebra, self.components))
 
     def __repr__(self):
         return f"GroupCode(|C| = {self.cardinality()})"
@@ -180,10 +184,10 @@ class GroupCode:
         lefts, cols, inv = group.left_translations, group.columns, group.inv
         moves = [(lefts[g], _permuter(cols[inv[g]])) for g in group.generators]
         for P in self.components:
-            for row in P.rows:
+            for row in P.engine_rows:
                 for to_left, to_right in moves:
-                    left, right = to_left(row), to_right(row)
-                    if not membership(left, P) or (right != left and not membership(right, P)):
+                    moved = dict.fromkeys((to_left(row), to_right(row)))  # right if it differs
+                    if not all(membership(v, P, _engine_rows=True) for v in moved):
                         return False
         return True
 
@@ -218,7 +222,7 @@ def code_sum(C: GroupCode, D: GroupCode) -> GroupCode:
     _same_algebra(C, D)
     n = C.algebra.group.n
     forms = [
-        pivot_reduce(RingMatrix(P.ring, P.rows + Q.rows, n))
+        pivot_reduce(RingMatrix(P.ring, P.engine_rows + Q.engine_rows, n), _engine_rows=True)
         for P, Q in zip(C.components, D.components)
     ]
     return GroupCode.from_components(C.algebra, forms)
@@ -232,7 +236,7 @@ def code_dual(C: GroupCode) -> GroupCode:
     dual of the result."""
     if C._dual is None:
         n = C.algebra.group.n
-        forms = [kernel(RingMatrix(P.ring, P.rows, n)) for P in C.components]
+        forms = [kernel(RingMatrix(P.ring, P.engine_rows, n), _engine_rows=True) for P in C.components]
         out = GroupCode.from_components(C.algebra, forms)
         if not out.is_two_sided():
             raise AssertionError("dual of an ideal must remain an ideal")
@@ -249,10 +253,10 @@ def code_involute(C: GroupCode) -> GroupCode:
     two codes share one weight enumerator (see ``weight_enumerator``)."""
     if C._involute is None:
         get = _permuter(C.algebra.group.inv)
-        forms = [
-            pivot_reduce(RingMatrix(P.ring, tuple(map(get, P.rows)), P.ncols))
-            for P in C.components
-        ]
+        forms = []
+        for P in C.components:
+            M = RingMatrix(P.ring, tuple(map(get, P.engine_rows)), P.ncols)
+            forms.append(pivot_reduce(M, _engine_rows=True))
         out = GroupCode.from_components(C.algebra, forms)
         out._involute, C._involute = C, out
     return C._involute
@@ -263,7 +267,7 @@ def _link_involute(C: GroupCode, X: GroupCode):
     share one weight walk.  For an LCP pair (C, D) of two-sided ideals
     D^perp = iota(C) (see ``cli.cmd_search_lcp``); the keys are compared,
     not assumed equal."""
-    if C._involute is not X and code_involute(C).key == X.key:
+    if C._involute is not X and code_involute(C).components == X.components:
         X._involute, C._involute = C, X
 
 
@@ -273,8 +277,8 @@ def code_intersect(C: GroupCode, D: GroupCode) -> GroupCode:
     forms = []
     for P, Q in zip(C.components, D.components):
         inter = intersect(P, Q)
-        for row in inter.rows:
-            if not (membership(row, P) and membership(row, Q)):
+        for row in inter.engine_rows:
+            if not all(membership(row, X, _engine_rows=True) for X in (P, Q)):
                 raise AssertionError("intersection row outside one of the codes")
         forms.append(inter)
     return GroupCode.from_components(C.algebra, forms)
@@ -441,10 +445,10 @@ class DsmSplitter:
         n = C.algebra.group.n
         self._solvers = []
         for P, Q in zip(C.components, D.components):
-            zeros = ((P.ring.zero,) * n,) * len(Q.rows)
-            solver = SpanSolver(
-                RingMatrix(P.ring, P.rows + Q.rows, n), RingMatrix(P.ring, P.rows + zeros, n)
-            )
+            ring, rows = P.ring, P.engine_rows
+            zeros = ((_scalars(ring).zero,) * n,) * len(Q.engine_rows)
+            M, images = RingMatrix(ring, rows + Q.engine_rows, n), RingMatrix(ring, rows + zeros, n)
+            solver = SpanSolver(M, images, _engine_rows=True)
             if not _component_verdict(P, Q, solver.span_size())[1]:
                 raise NotLcpError("direct sum masking needs an LCP pair")
             self._solvers.append(solver)
@@ -513,8 +517,9 @@ def _chain_ideals(algebra: GroupAlgebra) -> list:
         for u in cr.elements()
         if cr.is_unit(u)
     ]
+    load = _scalars(cr).load
     visited = set()
-    found = {}  # key -> (ideal, |ideal|, its generators as component rows)
+    found = {}  # components -> (ideal, |ideal|, its generators as engine rows)
     for a in algebra.elements():
         if a in visited:
             continue
@@ -525,20 +530,21 @@ def _chain_ideals(algebra: GroupAlgebra) -> list:
             for scale in scalings
         )
         code = GroupCode.from_generators(algebra, (a,), _canonical=True)
-        found.setdefault(code.key, (code, code.cardinality(), component_rows(a)))
+        gens = (tuple(load(component_rows(a)[0])),)
+        found.setdefault(code.components, (code, code.cardinality(), gens))
     ideals = list(found.values())
     for i, (X, cx, gx) in enumerate(ideals):  # sums found here join the walk
         for Y, cy, gy in ideals[:i]:
             if cx != cy and (_within(gx, Y) if cx < cy else _within(gy, X)):
                 continue
             S = code_sum(X, Y)
-            if S.key not in found:
-                found[S.key] = S, S.cardinality(), tuple(dict.fromkeys(gx + gy))
-                ideals.append(found[S.key])
+            if S.components not in found:
+                found[S.components] = S, S.cardinality(), tuple(dict.fromkeys(gx + gy))
+                ideals.append(found[S.components])
     return [X for X, _, _ in ideals]
 
 
 def _within(rows, X: GroupCode) -> bool:
-    """Whether the ideal generated by the rows lies in the chain-ring ideal X."""
+    """Whether the ideal generated by the engine rows lies in the chain-ring ideal X."""
     P = X.components[0]
-    return all(membership(v, P) for v in rows)
+    return all(membership(v, P, _engine_rows=True) for v in rows)

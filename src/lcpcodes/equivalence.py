@@ -78,8 +78,8 @@ def verify_permutation(C1: GroupCode, C2: GroupCode, perm) -> bool:
     if C1.cardinality() != C2.cardinality():
         return False
     for P, Q in zip(C1.components, C2.components):
-        for row in P.rows:
-            if not membership(apply_permutation(perm, row), Q):
+        for row in P.engine_rows:
+            if not membership(apply_permutation(perm, row), Q, _engine_rows=True):
                 return False
     return True
 
@@ -96,7 +96,8 @@ def _search_lex_least(words1, words2, n):
     coordinates.  words1's prefixes are numbered level by level, (id of
     w[:k], w[k]) -> id of w[:k+1], so each DFS level maps words2's ids one
     step further and compares counts of ids; a prefix words1 never has maps
-    to None, and the counts then differ.
+    to None, and the counts then differ.  The counts are compared as plain
+    dicts, whose equality runs in C.
     """
     if len(words1) != len(words2):
         return None
@@ -111,7 +112,7 @@ def _search_lex_least(words1, words2, n):
         step = {}
         ids = [step.setdefault((i, w[k]), len(step)) for i, w in zip(ids, words1)]
         steps.append(step)
-        proj1.append(Counter(ids))
+        proj1.append(dict(Counter(ids)))
     set2 = set(words2)
     perm = [0] * n
     used = [False] * n
@@ -119,7 +120,7 @@ def _search_lex_least(words1, words2, n):
 
     def partial_ok(k):
         ids2[k + 1] = list(map(steps[k].get, zip(ids2[k], map(itemgetter(perm[k]), words2))))
-        return Counter(ids2[k + 1]) == proj1[k]
+        return dict.__eq__(proj1[k], Counter(ids2[k + 1]))
 
     def dfs(k):
         if k == n:

@@ -16,9 +16,9 @@ matrix, reduced over its left block, for the C part of a direct sum C + D.
 Over fields the saturation step is a no-op and the form is the ordinary
 reduced row echelon form.
 
-Rows enter and leave the engine as tuples of ring elements; inside, the
-scalars are in one of three forms, picked by ``_scalars`` from the ring's
-shape.  Over Z_{p^e} (r = 1) each is its one int (``_IntScalars``).  Over
+Rows stay in the engine's form, picked by ``_scalars`` from the ring's
+shape, from the reduction that makes them to the one that reads them.  Over
+Z_{p^e} (r = 1) each scalar is its one int (``_IntScalars``).  Over
 GR(p^e, r) with r > 1 and at most _TABLE_SIZE = 16 elements (F4, F8, F16,
 F9 and GR(4,2)) each is its q-adic digit index, q = p^r
 (``ChainRing.index``: digit d holds the base-p digits d of the
@@ -26,7 +26,10 @@ coefficients), on which valuation, quotient by gamma^t and scaling by
 gamma^k are the same int operations in base q; products, differences and
 unit inverses are read from the ring's tables, built when the engine first
 meets the ring (``_TableScalars``).  Larger rings keep coefficient tuples
-and the ring's own arithmetic (``_TupleScalars``).
+and the ring's own arithmetic (``_TupleScalars``).  Ring-element rows are
+built only when a report, a key or the codeword walk reads a form's
+``rows``.  The public entry points take ring-element rows and check them;
+the private ``_engine_rows`` keyword passes rows taken from pivot forms.
 """
 
 from __future__ import annotations
@@ -84,13 +87,19 @@ class RingMatrix:
 
 @dataclass(frozen=True)
 class PivotForm:
-    """Canonical generator rows: pivot j is exactly gamma^{pivot_vals[j]}."""
+    """Canonical generator rows: pivot j is exactly gamma^{pivot_vals[j]}.
+    Kept as ``engine_rows``, which equality and hashing read (the kit's map
+    to them is one to one); ``rows`` holds them as ring elements."""
 
     ring: ChainRing
     ncols: int
-    rows: tuple
+    engine_rows: tuple
     pivot_cols: tuple
     pivot_vals: tuple
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(map(_scalars(self.ring).store, self.engine_rows))
 
     def cardinality(self) -> int:
         return _span_size(self.ring, self.pivot_vals)
@@ -101,7 +110,7 @@ class PivotForm:
     def codewords(self, cap: int = DEFAULT_ENUM_CAP):
         return enumerate_codewords(self, cap)
 
-    def key(self):
+    def key(self):  # on ring elements: table indices sort otherwise
         return (self.pivot_cols, self.pivot_vals, self.rows)
 
     @cached_property
@@ -109,7 +118,7 @@ class PivotForm:
         """The scalar kit and the pivots in the form it works on, built on
         the first membership test and kept for the next ones."""
         s = _scalars(self.ring)
-        return s, _engine_pivots(s, self.rows, self.pivot_cols, self.pivot_vals)
+        return s, _engine_pivots(s, self.engine_rows, self.pivot_cols, self.pivot_vals)
 
 
 def _span_size(ring, vals) -> int:
@@ -269,14 +278,14 @@ def _howell(ring, rows, width, pivot_cols_limit, split=0):
     augmented kernel and intersection, and the augmented solver.  Returns
     (rows, pivot_cols, pivot_vals) of the rows whose pivot column is
     >= split, cut to the columns from split on (and the pivot columns
-    counted from there), the rows as tuples of ring elements.  Rows with an
-    earlier pivot still reduce the others, but are neither canonicalized nor
-    returned.  Inside, scalars are in the form ``_scalars(ring)`` works on.
+    counted from there).  Rows with an earlier pivot still reduce the
+    others, but are neither canonicalized nor returned.  Rows go in, and
+    come out as tuples, in the form ``_scalars(ring)`` works on.
     """
     s = _scalars(ring)
     e, zero, nonzero = ring.e, s.zero, s.nonzero
     valuation, quotient, submul = s.valuation, s.quotient, s.submul
-    work = [row for row in map(s.load, rows) if nonzero(row)]
+    work = [list(row) for row in rows if nonzero(row)]
     res_rows, res_cols, res_vals = [], [], []
     for col in range(pivot_cols_limit):
         best, best_v = None, e
@@ -319,20 +328,24 @@ def _howell(ring, rows, width, pivot_cols_limit, split=0):
             sat = s.gamma_scale(piv, e - t)
             if nonzero(sat):
                 work.append(sat)
-    return [s.store(row[split:]) for row in res_rows], res_cols, res_vals
+    return [tuple(row[split:]) for row in res_rows], res_cols, res_vals
 
 
-def pivot_reduce(M: RingMatrix) -> PivotForm:
+def _loaded(M: RingMatrix, engine_rows: bool):
+    """M's rows in the engine's form: as they are when ``engine_rows`` says
+    they already are, else loaded by the ring's kit."""
+    return M.rows if engine_rows else list(map(_scalars(M.ring).load, M.rows))
+
+
+def pivot_reduce(M: RingMatrix, *, _engine_rows=False) -> PivotForm:
     """Canonical pivot form with the same row span as M."""
-    return _lower_block(M.ring, M.rows, 0, M.ncols)
+    return _lower_block(M.ring, _loaded(M, _engine_rows), 0, M.ncols)
 
 
 def _engine_pivots(s, rows, cols, vals):
-    """(column, valuation, support) of each pivot row (a tuple of ring
-    elements), the support in the form s works on."""
-    return tuple(
-        (col, t, _support(s, s.load(row[col:]), col)) for row, col, t in zip(rows, cols, vals)
-    )
+    """(column, valuation, support) of each pivot row, in the form s works
+    on."""
+    return tuple((col, t, _support(s, row[col:], col)) for row, col, t in zip(rows, cols, vals))
 
 
 def _reduce_against(s, v, pivots) -> bool:
@@ -349,12 +362,14 @@ def _reduce_against(s, v, pivots) -> bool:
     return True
 
 
-def membership(v, P: PivotForm) -> bool:
-    """Whether v lies in the span of the pivot form."""
+def membership(v, P: PivotForm, *, _engine_rows=False) -> bool:
+    """Whether v lies in the span of the pivot form.  With ``_engine_rows``
+    v is already in the engine's form, made from pivot rows, and is not
+    checked."""
     if len(v) != P.ncols:
         raise ValidationError(f"vector length {len(v)} != {P.ncols}")
     s, pivots = P._engine
-    v = s.load(P.ring.check_row(v))
+    v = list(v) if _engine_rows else s.load(P.ring.check_row(v))
     return _reduce_against(s, v, pivots) and not s.nonzero(v)
 
 
@@ -490,6 +505,7 @@ def _lower_block(ring, rows, split, width) -> PivotForm:
     vanishing on the first ``split`` columns, projected onto the rest.
     Those rows already form that span's canonical form (exact pivot powers,
     reduced entries above each pivot), so they are cut, not reduced again.
+    The rows are in the engine's form.
     """
     red, cols, vals = _howell(ring, rows, width, width, split)
     return PivotForm(ring, width - split, tuple(red), tuple(cols), tuple(vals))
@@ -500,15 +516,16 @@ def _augment(rows, images):
     return [row + image for row, image in zip(rows, images, strict=True)]
 
 
-def kernel(M: RingMatrix) -> PivotForm:
+def kernel(M: RingMatrix, *, _engine_rows=False) -> PivotForm:
     """Pivot form of {x : M x^T = 0}.
 
     The rows of [M^T | I] span the pairs (x M^T, x); the part with a zero
     left block is {(0, x) : M x^T = 0}, read off one Howell reduction.
     """
     ring, n, m = M.ring, M.ncols, len(M.rows)
-    zero, one = ring.zero, ring.one
-    columns = [tuple(row[k] for row in M.rows) for k in range(n)]
+    zero, one = _scalars(ring).load((ring.zero, ring.one))
+    rows = _loaded(M, _engine_rows)
+    columns = [tuple(row[k] for row in rows) for k in range(n)]
     identity = [tuple(one if i == k else zero for i in range(n)) for k in range(n)]
     return _lower_block(ring, _augment(columns, identity), m, m + n)
 
@@ -522,9 +539,10 @@ def intersect(P: PivotForm, Q: PivotForm) -> PivotForm:
     """
     if P.ring != Q.ring or P.ncols != Q.ncols:
         raise ValidationError("intersection needs spans in the same module")
-    n, zero = P.ncols, P.ring.zero
-    images = P.rows + ((zero,) * n,) * len(Q.rows)
-    return _lower_block(P.ring, _augment(P.rows + Q.rows, images), n, 2 * n)
+    n, zero = P.ncols, _scalars(P.ring).zero
+    images = P.engine_rows + ((zero,) * n,) * len(Q.engine_rows)
+    rows = _augment(P.engine_rows + Q.engine_rows, images)
+    return _lower_block(P.ring, rows, n, 2 * n)
 
 
 class SpanSolver:
@@ -538,15 +556,16 @@ class SpanSolver:
     rows and zero rows (the Zassenhaus matrix of ``intersect``) and an LCP
     pair, a relation sum a_i p_i + sum b_j q_j = 0 puts sum a_i p_i in
     C meet D = 0, so ``solve`` gives the C part of the direct sum.
+    ``_engine_rows``: both matrices' rows are already in the engine's form.
     """
 
-    def __init__(self, M: RingMatrix, images: RingMatrix):
+    def __init__(self, M: RingMatrix, images: RingMatrix, *, _engine_rows=False):
         if images.ring != M.ring or len(images.rows) != len(M.rows):
             raise ValidationError("images need one row per row of M, over M's ring")
         self.ring = M.ring
         self.ncols = M.ncols
         self._width = images.ncols
-        aug = _augment(M.rows, images.rows)
+        aug = _augment(_loaded(M, _engine_rows), _loaded(images, _engine_rows))
         rows, cols, vals = _howell(M.ring, aug, M.ncols + images.ncols, M.ncols)
         self._s = _scalars(M.ring)
         self._pivots = _engine_pivots(self._s, rows, cols, vals)

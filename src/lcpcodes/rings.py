@@ -557,6 +557,8 @@ class ProductRing:
     # -- element plumbing -------------------------------------------------------
 
     def check(self, a):
+        if not isinstance(a, (tuple, list)):
+            raise ValidationError(f"element {a!r} of {self!r} must be a tuple of component parts")
         if len(a) != self.s:
             raise ValidationError(f"element {a!r} has arity {len(a)}, ring has {self.s} components")
         return tuple(c.check(part) for c, part in zip(self.components, a))

@@ -640,14 +640,15 @@ def _tuple_reduce_against(ring, v, rows, cols, vals) -> bool:
 
 
 def _tuple_form(ring, rows, ncols, split=0):
-    from lcpcodes.linalg import PivotForm
+    from lcpcodes.linalg import PivotForm, _scalars
 
     red, cols, vals = tuple_howell(ring, rows, ncols, ncols)
     low = next((k for k, c in enumerate(cols) if c >= split), len(cols))
+    load = _scalars(ring).load  # a form keeps its rows in the engine's form
     return PivotForm(
         ring,
         ncols - split,
-        tuple(tuple(r[split:]) for r in red[low:]),
+        tuple(tuple(load(r[split:])) for r in red[low:]),
         tuple(c - split for c in cols[low:]),
         tuple(vals[low:]),
     )

@@ -235,7 +235,9 @@ F4C2 = GroupAlgebra(ProductRing([ChainRing(2, 1, 2)]), cyclic(2))
         (A_Z6C2, (((1.0,), (0,)), ((0,), (1,))), ValidationError, "coefficient 1.0 of (1.0,) outside [0, 2)"),
         (F4C2, (((0, "x"),), ((1, 1),)), ValidationError, "coefficient 'x' of (0, 'x') outside [0, 2)"),
         (F4C2, ((5,), ((1, 1),)), ValidationError, "element 5 of F4 must be a coefficient tuple"),
-        (A_Z6C2, (None, ((0,), (1,))), TypeError, "object of type 'NoneType' has no len()"),
+        (A_Z6C2, (None, ((0,), (1,))), ValidationError, "element None of F2 x F3 must be a tuple of component parts"),
+        (A_Z6C2, (((1,), (0,)), 7), ValidationError, "element 7 of F2 x F3 must be a tuple of component parts"),
+        (A_Z6C2, None, ValidationError, "element None must be a tuple of coefficients"),
     ],
 )
 def test_check_messages(algebra, element, error, message):

@@ -222,10 +222,13 @@ def test_lcp_check_decides_without_walking(monkeypatch):
 
 def test_from_generators_checks_its_generators():
     """The public constructor refuses a coefficient outside its ring (2 over
-    F2) and an element of the wrong length."""
+    F2), a coefficient that is not a tuple (None) and an element of the
+    wrong length, each with a ValidationError."""
     zero = A_F2C3.ring.zero
     with pytest.raises(ValidationError, match="coefficient 2 of"):
         GroupCode.from_generators(A_F2C3, [(((2,),), zero, zero)])
+    with pytest.raises(ValidationError, match="element None of F2 must be a tuple"):
+        GroupCode.from_generators(A_F2C3, [(None, zero, zero)])
     with pytest.raises(ValidationError, match="group order is 3"):
         GroupCode.from_generators(A_F2C3, [A_F2C2.one()])
 

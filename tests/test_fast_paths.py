@@ -367,7 +367,7 @@ def test_lower_block_is_already_canonical(ring):
         width = rng.randint(1, 7)
         split = rng.randint(0, width)
         rows = random_rows(ring, rng, rng.randint(0, 6), width)
-        low = _lower_block(ring, rows, split, width)
+        low = _lower_block(ring, list(map(_scalars(ring).load, rows)), split, width)
         assert low == pivot_reduce(RingMatrix(ring, low.rows, width - split))
 
 
