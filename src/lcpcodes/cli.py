@@ -248,11 +248,8 @@ def element_json(a):
 
 
 def pivot_json(P):
-    return {
-        "pivot_cols": list(P.pivot_cols),
-        "pivot_vals": list(P.pivot_vals),
-        "rows": [[list(x) for x in row] for row in P.rows],
-    }
+    """The form's own tuples, which encode as JSON arrays: no copy per entry."""
+    return {"pivot_cols": P.pivot_cols, "pivot_vals": P.pivot_vals, "rows": P.rows}
 
 
 def code_json(C: GroupCode):
@@ -484,7 +481,7 @@ def _render_pivot(P):
     for row in P["rows"]:
         cells = []
         for x in row:
-            cells.append(str(x[0]) if len(x) == 1 else str(tuple(x)))
+            cells.append(str(x[0]) if len(x) == 1 else str(x))
         lines.append("  [ " + "  ".join(cells) + " ]")
     if not P["rows"]:
         lines.append("  (zero span)")
@@ -652,7 +649,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         args.seed = _check_seed(cfg.seed if args.seed is None else args.seed)
         report, code = globals()[args.fn](cfg, args)
-        text = json.dumps(report, sort_keys=True) if args.json else render_report(report, cfg)
+        # reports are trees built here, so the encoder need not look for cycles
+        text = (json.dumps(report, sort_keys=True, check_circular=False) if args.json
+                else render_report(report, cfg))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

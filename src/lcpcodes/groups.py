@@ -1,7 +1,8 @@
 """Finite groups stored extensionally as validated Cayley tables.
 
 Index 0 is always the identity; ``table[i][j]`` is the index of g_i * g_j,
-``columns[j]`` column j of the table (the products g_i * g_j over i),
+``columns[j]`` column j of the table (the products g_i * g_j over i), both
+held as tuples of ``bytes`` rows, which bounds the order by MAX_ORDER;
 ``inv[i]`` the index of the inverse of g_i, and ``generators`` a small
 generating set, chosen greedily in index order.  ``left_translations`` and
 ``conjugations`` read g a and h^-1 a h off the coefficient tuple of an
@@ -34,7 +35,7 @@ __all__ = [
     "InverseError",
 ]
 
-MAX_ORDER = 256  # checked before a named constructor builds its table
+MAX_ORDER = 256  # every table entry fits in a byte; checked before a table is built
 
 
 class IdentityError(ValidationError):
@@ -59,20 +60,43 @@ def _permuter(perm):
     return itemgetter(*perm) if len(perm) > 1 else tuple
 
 
-def _check_rows(table) -> int:
-    """The order n of a square table whose entries are ints in 0..n-1 (bools
-    count as ints), checked a row at a time; the first bad entry is named."""
+def _byte_rows(table) -> tuple:
+    """The rows of a square table of ints in 0..n-1 (bools count as ints) as
+    bytes, n <= MAX_ORDER.  On a bad table the rows are scanned in order, each
+    for its length and then its entries, and the first fault is named."""
+    try:
+        table = tuple(table)
+    except TypeError:
+        raise LatinSquareError(f"Cayley table {table!r} is not a sequence of rows") from None
     n = len(table)
     if n == 0:
         raise ValidationError("empty Cayley table")
+    if n > MAX_ORDER:
+        raise ValidationError(f"Cayley table order {n} exceeds the {MAX_ORDER} limit")
+    try:  # bytes(k) of an int k is k zero bytes, not a row
+        is_int = any(map(isinstance, table, itertools.repeat(int)))
+        rows = () if is_int else tuple(map(bytes, table))
+    except (TypeError, ValueError):
+        rows = ()
+    ident = bytes(range(n))  # the entries are in range when deleting 0..n-1 leaves nothing
+    if len(rows) == n and set(map(len, rows)) == {n} and not b"".join(rows).translate(None, ident):
+        return rows
     for row in table:
+        try:
+            row = tuple(row)
+        except TypeError:
+            raise LatinSquareError(f"table row {row!r} is not a sequence") from None
         if len(row) != n:
             raise LatinSquareError("Cayley table is not square")
-        kinds = set(map(type, row))
-        if not all(issubclass(k, int) for k in kinds) or min(row) < 0 or max(row) >= n:
-            x = next(x for x in row if not isinstance(x, int) or not 0 <= x < n)
+        x = next((x for x in row if not isinstance(x, int) or not 0 <= x < n), None)
+        if x is not None:
             raise LatinSquareError(f"table entry {x!r} outside 0..{n - 1}")
-    return n
+    raise AssertionError("a table that bytes() refused passed the row scan")
+
+
+def _padded(row: bytes) -> bytes:
+    """``row`` as a translation table: ``b.translate(_padded(row))[c] == row[b[c]]``."""
+    return row.ljust(256, b"\0")
 
 
 class FiniteGroup:
@@ -86,10 +110,8 @@ class FiniteGroup:
     """
 
     def __init__(self, table, labels=None):
-        table = tuple(tuple(row) for row in table)
-        n = _check_rows(table)
-        self.n = n
-        self.table = table
+        self.table = table = _byte_rows(table)
+        self.n = n = len(table)
         self.labels = self._default_labels(n) if labels is None else tuple(labels)
         if len(self.labels) != n:
             raise ValidationError("label count does not match group order")
@@ -104,38 +126,38 @@ class FiniteGroup:
 
     def _validate(self):
         n, t = self.n, self.table
-        self.columns = cols = tuple(zip(*t))
-        ident = tuple(range(n))
+        flat = b"".join(t)  # column j is every n-th byte from byte j
+        self.columns = cols = tuple([flat[j::n] for j in range(n)])
+        ident = bytes(range(n))
         if t[0] != ident or cols[0] != ident:
             raise IdentityError("index 0 is not a two-sided identity")
-        full = set(ident)
-        for i in range(n):
-            if set(t[i]) != full:
-                raise LatinSquareError(f"row {i} is not a permutation")
-        for j in range(n):
-            if set(cols[j]) != full:
-                raise LatinSquareError(f"column {j} is not a permutation")
+        for what, lines in (("row", t), ("column", cols)):
+            # maketrans sends each entry to its last place: ident iff none repeats
+            inverses = map(bytes.maketrans, lines, itertools.repeat(ident))
+            if list(map(bytes.translate, lines, inverses)) != [ident] * n:
+                k = next(k for k, line in enumerate(lines) if len(set(line)) != n)
+                raise LatinSquareError(f"{what} {k} is not a permutation")
 
     def _check_associative(self):
-        """Row a*b of the table against a*(b*c) for every c, b a generator."""
+        """Row a*b of the table, t[ta[b]], against a*(b*c) over c, which is
+        tb translated by ta, for every a and every generator b."""
         t = self.table
+        padded = list(map(_padded, t))
         for b in self.generators:
             tb = t[b]
-            for a, ta in enumerate(t):
-                tab = t[ta[b]]
-                if tab != tuple(map(ta.__getitem__, tb)):
-                    c = next(c for c in range(self.n) if tab[c] != ta[tb[c]])
-                    raise AssociativityError(f"({a}*{b})*{c} != {a}*({b}*{c})")
+            if list(map(t.__getitem__, self.columns[b])) != list(map(tb.translate, padded)):
+                a = next(a for a, row in enumerate(padded) if t[t[a][b]] != tb.translate(row))
+                c = next(c for c in range(self.n) if t[t[a][b]][c] != t[a][tb[c]])
+                raise AssociativityError(f"({a}*{b})*{c} != {a}*({b}*{c})")
 
     def _build_inverses(self):
-        n, t = self.n, self.table
-        inv = [0] * n
-        for i in range(n):
-            j = t[i].index(0)
-            if t[j][i] != 0:
-                raise InverseError(f"element {i} has no two-sided inverse")
-            inv[i] = j
-        return tuple(inv)
+        """Row i holds e at the right inverse of g_i, column i at its left one."""
+        right = tuple(map(bytes.index, self.table, itertools.repeat(0)))
+        left = tuple(map(bytes.index, self.columns, itertools.repeat(0)))
+        if right != left:
+            i = next(i for i in range(self.n) if right[i] != left[i])
+            raise InverseError(f"element {i} has no two-sided inverse")
+        return right
 
     def _build_generators(self):
         """Each element not yet in the subgroup generated so far joins the set;
@@ -184,8 +206,8 @@ class FiniteGroup:
         (over an abelian group only the identity)."""
         if self.is_abelian():
             return (tuple,)
-        t, inv = self.table, self.inv
-        maps = {tuple(t[h][t[m][inv[h]]] for m in range(self.n)): None for h in range(self.n)}
+        t, cols = self.table, self.columns
+        maps = {cols[i].translate(_padded(t[h])): None for h, i in enumerate(self.inv)}
         return tuple(map(_permuter, maps))
 
     def __eq__(self, other):
@@ -200,23 +222,19 @@ class FiniteGroup:
 
 def group_from_table(table, labels=None) -> FiniteGroup:
     """Validate a raw Cayley table, relabeling so the identity sits at index 0."""
-    table = [list(row) for row in table]
-    n = _check_rows(table)
-    ident = None
-    for i in range(n):
-        if all(table[i][j] == j for j in range(n)) and all(table[k][i] == k for k in range(n)):
-            ident = i
-            break
-    if ident is None:
+    table = _byte_rows(table)
+    n, ident, flat = len(table), bytes(range(len(table))), b"".join(table)
+    e = next((i for i in range(n) if table[i] == flat[i::n] == ident), None)
+    if e is None:
         raise IdentityError("no two-sided identity element found")
-    if ident != 0:
-        # swap labels 0 <-> ident
+    if e != 0:  # swap labels 0 <-> e
         sig = list(range(n))
-        sig[0], sig[ident] = ident, 0
-        table = [[sig[table[sig[a]][sig[b]]] for b in range(n)] for a in range(n)]
+        sig[0], sig[e] = e, 0
+        move, relabel = itemgetter(*sig), _padded(bytes(sig))
+        table = [bytes(move(table[a])).translate(relabel) for a in sig]
         if labels is not None:
             labels = list(labels)
-            labels[0], labels[ident] = labels[ident], labels[0]
+            labels[0], labels[e] = labels[e], labels[0]
     return FiniteGroup(table, labels=labels)
 
 
@@ -230,7 +248,8 @@ def cyclic(n: int) -> FiniteGroup:
         raise ValidationError("cyclic group order must be >= 1")
     if n > MAX_ORDER:
         raise ValidationError(f"cyclic group order {n} exceeds the {MAX_ORDER} limit")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    r = bytes(range(n))
+    table = [r[i:] + r[:i] for i in range(n)]
     labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     return FiniteGroup(table, labels=labels)
 
@@ -247,15 +266,11 @@ def dihedral(n: int) -> FiniteGroup:
     order = 2 * n
     if order > MAX_ORDER:
         raise ValidationError(f"dihedral group order {order} exceeds the {MAX_ORDER} limit")
-    table = [[0] * order for _ in range(order)]
-    for a in range(n):
-        for b in range(n):
-            table[a][b] = (a + b) % n
-            table[a][n + b] = n + (a + b) % n
-            table[n + a][b] = n + (a - b) % n
-            table[n + a][n + b] = (a - b) % n
+    r, s = bytes(range(n)), bytes(range(n, order))
+    table = [r[a:] + r[:a] + s[a:] + s[:a] for a in range(n)]
+    table += [s[a::-1] + s[:a:-1] + r[a::-1] + r[:a:-1] for a in range(n)]
     rot = ["e"] + [f"r^{i}" if i > 1 else "r" for i in range(1, n)]
-    ref = ["s"] + [f"{r}s" for r in rot[1:]]
+    ref = ["s"] + [f"{label}s" for label in rot[1:]]
     return FiniteGroup(table, labels=rot + ref)
 
 
@@ -265,12 +280,12 @@ def symmetric(m: int) -> FiniteGroup:
         raise ValidationError("symmetric group parameter must be >= 1")
     if m > 5:
         raise ValidationError("symmetric groups supported up to S_5 (order 120)")
-    perms = list(itertools.permutations(range(m)))
+    perms = list(map(bytes, itertools.permutations(range(m))))
     index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(s[t[x]] for x in range(m))] for t in perms]
-        for s in perms
-    ]
+    table = []
+    for s in perms:
+        products = map(bytes.translate, perms, itertools.repeat(_padded(s)))  # s*t over t
+        table.append(bytes(map(index.__getitem__, products)))
     labels = ["".join(map(str, p)) for p in perms]
     return FiniteGroup(table, labels=labels)
 
@@ -280,12 +295,10 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     order = G.n * H.n
     if order > MAX_ORDER:
         raise ValidationError(f"direct product order {order} exceeds the {MAX_ORDER} limit")
-    nh = H.n
-    table = [
-        [G.table[a][c] * nh + H.table[b][d] for c in range(G.n) for d in range(nh)]
-        for a in range(G.n)
-        for b in range(nh)
-    ]
+    nh = H.n  # block c of row (a, b) is row b of H shifted by (a*c) * |H|
+    shifted = [[row.translate(_padded(bytes(range(g * nh, (g + 1) * nh)))) for row in H.table]
+               for g in range(G.n)]
+    table = [b"".join(shifted[g][b] for g in row) for row in G.table for b in range(nh)]
     labels = [f"({la},{lb})" for la in G.labels for lb in H.labels]
     return FiniteGroup(table, labels=labels)
 
@@ -309,7 +322,7 @@ def parse_cayley_table(text: str) -> FiniteGroup:
     table = []
     for ln in lines[1:]:
         try:
-            row = [int(tok) for tok in ln.split()]
+            row = list(map(int, ln.split()))
         except ValueError as exc:
             raise ValidationError(f"bad table row {ln!r}") from exc
         if len(row) != n:

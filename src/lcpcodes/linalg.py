@@ -525,8 +525,9 @@ def kernel(M: RingMatrix, *, _engine_rows=False) -> PivotForm:
     ring, n, m = M.ring, M.ncols, len(M.rows)
     zero, one = _scalars(ring).load((ring.zero, ring.one))
     rows = _loaded(M, _engine_rows)
-    columns = [tuple(row[k] for row in rows) for k in range(n)]
-    identity = [tuple(one if i == k else zero for i in range(n)) for k in range(n)]
+    columns = list(zip(*rows)) or [()] * n  # n empty columns when m = 0
+    z = (zero,) * n
+    identity = [z[:k] + (one,) + z[k + 1:] for k in range(n)]
     return _lower_block(ring, _augment(columns, identity), m, m + n)
 
 

@@ -726,3 +726,139 @@ def coefficient_split(C, D, z):
         parts.append(cj)
     c = from_component_rows(parts)
     return c, A.sub(z, c)
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables as tuples of int tuples, checked entry by entry
+
+
+def _tuple_check_rows(table):
+    """The order n of a square table of ints in 0..n-1 (bools count as ints),
+    rows in order, each for its length and then its entries; no order limit."""
+    from lcpcodes.errors import ValidationError
+    from lcpcodes.groups import LatinSquareError
+
+    n = len(table)
+    if n == 0:
+        raise ValidationError("empty Cayley table")
+    for row in table:
+        if len(row) != n:
+            raise LatinSquareError("Cayley table is not square")
+        for x in row:
+            if not isinstance(x, int) or not 0 <= x < n:
+                raise LatinSquareError(f"table entry {x!r} outside 0..{n - 1}")
+    return n
+
+
+def _tuple_generators(t):
+    """Greedy generators in index order: each element outside the subgroup
+    the earlier ones generate joins, by breadth-first closure of e."""
+    n = len(t)
+    gens, reached = [], [True] + [False] * (n - 1)
+    for g in range(1, n):
+        if reached[g]:
+            continue
+        gens.append(g)
+        frontier = [i for i in range(n) if reached[i]]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for h in gens:
+                    if not reached[t[i][h]]:
+                        reached[t[i][h]] = True
+                        nxt.append(t[i][h])
+            frontier = nxt
+    return tuple(gens)
+
+
+def tuple_group(table):
+    """A Cayley table checked as ``FiniteGroup`` checks it (identity at index
+    0, rows then columns Latin, Light's test on the generators, two-sided
+    inverses), with the same errors and messages, entry by entry on tuple
+    rows.  Returns the table, its columns, generators and inverses, and the
+    left translations and distinct conjugations as index maps: translation g
+    reads (g a)_m off a_(map[m]), conjugation h reads (h^-1 a h)_m."""
+    from lcpcodes.groups import AssociativityError, IdentityError, InverseError, LatinSquareError
+
+    t = tuple(tuple(row) for row in table)
+    n = _tuple_check_rows(t)
+    cols = tuple(zip(*t))
+    ident = tuple(range(n))
+    if t[0] != ident or cols[0] != ident:
+        raise IdentityError("index 0 is not a two-sided identity")
+    for what, lines in (("row", t), ("column", cols)):
+        for k, line in enumerate(lines):
+            if set(line) != set(ident):
+                raise LatinSquareError(f"{what} {k} is not a permutation")
+    gens = _tuple_generators(t)
+    for b in gens:
+        for a in range(n):
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    raise AssociativityError(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    inv = []
+    for i in range(n):
+        j = t[i].index(0)
+        if t[j][i] != 0:
+            raise InverseError(f"element {i} has no two-sided inverse")
+        inv.append(j)
+    conjugations = {ident: None} if t == cols else {
+        tuple(t[h][t[m][inv[h]]] for m in range(n)): None for h in range(n)
+    }
+    return {
+        "table": t,
+        "columns": cols,
+        "generators": gens,
+        "inv": tuple(inv),
+        "translations": tuple(t[i] for i in inv),
+        "conjugations": tuple(conjugations),
+    }
+
+
+def tuple_group_from_table(table):
+    """``tuple_group`` after moving the first two-sided identity to index 0
+    by swapping its label with label 0, as ``group_from_table`` does."""
+    from lcpcodes.groups import IdentityError
+
+    table = [list(row) for row in table]
+    n = _tuple_check_rows(table)
+    e = next(
+        (i for i in range(n)
+         if all(table[i][j] == j for j in range(n)) and all(table[k][i] == k for k in range(n))),
+        None,
+    )
+    if e is None:
+        raise IdentityError("no two-sided identity element found")
+    sig = list(range(n))
+    sig[0], sig[e] = e, 0
+    return tuple_group([[sig[table[sig[a]][sig[b]]] for b in range(n)] for a in range(n)])
+
+
+def tuple_named_table(family, n):
+    """The Cayley table of a named family, entry by entry: cyclic C_n,
+    dihedral D_n of order 2n (rotations, then reflections r^i s, with
+    s r s^-1 = r^-1) and symmetric S_n (one-line order, (s t)(x) = s(t(x)))."""
+    if family == "cyclic":
+        return [[(i + j) % n for j in range(n)] for i in range(n)]
+    if family == "dihedral":
+        table = [[0] * (2 * n) for _ in range(2 * n)]
+        for a in range(n):
+            for b in range(n):
+                table[a][b] = (a + b) % n
+                table[a][n + b] = n + (a + b) % n
+                table[n + a][b] = n + (a - b) % n
+                table[n + a][n + b] = (a - b) % n
+        return table
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(s[t[x]] for x in range(n))] for t in perms] for s in perms]
+
+
+def tuple_product_table(tg, th):
+    """G x H on pairs (a, b) -> a |H| + b, entry by entry."""
+    ng, nh = len(tg), len(th)
+    return [
+        [tg[a][c] * nh + th[b][d] for c in range(ng) for d in range(nh)]
+        for a in range(ng)
+        for b in range(nh)
+    ]

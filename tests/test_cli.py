@@ -267,6 +267,38 @@ def test_extension_ring_report_bytes_are_pinned(capsys, tmp_path, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# Z6[D22], shaped like the benchmark's dihedral reduce jobs: C = <5 - 5 r^3>
+# (-5 is 1 mod 6), over a non-abelian group, so closing C runs through the
+# conjugation maps.  The digests of the stdout of `code`, `dual` and `crt`,
+# as text and as `--json`, were recorded before the group tables were held
+# as byte rows and before reports took the pivot forms' tuples uncopied; the
+# goldens above render no pivot row as text.
+Z6_D22 = {
+    "ring": 6,
+    "group": {"family": "dihedral", "n": 22},
+    "codes": {"C": [[[0, 5], [3, 1]]]},
+    "seed": 0,
+}
+GOLDEN_Z6_D22 = {
+    ("code", "--json"): "a0416d34304438c9311273f2660e9d06a191df09b43b24cfd6cb6086e48bf82b",
+    ("code", "text"): "3e444b9cf09189b992223c4941966784f50dda7a2b5c110505f9ceabf18ad919",
+    ("dual", "--json"): "446cba45782d23cae796bcb8d70228702fc39a1e2a306f47389e8c87d4caf4ac",
+    ("dual", "text"): "12060657d4cbf88d188f29b0b3787e713961d014d9e8e870ce6a5b4697baccb5",
+    ("crt", "--json"): "e9f933dba62918c622f289533acbb039b5612165e652041831b541f16e93b680",
+    ("crt", "text"): "a6ac4356c9cab425fd13cd56f5605338691277a10919b06412fbdb37884ad229",
+}
+
+
+@pytest.mark.parametrize("cmd, mode", sorted(GOLDEN_Z6_D22))
+def test_dihedral_report_bytes_are_pinned(capsys, tmp_path, cmd, mode):
+    path = tmp_path / "z6d22.json"
+    path.write_text(json.dumps(Z6_D22), encoding="utf-8")
+    flags = ["--json"] if mode == "--json" else []
+    code, out, _ = run(capsys, "--config", str(path), *flags, cmd, "C")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_Z6_D22[cmd, mode]
+
+
 def test_search_lcp_checks_each_ideal_once(capsys, monkeypatch, tmp_path):
     """One lcp_check per ideal: F2[C2xC2xC2] has 47 ideals, and scanning
     every same-size candidate took 425 checks."""

@@ -74,6 +74,11 @@ def test_row_check_names_the_first_bad_entry(build):
         ([[0, -1], [1, 0]], "table entry -1 outside 0..1"),
         ([[0, 1, 2], [1, 3], [2, 0, 1]], "Cayley table is not square"),
         ([[0, 1, 2], [1, 2, 3], [2]], "table entry 3 outside 0..2"),
+        ([[0, 1], 5], "table row 5 is not a sequence"),
+        ([[0, 1], None], "table row None is not a sequence"),
+        ([[0, 1], 2], "table row 2 is not a sequence"),  # bytes(2) would be a row of zeros
+        (None, "Cayley table None is not a sequence of rows"),
+        (5, "Cayley table 5 is not a sequence of rows"),
     ]
     for table, message in cases:
         with pytest.raises(LatinSquareError, match=f"^{message}$".replace(".", r"\.")):
@@ -187,6 +192,18 @@ def test_named_families_stop_at_the_order_limit():
     for build, arg in ((cyclic, 257), (dihedral, 129), (cyclic, 100000)):
         with pytest.raises(ValidationError, match="exceeds the 256 limit"):
             build(arg)
+
+
+@pytest.mark.parametrize("build", [FiniteGroup, group_from_table], ids=["FiniteGroup", "group_from_table"])
+def test_table_constructors_stop_at_the_order_limit(build):
+    """Rows are held as bytes, so no table may pass order 256."""
+    def table(n):
+        return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+    assert build(table(256)).n == 256
+    for n in (257, 300):
+        with pytest.raises(ValidationError, match=f"^Cayley table order {n} exceeds the 256 limit$"):
+            build(table(n))
 
 
 def test_table_files_stop_at_the_order_limit():
