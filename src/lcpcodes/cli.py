@@ -243,10 +243,6 @@ def _get_code(cfg: InstanceConfig, name: str) -> GroupCode:
 # JSON shapes
 
 
-def element_json(a):
-    return [[list(part) for part in coeff] for coeff in a]
-
-
 def pivot_json(P):
     """The form's own tuples, which encode as JSON arrays: no copy per entry."""
     return {"pivot_cols": P.pivot_cols, "pivot_vals": P.pivot_vals, "rows": P.rows}
@@ -387,11 +383,12 @@ def cmd_dsm(cfg: InstanceConfig, args) -> tuple[dict, int]:
         "c": args.name_c,
         "d": args.name_d,
         "seed": args.seed,
-        "message": element_json(msg),
-        "mask": element_json(mask),
-        "masked": element_json(masked),
-        "recovered_message": element_json(rec_c),
-        "recovered_mask": element_json(rec_d),
+        # the elements' own tuples, which encode as JSON arrays: no copy per entry
+        "message": msg,
+        "mask": mask,
+        "masked": masked,
+        "recovered_message": rec_c,
+        "recovered_mask": rec_d,
         "exact_roundtrip": True,
         "pretty": {
             "message": cfg.algebra.format_element(msg),

@@ -20,6 +20,7 @@ from .errors import CapExceededError, NotLcpError, ValidationError
 from .groups import _permuter
 from .linalg import (
     DEFAULT_ENUM_CAP,
+    PivotForm,
     RingMatrix,
     SpanSolver,
     _field_width,
@@ -86,16 +87,22 @@ class GroupCode:
     def from_generators(cls, algebra: GroupAlgebra, generators, *, _canonical=False) -> "GroupCode":
         """Smallest two-sided ideal containing the generators.
 
-        Per component the rows g * a * h for all group elements g, h span an
-        ideal closed under multiplication from both sides, so a single
-        reduction suffices.  Since g * a * h = (g h) * (h^-1 a h), those rows
-        are the left translates of the distinct conjugates h^-1 a h; over an
-        abelian group a is its only conjugate.  The group keeps both sets of
-        index maps, so they are built once per group, not once per call.
-        Each generator's component row is put in the engine's form once,
-        and the maps move those rows.  The generators are checked against
-        the algebra, unless the caller made them canonical (``_canonical``:
-        parsed literals, elements of ``algebra.elements()``).
+        Per component the rows g * a * h for all group elements g, h span the
+        ideal.  Since g * a * h = (g h) * (h^-1 a h), that span is the left
+        ideal of the distinct conjugates h^-1 a h; over an abelian group a is
+        its only conjugate.  The conjugates join one at a time: the form so
+        far spans a left ideal, so a conjugate that is a member brings its
+        left translates with it and is skipped, and any other is reduced
+        with its n left translates and the form's rows (the walk stops once
+        the form is all of R_j[G]).  Howell forms are canonical, so the
+        result does not depend on that order, and a generic element of a
+        large group needs a few reductions of about rank + n rows instead of
+        one of up to n^2.  The group keeps both sets of index maps, so they
+        are built once per group, not once per call.  Each generator's
+        component row is put in the engine's form once, and the maps move
+        those rows.  The generators are checked against the algebra, unless
+        the caller made them canonical (``_canonical``: parsed literals,
+        elements of ``algebra.elements()``).
         """
         gens = tuple(generators) if _canonical else tuple(map(algebra.check, generators))
         group = algebra.group
@@ -110,11 +117,20 @@ class GroupCode:
                 a_j = tuple(load(a_rows[j]))
                 for conj in conj_maps:
                     conjugates[conj(a_j)] = None
-            rows = {}
+            rows, form = {}, None
             for c in conjugates:
+                if form is not None:
+                    if len(form.pivot_vals) == n and not any(form.pivot_vals):
+                        break  # all of R_j[G]
+                    if membership(c, form, _engine_rows=True):
+                        continue
+                    rows = dict.fromkeys(form.engine_rows)
                 for shift in shifts:
                     rows[shift(c)] = None
-            forms.append(pivot_reduce(RingMatrix(cr, tuple(rows), n), _engine_rows=True))
+                form = pivot_reduce(RingMatrix(cr, tuple(rows), n), _engine_rows=True)
+            if form is None:  # no generators: the zero ideal
+                form = PivotForm(cr, n, (), (), ())
+            forms.append(form)
         return cls(algebra, gens, forms)
 
     @classmethod

@@ -15,6 +15,7 @@ two-sided inverses, each with its own error type.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from functools import cached_property
 from operator import itemgetter
 
@@ -63,9 +64,11 @@ def _permuter(perm):
 def _byte_rows(table) -> tuple:
     """The rows of a square table of ints in 0..n-1 (bools count as ints) as
     bytes, n <= MAX_ORDER.  On a bad table the rows are scanned in order, each
-    for its length and then its entries, and the first fault is named."""
+    for its length and then its entries, and the first fault is named; rows
+    given as one-shot iterators are kept as tuples first, so that scan still
+    sees their entries."""
     try:
-        table = tuple(table)
+        table = tuple(tuple(row) if isinstance(row, Iterator) else row for row in table)
     except TypeError:
         raise LatinSquareError(f"Cayley table {table!r} is not a sequence of rows") from None
     n = len(table)
@@ -106,11 +109,14 @@ class FiniteGroup:
     Associativity is Light's test: (a*b)*c = a*(b*c) for every a, c and
     every b among the generators.  That suffices because the b associating
     with all a, c are closed under products, and every element is a product
-    of generators (see ``_build_generators``).
+    of generators (see ``_build_generators``).  With ``_checked`` the table
+    is already a tuple of bytes rows of entries in 0..n-1, as
+    ``group_from_table`` and the named constructors build it, and is not
+    converted again.
     """
 
-    def __init__(self, table, labels=None):
-        self.table = table = _byte_rows(table)
+    def __init__(self, table, labels=None, *, _checked=False):
+        self.table = table = table if _checked else _byte_rows(table)
         self.n = n = len(table)
         self.labels = self._default_labels(n) if labels is None else tuple(labels)
         if len(self.labels) != n:
@@ -231,11 +237,11 @@ def group_from_table(table, labels=None) -> FiniteGroup:
         sig = list(range(n))
         sig[0], sig[e] = e, 0
         move, relabel = itemgetter(*sig), _padded(bytes(sig))
-        table = [bytes(move(table[a])).translate(relabel) for a in sig]
+        table = tuple(bytes(move(table[a])).translate(relabel) for a in sig)
         if labels is not None:
             labels = list(labels)
             labels[0], labels[e] = labels[e], labels[0]
-    return FiniteGroup(table, labels=labels)
+    return FiniteGroup(table, labels=labels, _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +257,7 @@ def cyclic(n: int) -> FiniteGroup:
     r = bytes(range(n))
     table = [r[i:] + r[:i] for i in range(n)]
     labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    return FiniteGroup(table, labels=labels)
+    return FiniteGroup(tuple(table), labels=labels, _checked=True)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -271,7 +277,7 @@ def dihedral(n: int) -> FiniteGroup:
     table += [s[a::-1] + s[:a:-1] + r[a::-1] + r[:a:-1] for a in range(n)]
     rot = ["e"] + [f"r^{i}" if i > 1 else "r" for i in range(1, n)]
     ref = ["s"] + [f"{label}s" for label in rot[1:]]
-    return FiniteGroup(table, labels=rot + ref)
+    return FiniteGroup(tuple(table), labels=rot + ref, _checked=True)
 
 
 def symmetric(m: int) -> FiniteGroup:
@@ -287,7 +293,7 @@ def symmetric(m: int) -> FiniteGroup:
         products = map(bytes.translate, perms, itertools.repeat(_padded(s)))  # s*t over t
         table.append(bytes(map(index.__getitem__, products)))
     labels = ["".join(map(str, p)) for p in perms]
-    return FiniteGroup(table, labels=labels)
+    return FiniteGroup(tuple(table), labels=labels, _checked=True)
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
@@ -300,7 +306,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
                for g in range(G.n)]
     table = [b"".join(shifted[g][b] for g in row) for row in G.table for b in range(nh)]
     labels = [f"({la},{lb})" for la in G.labels for lb in H.labels]
-    return FiniteGroup(table, labels=labels)
+    return FiniteGroup(tuple(table), labels=labels, _checked=True)
 
 
 # ---------------------------------------------------------------------------

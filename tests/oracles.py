@@ -190,6 +190,27 @@ def translate_closure_forms(algebra, gens):
     return tuple(forms)
 
 
+def conjugate_closure_forms(algebra, gens):
+    """Per-component pivot forms of the span of the left translates of every
+    distinct conjugate h^-1 a h of every generator, in one reduction: the
+    closure that ``GroupCode.from_generators`` made before it took the
+    conjugates one at a time."""
+    from lcpcodes.linalg import RingMatrix, pivot_reduce
+
+    group = algebra.group
+    n = group.n
+    forms = []
+    for j, cr in enumerate(algebra.ring.components):
+        conjugates = {}
+        for a in gens:
+            aj = tuple(a[i][j] for i in range(n))
+            for conj in group.conjugations:
+                conjugates[conj(aj)] = None
+        rows = {shift(c): None for c in conjugates for shift in group.left_translations}
+        forms.append(pivot_reduce(RingMatrix(cr, tuple(rows), n)))
+    return tuple(forms)
+
+
 def translate_closure_key(algebra, gens):
     return tuple(P.key() for P in translate_closure_forms(algebra, gens))
 

@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from lcpcodes import groups
 from lcpcodes.groups import (
     AssociativityError,
     FiniteGroup,
@@ -106,6 +107,34 @@ def test_the_loops_cover_orders_5_to_8_and_one_sided_inverses():
 def test_malformed_tables_fail_as_the_oracle_does(build, oracle, name):
     table = MALFORMED[name]
     assert _outcome(build, table) == _outcome(oracle, table)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("build", [FiniteGroup, group_from_table], ids=["FiniteGroup", "group_from_table"])
+def test_one_shot_rows_fail_as_listed_rows_do(build, name):
+    """Rows given as iterators, in a table given as one too, are read once,
+    so the fault they report is the one the same rows as lists report."""
+    table = MALFORMED[name]
+    assert _outcome(build, (iter(row) for row in table)) == _outcome(build, table)
+
+
+def test_one_shot_rows_build_the_group():
+    table = _relabeled(tuple_named_table("dihedral", 3), 2)
+    want = _outcome(tuple_group_from_table, table)
+    assert _outcome(group_from_table, map(iter, table)) == want
+    assert _outcome(FiniteGroup, map(iter, tuple_named_table("dihedral", 3))) == _outcome(
+        tuple_group, tuple_named_table("dihedral", 3)
+    )
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_group_from_table_converts_its_rows_once(k, monkeypatch):
+    table = _relabeled(tuple_named_table("symmetric", 3), k)
+    calls = []
+    real = groups._byte_rows
+    monkeypatch.setattr(groups, "_byte_rows", lambda t: calls.append(1) or real(t))
+    assert _outcome(group_from_table, table) == _outcome(tuple_group_from_table, table)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
