@@ -164,13 +164,13 @@ class GroupCode:
         return all(membership(row, P) for row, P in zip(rows, self.components))
 
     def codewords(self, cap: int = DEFAULT_ENUM_CAP):
-        """All codewords as algebra elements (product of component streams)."""
+        """All codewords as algebra elements: the product of the component
+        spans, each listed once and kept on its form."""
         if self.cardinality() > cap:
             raise CapExceededError(
                 f"code of size {self.cardinality()} exceeds the enumeration cap {cap}"
             )
-        streams = [list(P.codewords(cap)) for P in self.components]
-        for combo in itertools.product(*streams):
+        for combo in itertools.product(*(P.codewords(cap) for P in self.components)):
             yield from_component_rows(combo)
 
     @property

@@ -11,12 +11,10 @@ whole-ring permutations carrying D^perp onto C.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .algebra import from_component_rows
 from .codes import GroupCode, code_dual, lcp_check, min_distance, weight_enumerator
 from .errors import CapExceededError, NotLcpError, ValidationError
 from .linalg import DEFAULT_ENUM_CAP, membership
@@ -140,16 +138,13 @@ def _search_lex_least(words1, words2, n):
     return None
 
 
-def find_permutation(
-    C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_CAP, _words=None
-) -> EquivalenceResult:
+def find_permutation(C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> EquivalenceResult:
     """Search for a coordinate permutation with C2 = C1 * P.
 
     The weight enumerators are compared first; for C1 == C2 the answer is
     the identity, which is the least permutation and maps C1 onto itself,
-    so no codeword is built.  A caller that can list both codes' words more
-    cheaply passes ``_words``, called with no argument when the search needs
-    them, returning the two lists in ``codewords`` order.
+    so no codeword is built.  Otherwise the search reads both codes'
+    ``codewords``, whose component spans are listed once and kept.
     """
     if C1.algebra != C2.algebra:
         raise ValidationError("codes live in different group algebras")
@@ -170,10 +165,7 @@ def find_permutation(
     if C1 == C2:
         perm = identity_permutation(n)
     else:
-        if _words is None:
-            words1, words2 = list(C1.codewords(max_enum)), list(C2.codewords(max_enum))
-        else:
-            words1, words2 = _words()
+        words1, words2 = list(C1.codewords(max_enum)), list(C2.codewords(max_enum))
         perm = _search_lex_least(words1, words2, n)
         if perm is None:
             return EquivalenceResult(
@@ -194,38 +186,20 @@ def check_dual_equivalence(
 
     Permutations are searched per CRT component and once over the whole
     product ring; the block note records both outcomes, since component
-    permutations need not assemble into a single common one.  Each
-    component's span is listed once, on first need, and serves both
-    searches; over a chain ring the one component search is the common
-    search.  A caller that has already checked the pair passes
-    ``_assume_lcp=True``.
+    permutations need not assemble into a single common one.  The parts
+    share their component forms with the whole codes, and a form keeps its
+    listed span, so each component is listed once and serves both searches;
+    over a chain ring the one component search is the common search.  A
+    caller that has already checked the pair passes ``_assume_lcp=True``.
     """
     if not _assume_lcp and not lcp_check(C, D).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
     Dd = code_dual(D)
     # the weights are cached on C and Dd, so the searches reuse them
     d_c, d_dd = min_distance(C, max_enum), min_distance(Dd, max_enum)
-    s, lists = C.algebra.ring.s, {}
-
-    def span(code, j):  # component j's span, listed once per call
-        if (id(code), j) not in lists:
-            lists[id(code), j] = list(code.components[j].codewords(max_enum))
-        return lists[id(code), j]
-
-    def words(code):  # in GroupCode.codewords order and shape
-        spans = [span(code, j) for j in range(s)]
-        return [from_component_rows(combo) for combo in itertools.product(*spans)]
-
-    def part(code, j):  # as the component code's codewords
-        return [from_component_rows((w,)) for w in span(code, j)]
-
     # a chain-ring code is its own part, and keeps its cached weights
-    pairs = zip(C.crt_project(), Dd.crt_project())
-    parts = [
-        find_permutation(Ddj, Cj, max_enum, lambda j=j: (part(Dd, j), part(C, j)))
-        for j, (Cj, Ddj) in enumerate(pairs)
-    ]
-    full = parts[0] if s == 1 else find_permutation(Dd, C, max_enum, lambda: (words(Dd), words(C)))
+    parts = [find_permutation(Ddj, Cj, max_enum) for Cj, Ddj in zip(C.crt_project(), Dd.crt_project())]
+    full = parts[0] if C.algebra.ring.s == 1 else find_permutation(Dd, C, max_enum)
 
     def note(label, res):
         if res.status == STATUS_FOUND:

@@ -107,8 +107,16 @@ class PivotForm:
     def contains(self, v) -> bool:
         return membership(v, self)
 
-    def codewords(self, cap: int = DEFAULT_ENUM_CAP):
-        return enumerate_codewords(self, cap)
+    def codewords(self, cap: int = DEFAULT_ENUM_CAP) -> tuple:
+        """The span's words as a tuple, in ``enumerate_codewords`` order,
+        listed on the first call and kept; the cap is checked on every
+        call.  ``enumerate_codewords`` stays the streaming walk."""
+        _check_cap(self, cap)
+        return self._listing
+
+    @cached_property
+    def _listing(self) -> tuple:
+        return tuple(enumerate_codewords(self, self.cardinality()))
 
     def key(self):  # on ring elements: table indices sort otherwise
         return (self.pivot_cols, self.pivot_vals, self.rows)
@@ -124,6 +132,11 @@ class PivotForm:
 def _span_size(ring, vals) -> int:
     """Size of the span of a Howell form with pivots gamma^t, t in vals."""
     return ring.q ** sum(ring.e - t for t in vals)
+
+
+def _check_cap(P: PivotForm, cap: int):
+    if P.cardinality() > cap:
+        raise CapExceededError(f"span of size {P.cardinality()} exceeds the enumeration cap {cap}")
 
 
 class _IntScalars:
@@ -270,11 +283,11 @@ def _support(s, entries, start):
     return [(k, x) for k, x in enumerate(entries, start) if x != zero]
 
 
-def _howell(ring, rows, width, pivot_cols_limit, split=0):
+def _howell(ring, rows, pivot_cols_limit, split=0):
     """Shared reduction engine.
 
-    Scans columns 0..pivot_cols_limit-1 for pivots while carrying rows of
-    ``width`` entries, so the same code serves plain reduction, the
+    Scans columns 0..pivot_cols_limit-1 for pivots while carrying the rows'
+    further entries along, so the same code serves plain reduction, the
     augmented kernel and intersection, and the augmented solver.  Returns
     (rows, pivot_cols, pivot_vals) of the rows whose pivot column is
     >= split, cut to the columns from split on (and the pivot columns
@@ -415,10 +428,7 @@ def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     and each sum of the leading walk rows' multiples is added to the whole
     table.
     """
-    if P.cardinality() > cap:
-        raise CapExceededError(
-            f"span of size {P.cardinality()} exceeds the enumeration cap {cap}"
-        )
+    _check_cap(P, cap)
     ring, n = P.ring, P.ncols
     m = ring.pe
     w, unit = _layout(ring, n, w)
@@ -507,7 +517,7 @@ def _lower_block(ring, rows, split, width) -> PivotForm:
     reduced entries above each pivot), so they are cut, not reduced again.
     The rows are in the engine's form.
     """
-    red, cols, vals = _howell(ring, rows, width, width, split)
+    red, cols, vals = _howell(ring, rows, width, split)
     return PivotForm(ring, width - split, tuple(red), tuple(cols), tuple(vals))
 
 
@@ -567,7 +577,7 @@ class SpanSolver:
         self.ncols = M.ncols
         self._width = images.ncols
         aug = _augment(_loaded(M, _engine_rows), _loaded(images, _engine_rows))
-        rows, cols, vals = _howell(M.ring, aug, M.ncols + images.ncols, M.ncols)
+        rows, cols, vals = _howell(M.ring, aug, M.ncols)
         self._s = _scalars(M.ring)
         self._pivots = _engine_pivots(self._s, rows, cols, vals)
         self._vals = tuple(vals)

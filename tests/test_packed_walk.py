@@ -29,7 +29,14 @@ import pytest
 
 from lcpcodes import cli, equivalence, linalg
 from lcpcodes.algebra import GroupAlgebra, component_rows
-from lcpcodes.codes import GroupCode, code_dual, enumerate_ideals, lcp_check, weight_enumerator
+from lcpcodes.codes import (
+    GroupCode,
+    code_dual,
+    code_involute,
+    enumerate_ideals,
+    lcp_check,
+    weight_enumerator,
+)
 from lcpcodes.equivalence import (
     STATUS_EXHAUSTED,
     EquivalenceResult,
@@ -41,7 +48,7 @@ from lcpcodes.groups import cyclic, dihedral, symmetric
 from lcpcodes.linalg import RingMatrix, enumerate_codewords, pivot_reduce
 from lcpcodes.rings import ChainRing, ProductRing
 
-from oracles import listed_permutation_search, recursive_codewords, tallied_weights
+from oracles import listed_permutation_search, recursive_code_words, recursive_codewords, tallied_weights
 
 
 def chain(p, e=1, r=1):
@@ -315,6 +322,61 @@ def test_cap_applies_to_cached_weights():
     assert weight_enumerator(C) == (1, 3, 3, 1)
     with pytest.raises(CapExceededError, match="code of size 8 exceeds the enumeration cap 7"):
         weight_enumerator(C, max_enum=7)
+
+
+def test_cap_applies_to_every_listing():
+    """A form keeps its listed span, and a later call with a smaller cap
+    still raises, with the walk's message."""
+    P = pivot_reduce(RingMatrix(ChainRing(2), [((1,), (1,), (0,)), ((0,), (1,), (1,))], 3))
+    assert P.codewords(4) == tuple(enumerate_codewords(P))
+    with pytest.raises(CapExceededError, match="span of size 4 exceeds the enumeration cap 3"):
+        P.codewords(3)
+
+
+def _counted_listings(monkeypatch):
+    """The key of every form that ``enumerate_codewords`` walks from now on."""
+    walks, real = [], linalg.enumerate_codewords
+
+    def counted(P, cap=linalg.DEFAULT_ENUM_CAP):
+        walks.append(P.key())
+        return real(P, cap)
+
+    monkeypatch.setattr(linalg, "enumerate_codewords", counted)
+    return walks
+
+
+def test_each_form_is_listed_once(monkeypatch):
+    """Repeated listings of a form, and of a code over a product ring, walk
+    each component form once and give the same words."""
+    algebra = GroupAlgebra(ProductRing.from_modulus(6), cyclic(3))
+    C = GroupCode.from_generators(algebra, [algebra.one()])
+    walks = _counted_listings(monkeypatch)
+    P = C.components[0]
+    assert P.codewords() is P.codewords()
+    assert list(C.codewords()) == list(C.codewords()) == recursive_code_words(C)
+    assert walks == [Q.key() for Q in C.components]
+
+
+def test_direct_search_after_the_dual_check_lists_nothing(monkeypatch):
+    """On the F4 x F3 pairs of ``test_check_dual_equivalence_lists_each_
+    component_once``, ``check_dual_equivalence`` leaves every component
+    listed on its form, so a direct common search afterwards walks no form
+    and gives the common result."""
+    A = GroupAlgebra(ProductRing([ChainRing(2, 1, 2), ChainRing(3)]), cyclic(3))
+    searched_pairs = 0
+    for C in enumerate_ideals(A):
+        D = code_dual(code_involute(C))
+        if not lcp_check(C, D).is_lcp:
+            continue
+        got = check_dual_equivalence(C, D)
+        Dd = code_dual(D)
+        with monkeypatch.context() as m:
+            walks = _counted_listings(m)
+            direct = find_permutation(Dd, C)
+        assert walks == []
+        assert (direct.status, direct.permutation) == (got.status, got.permutation)
+        searched_pairs += C != Dd
+    assert searched_pairs
 
 
 def test_support_counts_cap_matches_enumeration():
