@@ -115,26 +115,31 @@ def _search_lex_least(words1, words2, n):
     perm = [0] * n
     used = [False] * n
     ids2 = [[0] * len(words2)] + [None] * n  # ids2[k]: words2's prefix ids under perm[:k]
-
-    def partial_ok(k):
-        ids2[k + 1] = list(map(steps[k].get, zip(ids2[k], map(itemgetter(perm[k]), words2))))
-        return dict.__eq__(proj1[k], Counter(ids2[k + 1]))
-
-    def dfs(k):
-        if k == n:
-            return all(apply_permutation(perm, w) in set2 for w in words1)
-        for c2 in candidates[k]:
+    # depth-first with an explicit stack, pos[k] being the index of the next
+    # candidate for column k: no function refers to itself, so the search
+    # leaves no reference cycle and its tables go as soon as it returns
+    pos = [0] * (n + 1)
+    k = 0
+    while k >= 0:
+        if k == n and all(apply_permutation(perm, w) in set2 for w in words1):
+            return tuple(perm)
+        cands = candidates[k] if k < n else ()
+        while pos[k] < len(cands):
+            c2 = cands[pos[k]]
+            pos[k] += 1
             if used[c2]:
                 continue
             perm[k] = c2
-            used[c2] = True
-            if partial_ok(k) and dfs(k + 1):
-                return True
-            used[c2] = False
-        return False
-
-    if dfs(0):
-        return tuple(perm)
+            ids2[k + 1] = list(map(steps[k].get, zip(ids2[k], map(itemgetter(c2), words2))))
+            if dict.__eq__(proj1[k], Counter(ids2[k + 1])):
+                used[c2] = True
+                k += 1
+                pos[k] = 0
+                break
+        else:  # no candidate left for column k: back up one level
+            k -= 1
+            if k >= 0:
+                used[perm[k]] = False
     return None
 
 

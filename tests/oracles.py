@@ -291,25 +291,32 @@ def full_scan_lcp_pairs(ideals):
 
 
 def dual_equivalence_reference(C, D, max_enum=1 << 20):
-    """The dual-equivalence report built the long way: both distances by
-    their own enumeration, every component searched on its own, then the
-    common search."""
-    from lcpcodes.codes import code_dual, lcp_check, min_distance
-    from lcpcodes.equivalence import STATUS_FOUND, EquivalenceResult, find_permutation
+    """The dual-equivalence report built the long way: both distances from
+    ``tallied_weights``, then every component and the whole ring searched on
+    their own by ``listed_permutation_search``, over word lists from the
+    recursion; no listing or search of the library takes part.  The errors
+    come in the library's order: a cap on a distance, then the length limit
+    of the search."""
+    from lcpcodes.codes import code_dual, lcp_check
+    from lcpcodes.equivalence import SEARCH_LENGTH_LIMIT, STATUS_FOUND, EquivalenceResult
+    from lcpcodes.errors import ValidationError
 
     if not lcp_check(C, D).is_lcp:
         raise ValueError("not an LCP pair")
     Dd = code_dual(D)
-    d_c = min_distance(C, max_enum)
-    d_dd = min_distance(Dd, max_enum)
+    n = C.algebra.group.n
+    weights = [tallied_weights(X, max_enum) for X in (C, Dd)]
+    d_c, d_dd = (next((w for w in range(1, n + 1) if counts[w]), n + 1) for counts in weights)
+    if n > SEARCH_LENGTH_LIMIT:
+        raise ValidationError(f"permutation search supports n <= {SEARCH_LENGTH_LIMIT}")
     notes = []
     for j, (Cj, Ddj) in enumerate(zip(C.crt_project(), Dd.crt_project())):
-        res = find_permutation(Ddj, Cj, max_enum)
+        res = listed_permutation_search(Ddj, Cj, max_enum)
         if res.status == STATUS_FOUND:
             notes.append(f"component {j}: found {list(res.permutation)}")
         else:
             notes.append(f"component {j}: {res.status}")
-    full = find_permutation(Dd, C, max_enum)
+    full = listed_permutation_search(Dd, C, max_enum)
     if full.status == STATUS_FOUND:
         notes.append(f"common permutation: found {list(full.permutation)}")
     else:

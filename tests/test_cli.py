@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, determinism, JSON round trips."""
 
+import gc
 import hashlib
 import json
 import os
@@ -415,6 +416,63 @@ def test_interrupt_is_not_an_internal_fault(monkeypatch, cfg_path):
     monkeypatch.setattr(cli, "cmd_code", interrupted)
     with pytest.raises(KeyboardInterrupt):
         cli.main(["--config", cfg_path, "code", "C"])
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Start with the cyclic collector on or off, and put it back after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_main_restores_the_collector_on_every_exit_code(capsys, cfg_path, z6_path, collector):
+    """``main`` pauses the cyclic collector for the command and leaves it as
+    it found it, whatever the exit code."""
+    for argv, expected in (
+        (("--config", cfg_path, "code", "C"), 0),
+        (("--config", cfg_path, "lcp", "C", "C"), 1),
+        (("--config", cfg_path, "code", "NOPE"), 2),
+        (("--config", z6_path, "--max-enum", "2", "mindist", "E"), 3),
+    ):
+        assert run(capsys, *argv)[0] == expected
+        assert gc.isenabled() is collector
+
+
+def test_main_restores_the_collector_after_an_internal_fault(capsys, monkeypatch, cfg_path, collector):
+    def broken(cfg, args):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, "cmd_code", broken)
+    assert run(capsys, "--config", cfg_path, "code", "C")[0] == 4
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--no-such-flag", "info"]], ids=["help", "bad-flag"])
+def test_main_restores_the_collector_after_argparse_exits(capsys, argv, collector):
+    with pytest.raises(SystemExit):
+        cli.main(argv)
+    capsys.readouterr()
+    assert gc.isenabled() is collector
+
+
+def test_main_restores_the_collector_after_an_interrupt(monkeypatch, cfg_path, collector):
+    def interrupted(cfg, args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_code", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["--config", cfg_path, "code", "C"])
+    assert gc.isenabled() is collector
+
+
+def test_commands_run_with_the_collector_paused(capsys, monkeypatch, cfg_path, collector):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_info", lambda cfg, args: seen.append(gc.isenabled()) or ({"command": "x"}, 0))
+    assert run(capsys, "--config", cfg_path, "--json", "info") == (0, '{"command": "x"}\n', "")
+    assert seen == [False]
+    assert gc.isenabled() is collector
 
 
 def test_unparseable_config_exit_two(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Permutation-equivalence verification and search."""
 
+import gc
 import itertools
 import random
 
@@ -261,3 +262,26 @@ def test_distance_equality_over_nonabelian_f2s3():
             assert res.d_c == res.d_d_dual
             pair_distances.add((C.cardinality(), res.d_c))
     assert (4, 3) in pair_distances and (16, 2) in pair_distances
+
+
+def test_search_leaves_no_reference_cycle():
+    """The search frees its word lists and tables by reference counting
+    alone: with the cyclic collector paused, as ``cli.main`` runs commands,
+    a collection right after a search finds nothing."""
+    algebra = GroupAlgebra(F2, cyclic(7))
+    C1, C2 = [I for I in enumerate_ideals(algebra) if I.cardinality() == 16]
+    w1 = list(C1.codewords())
+    w2 = sorted(apply_permutation((1, 0, 2, 3, 4, 5, 6), w) for w in w1)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        res = find_permutation(C1, C2)
+        assert res.status == STATUS_FOUND and res.permutation != identity_permutation(7)
+        assert gc.collect() == 0
+        perm = _search_lex_least(w1, w2, 7)
+        assert {apply_permutation(perm, w) for w in w1} == set(w2)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
