@@ -27,7 +27,6 @@ from .codes import (
     enumerate_ideals,
     lcp_check,
     min_distance,
-    security_parameter,
     weight_enumerator,
 )
 from .equivalence import check_dual_equivalence
@@ -323,9 +322,9 @@ def cmd_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     }
     if not rep.is_lcp:
         return report, EXIT_NOT_LCP
-    # D^perp is built once and cached on D, with its weights; it serves both
-    report["security_parameter"] = security_parameter(C, D, max_enum=args.max_enum, _assume_lcp=True)
+    # the check raises when d(C) != d(D^perp), so d(C) is the security parameter
     eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
+    report["security_parameter"] = eq.d_c
     report["d_c"] = eq.d_c
     report["d_d_dual"] = eq.d_d_dual
     report["equivalence"] = {

@@ -26,6 +26,7 @@ from .linalg import (
     _field_width,
     _nonzero_flags,
     _scalars,
+    enumerate_codewords,
     intersect,
     kernel,
     membership,
@@ -165,12 +166,12 @@ class GroupCode:
 
     def codewords(self, cap: int = DEFAULT_ENUM_CAP):
         """All codewords as algebra elements: the product of the component
-        spans, each listed once and kept on its form."""
+        spans, each walked by ``enumerate_codewords`` on every call."""
         if self.cardinality() > cap:
             raise CapExceededError(
                 f"code of size {self.cardinality()} exceeds the enumeration cap {cap}"
             )
-        for combo in itertools.product(*(P.codewords(cap) for P in self.components)):
+        for combo in itertools.product(*(enumerate_codewords(P, cap) for P in self.components)):
             yield from_component_rows(combo)
 
     @property
@@ -276,15 +277,6 @@ def code_involute(C: GroupCode) -> GroupCode:
         out = GroupCode.from_components(C.algebra, forms)
         out._involute, C._involute = C, out
     return C._involute
-
-
-def _link_involute(C: GroupCode, X: GroupCode):
-    """Record X as iota(C), both ways, when its key says it is, so the two
-    share one weight walk.  For an LCP pair (C, D) of two-sided ideals
-    D^perp = iota(C) (see ``cli.cmd_search_lcp``); the keys are compared,
-    not assumed equal."""
-    if C._involute is not X and code_involute(C).components == X.components:
-        X._involute, C._involute = C, X
 
 
 def code_intersect(C: GroupCode, D: GroupCode) -> GroupCode:
@@ -430,15 +422,24 @@ def security_parameter(
     A caller that has already checked the pair passes ``_assume_lcp=True``."""
     if not _assume_lcp and not lcp_check(C, D).is_lcp:
         raise NotLcpError("security parameter is only defined for LCP pairs")
+    return _lcp_distances(C, D, max_enum)[1]
+
+
+def _lcp_distances(C: GroupCode, D: GroupCode, max_enum: int) -> tuple:
+    """(D^perp, d(C), d(D^perp)) for an LCP pair; the two distances are
+    checked to be equal.  For two-sided ideals D^perp = iota(C) (see
+    ``cli.cmd_search_lcp``); when the keys say so (compared, not assumed),
+    D^perp is recorded as iota(C), both ways, so the two share one weight
+    walk."""
     Dd = code_dual(D)
-    _link_involute(C, Dd)
-    dc = min_distance(C, max_enum)
-    dd = min_distance(Dd, max_enum)
+    if C._involute is not Dd and code_involute(C).components == Dd.components:
+        Dd._involute, C._involute = C, Dd
+    dc, dd = min_distance(C, max_enum), min_distance(Dd, max_enum)
     if dc != dd:
         raise AssertionError(
             f"LCP pair with d(C) = {dc} but d(D^perp) = {dd}; these must be equal"
         )
-    return min(dc, dd)
+    return Dd, dc, dd
 
 
 # ---------------------------------------------------------------------------

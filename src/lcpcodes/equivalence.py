@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
-from .codes import GroupCode, code_dual, lcp_check, min_distance, weight_enumerator
+from .codes import GroupCode, _lcp_distances, lcp_check, min_distance, weight_enumerator
 from .errors import CapExceededError, NotLcpError, ValidationError
-from .linalg import DEFAULT_ENUM_CAP, membership
+from .linalg import DEFAULT_ENUM_CAP, enumerate_codewords, membership
 
 __all__ = [
     "EquivalenceResult",
@@ -143,13 +144,25 @@ def _search_lex_least(words1, words2, n):
     return None
 
 
+def _component_words(C: GroupCode, cap: int) -> list:
+    """The words of C's CRT components, each coordinate x of component j
+    tagged as (j, x): sum_j |C_j| words, not the prod_j |C_j| of C."""
+    return [
+        tuple(zip(repeat(j), w)) for j, P in enumerate(C.components) for w in enumerate_codewords(P, cap)
+    ]
+
+
 def find_permutation(C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> EquivalenceResult:
     """Search for a coordinate permutation with C2 = C1 * P.
 
     The weight enumerators are compared first; for C1 == C2 the answer is
     the identity, which is the least permutation and maps C1 onto itself,
-    so no codeword is built.  Otherwise the search reads both codes'
-    ``codewords``, whose component spans are listed once and kept.
+    so no codeword is built.  Otherwise the search reads the component
+    words of both codes (``_component_words``), each component walked once.
+    A permutation maps C1 onto C2 exactly when it maps each component onto
+    its partner, and a column or prefix has the same multiset in both codes
+    exactly when it has in each component, so the search over the tagged
+    component words returns the lex-least permutation of the whole codes.
     """
     if C1.algebra != C2.algebra:
         raise ValidationError("codes live in different group algebras")
@@ -170,7 +183,7 @@ def find_permutation(C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_
     if C1 == C2:
         perm = identity_permutation(n)
     else:
-        words1, words2 = list(C1.codewords(max_enum)), list(C2.codewords(max_enum))
+        words1, words2 = _component_words(C1, max_enum), _component_words(C2, max_enum)
         perm = _search_lex_least(words1, words2, n)
         if perm is None:
             return EquivalenceResult(
@@ -191,17 +204,16 @@ def check_dual_equivalence(
 
     Permutations are searched per CRT component and once over the whole
     product ring; the block note records both outcomes, since component
-    permutations need not assemble into a single common one.  The parts
-    share their component forms with the whole codes, and a form keeps its
-    listed span, so each component is listed once and serves both searches;
-    over a chain ring the one component search is the common search.  A
-    caller that has already checked the pair passes ``_assume_lcp=True``.
+    permutations need not assemble into a single common one.  Each search
+    walks each component of each side at most once, so a check walks at
+    most 4s spans; over a chain ring the one component search is the
+    common search.  d(C) and d(D^perp) are checked to be equal.  A caller
+    that has already checked the pair passes ``_assume_lcp=True``.
     """
     if not _assume_lcp and not lcp_check(C, D).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
-    Dd = code_dual(D)
     # the weights are cached on C and Dd, so the searches reuse them
-    d_c, d_dd = min_distance(C, max_enum), min_distance(Dd, max_enum)
+    Dd, d_c, d_dd = _lcp_distances(C, D, max_enum)
     # a chain-ring code is its own part, and keeps its cached weights
     parts = [find_permutation(Ddj, Cj, max_enum) for Cj, Ddj in zip(C.crt_project(), Dd.crt_project())]
     full = parts[0] if C.algebra.ring.s == 1 else find_permutation(Dd, C, max_enum)

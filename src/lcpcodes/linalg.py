@@ -107,17 +107,6 @@ class PivotForm:
     def contains(self, v) -> bool:
         return membership(v, self)
 
-    def codewords(self, cap: int = DEFAULT_ENUM_CAP) -> tuple:
-        """The span's words as a tuple, in ``enumerate_codewords`` order,
-        listed on the first call and kept; the cap is checked on every
-        call.  ``enumerate_codewords`` stays the streaming walk."""
-        _check_cap(self, cap)
-        return self._listing
-
-    @cached_property
-    def _listing(self) -> tuple:
-        return tuple(enumerate_codewords(self, self.cardinality()))
-
     def key(self):  # on ring elements: table indices sort otherwise
         return (self.pivot_cols, self.pivot_vals, self.rows)
 
@@ -132,11 +121,6 @@ class PivotForm:
 def _span_size(ring, vals) -> int:
     """Size of the span of a Howell form with pivots gamma^t, t in vals."""
     return ring.q ** sum(ring.e - t for t in vals)
-
-
-def _check_cap(P: PivotForm, cap: int):
-    if P.cardinality() > cap:
-        raise CapExceededError(f"span of size {P.cardinality()} exceeds the enumeration cap {cap}")
 
 
 class _IntScalars:
@@ -428,7 +412,8 @@ def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     and each sum of the leading walk rows' multiples is added to the whole
     table.
     """
-    _check_cap(P, cap)
+    if P.cardinality() > cap:
+        raise CapExceededError(f"span of size {P.cardinality()} exceeds the enumeration cap {cap}")
     ring, n = P.ring, P.ncols
     m = ring.pe
     w, unit = _layout(ring, n, w)

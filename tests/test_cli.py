@@ -119,6 +119,18 @@ def test_lcp_true_exit_zero(capsys, cfg_path):
     assert report["equivalence"]["permutation"] == [0, 1, 2]
 
 
+def test_lcp_with_unequal_distances_exits_four(capsys, monkeypatch, cfg_path):
+    """d(C) = d(D^perp) holds for every LCP pair; a distance that broke it
+    is a fault of the program, reported with exit 4, never as a verdict."""
+    distances = iter([2, 3])
+    monkeypatch.setattr(codes, "min_distance", lambda C, cap: next(distances))
+    code, out, err = run(capsys, "--config", cfg_path, "lcp", "C", "D")
+    assert (code, out) == (4, "")
+    assert err == (
+        "internal error: AssertionError: LCP pair with d(C) = 2 but d(D^perp) = 3; these must be equal\n"
+    )
+
+
 def test_lcp_false_exit_one(capsys, cfg_path):
     code, report, _ = run_json(capsys, "--config", cfg_path, "--json", "lcp", "C", "C")
     assert code == 1
@@ -298,6 +310,40 @@ def test_dihedral_report_bytes_are_pinned(capsys, tmp_path, cmd, mode):
     code, out, _ = run(capsys, "--config", str(path), *flags, cmd, "C")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_Z6_D22[cmd, mode]
+
+
+# Z6[C_n] LCP pairs whose two components need different permutations:
+# C = <a>, D = iota(C)^perp with the generators of
+# ``code_dual(code_involute(C))``.  Over Z6[C7], a = 1 + g + g^3 and
+# |C| = 16 * 729; over Z6[C11], a has F2 part 1 + g and F3 part
+# (g - 1)(g^5 + g^4 + 2g^3 + g^2 + 2), and |C| = 2^10 * 3^5.  The digests of
+# the `lcp --json` stdout were recorded when the common search still read
+# the prod_j |C_j| product words (15 s and 600 MiB over Z6[C11]).
+GOLDEN_Z6_LCP = {
+    "Z6[C7]": (7, [[0, 1], [1, 1], [3, 1]], [0, 1, 2, 6, 5, 3, 4],
+               "f66d0fb3f5bf0d2d879de3bcaa3e92bc518969fa1fa2db66f6b3184aa9039b4f"),
+    "Z6[C11]": (11, [[0, 1], [1, 5], [2, 2], [3, 2], [4, 4], [6, 4]], [0, 1, 2, 5, 9, 6, 4, 8, 10, 7, 3],
+                "f88475bc52bcbef64b2dc47ebd61b2aea54793f68039df001a5f62d72c3bce19"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_Z6_LCP))
+def test_product_ring_lcp_report_bytes_are_pinned(capsys, tmp_path, name):
+    n, a, perm, digest = GOLDEN_Z6_LCP[name]
+    doc = {"ring": 6, "group": {"family": "cyclic", "n": n}, "codes": {"C": [a]}, "seed": 0}
+    path = tmp_path / "z6.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = cli.load_config(str(path))
+    D = codes.code_dual(codes.code_involute(cli._get_code(cfg, "C")))
+    doc["codes"]["D"] = [
+        [[i, [list(part) for part in x]] for i, x in enumerate(g) if x != cfg.algebra.ring.zero]
+        for g in D.generators
+    ]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "--config", str(path), "--json", "lcp", "C", "D")
+    assert code == 0
+    assert json.loads(out)["equivalence"]["permutation"] == perm
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_search_lcp_checks_each_ideal_once(capsys, monkeypatch, tmp_path):

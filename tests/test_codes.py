@@ -2,7 +2,7 @@
 
 import pytest
 
-from lcpcodes import codes, linalg
+from lcpcodes import linalg
 from lcpcodes.algebra import GroupAlgebra
 from lcpcodes.codes import (
     DsmSplitter,
@@ -23,6 +23,7 @@ from lcpcodes.errors import CapExceededError, NotLcpError, ValidationError
 from lcpcodes.groups import cyclic
 from lcpcodes.rings import ChainRing, ProductRing
 
+from counting import count_calls
 from oracles import all_ideal_subsets, brute_dual, brute_ideal, code_word_set
 
 F2 = ProductRing([ChainRing(2, 1, 1)])
@@ -200,24 +201,13 @@ def test_lcp_check_decides_without_walking(monkeypatch):
     A = GroupAlgebra(ProductRing.from_modulus(6), cyclic(35))
     C = code_from_generators(A, [ints(A, 5, 1, *[0] * 33)])
     D = code_from_generators(A, [ints(A, *[1] * 35)])
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    walk, listing = linalg._nonzero_flags, linalg.enumerate_codewords
-    monkeypatch.setattr(codes, "_nonzero_flags", counted("walk", walk))
-    monkeypatch.setattr(linalg, "_nonzero_flags", counted("walk", walk))
-    monkeypatch.setattr(linalg, "enumerate_codewords", counted("listing", listing))
+    walks = count_calls(monkeypatch, linalg._nonzero_flags)
+    listings = count_calls(monkeypatch, linalg.enumerate_codewords)
     rep = lcp_check(C, D)
     assert C.cardinality() == 6**34 and D.cardinality() == 6
     assert rep.is_lcp and rep.component_verdicts == (True, True)
     assert rep.intersection_size == 1 and rep.sum_is_full
-    assert calls == []
+    assert walks == listings == []
 
 
 def test_from_generators_checks_its_generators():

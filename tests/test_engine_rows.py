@@ -28,6 +28,7 @@ from lcpcodes.linalg import (
     RingMatrix,
     SpanSolver,
     _scalars,
+    enumerate_codewords,
     intersect,
     kernel,
     membership,
@@ -129,7 +130,7 @@ def element_order_key(X):
     no row passes through a kit's ``store``."""
     key = []
     for P in X.components:
-        words = sorted(set(P.codewords()))
+        words = sorted(set(enumerate_codewords(P)))
         red, cols, vals = tuple_howell(P.ring, words, P.ncols, P.ncols)
         key.append((tuple(cols), tuple(vals), tuple(map(tuple, red))))
     return X.cardinality(), tuple(key)

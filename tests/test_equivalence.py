@@ -6,10 +6,13 @@ import random
 
 import pytest
 
+from lcpcodes import linalg
 from lcpcodes.algebra import GroupAlgebra
 from lcpcodes.codes import (
+    GroupCode,
     code_dual,
     code_from_generators,
+    code_involute,
     enumerate_ideals,
     lcp_check,
     min_distance,
@@ -30,6 +33,7 @@ from lcpcodes.groups import cyclic
 from lcpcodes.linalg import RingMatrix, enumerate_codewords, pivot_reduce
 from lcpcodes.rings import ChainRing, ProductRing
 
+from counting import count_calls
 from oracles import brute_span, scanned_lex_least_search
 
 F2 = ProductRing([ChainRing(2, 1, 1)])
@@ -262,6 +266,19 @@ def test_distance_equality_over_nonabelian_f2s3():
             assert res.d_c == res.d_d_dual
             pair_distances.add((C.cardinality(), res.d_c))
     assert (4, 3) in pair_distances and (16, 2) in pair_distances
+
+
+def test_dual_check_walks_one_weight_enumerator(monkeypatch):
+    """For an LCP pair, D^perp = iota(C), and the check records it, so C and
+    D^perp share one weight walk also for a D that comes without its dual:
+    here D rebuilt from its component forms."""
+    algebra = GroupAlgebra(F2, cyclic(7))
+    C = code_from_generators(algebra, [ints(algebra, 1, 1, 0, 1, 0, 0, 0)])
+    D = GroupCode.from_components(algebra, code_dual(code_involute(C)).components)
+    walks = count_calls(monkeypatch, linalg._nonzero_flags)
+    res = check_dual_equivalence(C, D)
+    assert res.status == STATUS_FOUND and res.d_c == res.d_d_dual == 3
+    assert walks == [C.components[0]]
 
 
 def test_search_leaves_no_reference_cycle():

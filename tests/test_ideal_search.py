@@ -6,10 +6,11 @@ ideals in the same order as the principal-ideal fixed point in
 ``oracles.py``; ``search-lcp`` (one check of each ideal C against its only
 candidate complement iota(C)^perp, where iota is the coordinate map
 g -> g^-1) the same pair list as the full scan;
-``check_dual_equivalence`` (one enumeration per code) the same result as
-the report built the long way; and the lex-least search (prefix ids per DFS
-level) the same permutation as the search that projects every word at each
-node.  ``lcp_check`` and ``DsmSplitter`` read each component's intersection
+``check_dual_equivalence`` (each search walks each component of each side
+once) the same result as the report built the long way; ``find_permutation``
+(tagged component words) the same result as the search over product words;
+and the lex-least search (prefix ids per DFS level) the same permutation as
+the search that projects every word at each node.  ``lcp_check`` and ``DsmSplitter`` read each component's intersection
 size off the sum, |C meet D| = |C| |D| / |C + D|; on every ordered pair of
 ideals that must equal the Zassenhaus intersection and the brute force.
 C and iota(C) share one weight enumerator, whichever is walked first, and
@@ -20,11 +21,12 @@ solve must give the split that coefficients summed by hand gave
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from lcpcodes import cli
-from lcpcodes.algebra import GroupAlgebra
+from lcpcodes.algebra import GroupAlgebra, from_component_rows
 from lcpcodes import linalg
 from lcpcodes import codes
 from lcpcodes.codes import (
@@ -39,17 +41,19 @@ from lcpcodes.codes import (
     min_distance,
     weight_enumerator,
 )
-from lcpcodes.equivalence import _search_lex_least, check_dual_equivalence, verify_permutation
+from lcpcodes.equivalence import _search_lex_least, check_dual_equivalence, find_permutation, verify_permutation
 from lcpcodes.errors import CapExceededError, NotLcpError, ValidationError
 from lcpcodes.groups import cyclic, direct_product
 from lcpcodes.rings import ChainRing, ProductRing
 
+from counting import count_calls
 from oracles import (
     all_ideal_subsets,
     code_word_set,
     coefficient_split,
     dual_equivalence_reference,
     full_scan_lcp_pairs,
+    listed_permutation_search,
     principal_closure_ideals,
     scanned_lex_least_search,
     summed_worklist_ideals,
@@ -302,17 +306,11 @@ def test_dsm_splitter_needs_one_algebra():
 
 def test_check_dual_equivalence_lists_each_component_once(monkeypatch):
     """Over F4 x F3, g -> g^-1 moves ideals of F4[C3], so D^perp = iota(C)
-    differs from C and the searches need words; the common and the
-    component searches share one word list per component code, and the
-    report is the one built the long way."""
+    differs from C and the searches need words.  Each search walks each
+    component of each side once, so a component form is walked at most
+    twice (its component search and the common search) and a check walks
+    at most 4s forms; the report is the one built the long way."""
     A = GroupAlgebra(ProductRing([ChainRing(2, 1, 2), ChainRing(3)]), cyclic(3))
-    walks = []
-    real = linalg.enumerate_codewords
-
-    def counted(P, cap=linalg.DEFAULT_ENUM_CAP):
-        walks.append(P.key())
-        return real(P, cap)
-
     searched_pairs = 0
     for C in enumerate_ideals(A):
         Dd = code_involute(C)
@@ -320,13 +318,42 @@ def test_check_dual_equivalence_lists_each_component_once(monkeypatch):
         if not lcp_check(C, D).is_lcp:
             continue
         with monkeypatch.context() as m:
-            m.setattr(linalg, "enumerate_codewords", counted)
-            walks.clear()
+            walks = count_calls(m, linalg.enumerate_codewords)
             got = check_dual_equivalence(C, D)
-        assert len(walks) <= 2 * A.ring.s
+        assert len(walks) <= 4 * A.ring.s
+        assert max(Counter(P.key() for P in walks).values(), default=0) <= 2
         assert got == dual_equivalence_reference(C, D)
         searched_pairs += C != Dd
     assert searched_pairs
+
+
+# F4 x F3 and Z4 x Z3: over F4[C3], g -> g^-1 moves ideals.
+PRODUCT_SEARCH_ALGEBRAS = {
+    "F4xF3[C3]": ProductRing([ChainRing(2, 1, 2), ChainRing(3)]),
+    "Z12[C3]": ProductRing.from_modulus(12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_SEARCH_ALGEBRAS))
+def test_component_word_search_matches_the_product_word_search(monkeypatch, name):
+    """``find_permutation`` reads tagged component words (sum_j |C_j| of
+    them), never a product codeword: on every ordered pair of equal-size
+    ideals it gives what the lex-least search over the prod_j |C_j| product
+    words gives, and calls neither ``GroupCode.codewords`` nor
+    ``from_component_rows``."""
+    A = GroupAlgebra(PRODUCT_SEARCH_ALGEBRAS[name], cyclic(3))
+    ideals = enumerate_ideals(A)
+    listings = []
+    monkeypatch.setattr(GroupCode, "codewords", lambda *args: listings.append(args))
+    rebuilt = count_calls(monkeypatch, from_component_rows)
+    searched = 0
+    for C1 in ideals:
+        for C2 in ideals:
+            if C1.cardinality() == C2.cardinality():
+                assert find_permutation(C1, C2) == listed_permutation_search(C1, C2)
+                searched += C1 != C2
+    assert searched
+    assert listings == [] and rebuilt == []
 
 
 def test_complement_is_not_always_the_plain_dual():

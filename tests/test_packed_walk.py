@@ -20,9 +20,11 @@ lists.  A ``dsm`` mask drawn with index digits d is, per component, the
 word ``enumerate_codewords`` yields at the index d names.
 """
 
+import gc
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -45,9 +47,10 @@ from lcpcodes.equivalence import (
 )
 from lcpcodes.errors import CapExceededError, NotLcpError, ValidationError
 from lcpcodes.groups import cyclic, dihedral, symmetric
-from lcpcodes.linalg import RingMatrix, enumerate_codewords, pivot_reduce
+from lcpcodes.linalg import PivotForm, RingMatrix, enumerate_codewords, pivot_reduce
 from lcpcodes.rings import ChainRing, ProductRing
 
+from counting import count_calls
 from oracles import listed_permutation_search, recursive_code_words, recursive_codewords, tallied_weights
 
 
@@ -325,43 +328,75 @@ def test_cap_applies_to_cached_weights():
 
 
 def test_cap_applies_to_every_listing():
-    """A form keeps its listed span, and a later call with a smaller cap
-    still raises, with the walk's message."""
+    """Every listing checks its cap with the walk's message, also after a
+    listing of the same form or code at a larger cap."""
     P = pivot_reduce(RingMatrix(ChainRing(2), [((1,), (1,), (0,)), ((0,), (1,), (1,))], 3))
-    assert P.codewords(4) == tuple(enumerate_codewords(P))
+    assert len(list(enumerate_codewords(P, 4))) == 4
     with pytest.raises(CapExceededError, match="span of size 4 exceeds the enumeration cap 3"):
-        P.codewords(3)
+        list(enumerate_codewords(P, 3))
+    algebra = GroupAlgebra(chain(2), cyclic(3))
+    C = GroupCode.from_generators(algebra, [algebra.one()])
+    assert len(list(C.codewords(8))) == 8
+    with pytest.raises(CapExceededError, match="code of size 8 exceeds the enumeration cap 7"):
+        list(C.codewords(7))
 
 
-def _counted_listings(monkeypatch):
-    """The key of every form that ``enumerate_codewords`` walks from now on."""
-    walks, real = [], linalg.enumerate_codewords
-
-    def counted(P, cap=linalg.DEFAULT_ENUM_CAP):
-        walks.append(P.key())
-        return real(P, cap)
-
-    monkeypatch.setattr(linalg, "enumerate_codewords", counted)
-    return walks
+def test_count_calls_sees_name_level_imports(monkeypatch):
+    """``codes`` and ``equivalence`` import the walks by name, so a wrapper
+    set on ``linalg`` alone counts none of a search's walks; ``count_calls``
+    counts each of them."""
+    algebra = GroupAlgebra(chain(2), cyclic(7))
+    C1, C2 = (GroupCode.from_generators(algebra, [tuple(map(algebra.ring.project, a))]) for a in (
+        (1, 1, 0, 1, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0)))
+    missed = []
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "enumerate_codewords", lambda *args: missed.append(args[0]))
+        assert find_permutation(C1, C2).status == "found"
+    assert missed == []
+    flags = count_calls(monkeypatch, linalg._nonzero_flags)
+    listings = count_calls(monkeypatch, linalg.enumerate_codewords)
+    C1, C2 = (GroupCode.from_components(algebra, C.components) for C in (C1, C2))
+    assert find_permutation(C1, C2).status == "found"
+    assert flags == listings == [C1.components[0], C2.components[0]]
 
 
 def test_each_form_is_listed_once(monkeypatch):
-    """Repeated listings of a form, and of a code over a product ring, walk
-    each component form once and give the same words."""
+    """Each listing of a code over a product ring walks each component form
+    once, and nothing is kept: a second listing walks them again and gives
+    the same words."""
     algebra = GroupAlgebra(ProductRing.from_modulus(6), cyclic(3))
     C = GroupCode.from_generators(algebra, [algebra.one()])
-    walks = _counted_listings(monkeypatch)
-    P = C.components[0]
-    assert P.codewords() is P.codewords()
-    assert list(C.codewords()) == list(C.codewords()) == recursive_code_words(C)
-    assert walks == [Q.key() for Q in C.components]
+    walks = count_calls(monkeypatch, linalg.enumerate_codewords)
+    assert list(C.codewords()) == recursive_code_words(C)
+    assert walks == list(C.components)
+    assert list(C.codewords()) == recursive_code_words(C)
+    assert walks == 2 * list(C.components)
 
 
-def test_direct_search_after_the_dual_check_lists_nothing(monkeypatch):
+def test_a_listing_keeps_nothing():
+    """Listing F2[C16] (2^16 words) leaves well under 1 MiB allocated once
+    the loop ends; a form kept its listed span, 59 MiB here."""
+    assert not hasattr(PivotForm, "codewords") and not hasattr(PivotForm, "_listing")
+    algebra = GroupAlgebra(chain(2), cyclic(16))
+    C = GroupCode.from_generators(algebra, [algebra.one()])
+    assert C.components[0].rows  # built on first use, before the count starts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert sum(1 for _ in C.codewords()) == 1 << 16
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20
+
+
+def test_direct_search_after_the_dual_check_walks_each_component_once(monkeypatch):
     """On the F4 x F3 pairs of ``test_check_dual_equivalence_lists_each_
-    component_once``, ``check_dual_equivalence`` leaves every component
-    listed on its form, so a direct common search afterwards walks no form
-    and gives the common result."""
+    component_once``, a direct common search after ``check_dual_
+    equivalence`` walks each component form of each side once, as the
+    check's own common search did, and gives the common result."""
     A = GroupAlgebra(ProductRing([ChainRing(2, 1, 2), ChainRing(3)]), cyclic(3))
     searched_pairs = 0
     for C in enumerate_ideals(A):
@@ -371,9 +406,9 @@ def test_direct_search_after_the_dual_check_lists_nothing(monkeypatch):
         got = check_dual_equivalence(C, D)
         Dd = code_dual(D)
         with monkeypatch.context() as m:
-            walks = _counted_listings(m)
+            walks = count_calls(m, linalg.enumerate_codewords)
             direct = find_permutation(Dd, C)
-        assert walks == []
+        assert walks == ([] if C == Dd else list(Dd.components + C.components))
         assert (direct.status, direct.permutation) == (got.status, got.permutation)
         searched_pairs += C != Dd
     assert searched_pairs
