@@ -125,15 +125,14 @@ class GroupAlgebra:
 
     @property
     def components(self) -> tuple["GroupAlgebra", ...]:
-        """The chain-ring algebras R_j[G], sharing this algebra's group."""
+        """The chain-ring algebras R_j[G], sharing this algebra's group; a
+        chain-ring algebra is its own component, and is not kept on itself."""
+        if self.ring.s == 1:
+            return (self,)
         if self._components is None:
-            if self.ring.s == 1:
-                self._components = (self,)
-            else:
-                self._components = tuple(
-                    GroupAlgebra(ProductRing([c]), self.group)
-                    for c in self.ring.components
-                )
+            self._components = tuple(
+                GroupAlgebra(ProductRing([c]), self.group) for c in self.ring.components
+            )
         return self._components
 
     def crt_project(self, a):

@@ -322,7 +322,7 @@ def cmd_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     }
     if not rep.is_lcp:
         return report, EXIT_NOT_LCP
-    # the check raises when d(C) != d(D^perp), so d(C) is the security parameter
+    # the check raises unless D^perp = iota(C), so d(C) = d(D^perp) is the security parameter
     eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
     report["security_parameter"] = eq.d_c
     report["d_c"] = eq.d_c
@@ -403,22 +403,18 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     ideals = enumerate_ideals(cfg.algebra, max_size=args.max_ideals)
     index = {C.components: i for i, C in enumerate(ideals)}
     pairs = []
-    all_equal = True
     # The only possible complement of C is D = iota(C)^perp, iota: g -> g^-1.
     # If R[G] = C + D with C meet D = 0, then 1 = e + f with e in C, f in D
     # central idempotents.  <x, y> is the coefficient of 1 in x iota(y), so
     # x in D^perp <=> x iota(D) = 0 <=> x in R[G] iota(e) = iota(C); double
     # duality then gives D = iota(C)^perp, so one lcp_check per ideal decides,
-    # and D^perp = iota(C) whether or not the pair is LCP (code_dual records
-    # iota(C) as the dual of D, so D is not dualised again).
+    # and D^perp = iota(C) whether or not the pair is LCP (check_dual_equivalence
+    # checks it on the two codes cached here, with no new kernel).
     for i, C in enumerate(ideals):
-        iC = code_involute(C)
-        D = code_dual(iC)
+        D = code_dual(code_involute(C))
         if not lcp_check(C, D).is_lcp:
             continue
         eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
-        if eq.d_c != eq.d_d_dual:
-            all_equal = False
         pairs.append(
             {
                 "c": i,
@@ -440,7 +436,7 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
         ],
         "lcp_pairs": pairs,
         "lcp_pair_count": len(pairs),
-        "distance_equality_all_pairs": all_equal,
+        "distance_equality_all_pairs": all(p["d_c"] == p["d_d_dual"] for p in pairs),
     }
     return report, EXIT_OK
 
@@ -647,8 +643,7 @@ def main(argv=None) -> int:
 
     The cyclic collector is paused for the command, whose passes would find
     nothing to free, and the caller's setting comes back on every way out.
-    Reference counting frees the command's data as it goes; the few cycles
-    it makes go at the next collection after it returns."""
+    Reference counting frees the command's data as it goes."""
     enabled = gc.isenabled()
     gc.disable()
     try:

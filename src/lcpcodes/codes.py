@@ -210,19 +210,14 @@ class GroupCode:
 
     def crt_project(self) -> tuple["GroupCode", ...]:
         """The component codes, each over its own chain-ring algebra (built
-        once and kept); a chain-ring code is its own part.  Part j of
-        iota(C) is iota of part j of C, so the parts of two codes linked by
-        ``code_involute`` are linked too."""
+        once and kept); a chain-ring code is its own part, and is not kept
+        on itself."""
+        if self.algebra.ring.s == 1:
+            return (self,)
         if self._parts is None:
-            comps = self.algebra.components
             self._parts = tuple(
-                self if A is self.algebra else GroupCode.from_components(A, (P,))
-                for A, P in zip(comps, self.components)
+                GroupCode.from_components(A, (P,)) for A, P in zip(self.algebra.components, self.components)
             )
-            other = self._involute
-            if other is not None and other._parts is not None:
-                for X, Y in zip(self._parts, other._parts):
-                    X._involute, Y._involute = Y, X
         return self._parts
 
 
@@ -248,16 +243,14 @@ def code_sum(C: GroupCode, D: GroupCode) -> GroupCode:
 def code_dual(C: GroupCode) -> GroupCode:
     """Annihilator under the coordinatewise bilinear form, per component.
 
-    Computed once and cached on C.  Over a finite Frobenius ring (chain
-    rings and their products) (C^perp)^perp = C, so C is recorded as the
-    dual of the result."""
+    Computed once and cached on C; the result keeps no link back to C."""
     if C._dual is None:
         n = C.algebra.group.n
         forms = [kernel(RingMatrix(P.ring, P.engine_rows, n), _engine_rows=True) for P in C.components]
         out = GroupCode.from_components(C.algebra, forms)
         if not out.is_two_sided():
             raise AssertionError("dual of an ideal must remain an ideal")
-        out._dual, C._dual = C, out
+        C._dual = out
     return C._dual
 
 
@@ -265,17 +258,14 @@ def code_involute(C: GroupCode) -> GroupCode:
     """The image of C under the coordinate map g -> g^-1.  That map reverses
     products in R[G], so it carries two-sided ideals to two-sided ideals.
 
-    Computed once and cached on C; the map is an involution, so C is
-    recorded as the image of the result.  It permutes coordinates, so the
-    two codes share one weight enumerator (see ``weight_enumerator``)."""
+    Computed once and cached on C; the result keeps no link back to C."""
     if C._involute is None:
         get = _permuter(C.algebra.group.inv)
         forms = []
         for P in C.components:
             M = RingMatrix(P.ring, tuple(map(get, P.engine_rows)), P.ncols)
             forms.append(pivot_reduce(M, _engine_rows=True))
-        out = GroupCode.from_components(C.algebra, forms)
-        out._involute, C._involute = C, out
+        C._involute = GroupCode.from_components(C.algebra, forms)
     return C._involute
 
 
@@ -356,18 +346,12 @@ def weight_enumerator(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> tuple:
     codeword is nonzero where any of its components is, and flags a
     (x words) and flags b (y words) give a | b (x * y words).  A
     component's own flags also give the weights of its part in
-    ``crt_project``, which are kept.
-
-    The counts are cached on C.  iota(C) (``code_involute``) is C with its
-    coordinates permuted, so it has the same counts, and whichever of the
-    two is walked first serves both."""
+    ``crt_project``, which are kept.  The counts are cached on C."""
     card = C.cardinality()
     if card > max_enum:  # also when cached, so a cap means the same on every call
         raise CapExceededError(
             f"code of size {card} exceeds the enumeration cap {max_enum}"
         )
-    if C._weights is None and C._involute is not None:
-        C._weights = C._involute._weights
     if C._weights is None:
         n = C.algebra.group.n
         if len(C.components) == 1:
@@ -412,34 +396,30 @@ def min_distance(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     return n + 1
 
 
-def security_parameter(
-    C: GroupCode,
-    D: GroupCode,
-    max_enum: int = DEFAULT_ENUM_CAP,
-    _assume_lcp: bool = False,
-) -> int:
-    """min{d(C), d(D^perp)} for an LCP pair; the two are checked to be equal.
-    A caller that has already checked the pair passes ``_assume_lcp=True``."""
-    if not _assume_lcp and not lcp_check(C, D).is_lcp:
+def security_parameter(C: GroupCode, D: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> int:
+    """min{d(C), d(D^perp)} for an LCP pair; the two are equal."""
+    if not lcp_check(C, D).is_lcp:
         raise NotLcpError("security parameter is only defined for LCP pairs")
     return _lcp_distances(C, D, max_enum)[1]
 
 
 def _lcp_distances(C: GroupCode, D: GroupCode, max_enum: int) -> tuple:
-    """(D^perp, d(C), d(D^perp)) for an LCP pair; the two distances are
-    checked to be equal.  For two-sided ideals D^perp = iota(C) (see
-    ``cli.cmd_search_lcp``); when the keys say so (compared, not assumed),
-    D^perp is recorded as iota(C), both ways, so the two share one weight
-    walk."""
-    Dd = code_dual(D)
-    if C._involute is not Dd and code_involute(C).components == Dd.components:
-        Dd._involute, C._involute = C, Dd
-    dc, dd = min_distance(C, max_enum), min_distance(Dd, max_enum)
-    if dc != dd:
-        raise AssertionError(
-            f"LCP pair with d(C) = {dc} but d(D^perp) = {dd}; these must be equal"
-        )
-    return Dd, dc, dd
+    """(D^perp, d(C)) for an LCP pair, where D^perp = iota(C) and so
+    d(D^perp) = d(C).
+
+    For two-sided ideals D = iota(C)^perp (the proof is on
+    ``cli.cmd_search_lcp``'s loop), and this is checked, not assumed: over a
+    Frobenius ring (X^perp)^perp = X, so iota(C)^perp = D gives D^perp =
+    iota(C).  iota permutes coordinates, so iota(C) and each of its CRT
+    parts take the weights of C and of C's parts, walked once."""
+    Dd = code_involute(C)
+    if code_dual(Dd) != D:
+        raise AssertionError("LCP pair with iota(C)^perp != D; D^perp must be iota(C)")
+    d = min_distance(C, max_enum)
+    for X, Y in zip(Dd.crt_project(), C.crt_project()):
+        X._weights = Y._weights
+    Dd._weights = C._weights
+    return Dd, d
 
 
 # ---------------------------------------------------------------------------

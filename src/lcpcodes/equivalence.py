@@ -5,8 +5,8 @@ compares weight enumerators, then partitions coordinates by their column
 frequency signatures, and finally backtracks over signature-respecting
 assignments in increasing order, so a found permutation is always the
 lexicographically least valid one.  For an LCP pair (C, D) the dual-distance
-report compares d(C) with d(D^perp) and looks for both per-component and
-whole-ring permutations carrying D^perp onto C.
+report gives d(C) = d(D^perp), since D^perp = iota(C), and looks for both
+per-component and whole-ring permutations carrying D^perp onto C.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
-from .codes import GroupCode, _lcp_distances, lcp_check, min_distance, weight_enumerator
+from .codes import GroupCode, _lcp_distances, _same_algebra, code_dual, lcp_check, min_distance, weight_enumerator
 from .errors import CapExceededError, NotLcpError, ValidationError
 from .linalg import DEFAULT_ENUM_CAP, enumerate_codewords, membership
 
@@ -70,8 +70,7 @@ def verify_permutation(C1: GroupCode, C2: GroupCode, perm) -> bool:
     Checked on the component pivot rows plus a cardinality comparison: the
     permuted generators landing inside C2 with equal sizes forces equality.
     """
-    if C1.algebra != C2.algebra:
-        raise ValidationError("codes live in different group algebras")
+    _same_algebra(C1, C2)
     n = C1.algebra.group.n
     _check_permutation(perm, n)
     if C1.cardinality() != C2.cardinality():
@@ -144,11 +143,15 @@ def _search_lex_least(words1, words2, n):
     return None
 
 
-def _component_words(C: GroupCode, cap: int) -> list:
+def _component_words(C: GroupCode, duals, cap: int) -> list:
     """The words of C's CRT components, each coordinate x of component j
-    tagged as (j, x): sum_j |C_j| words, not the prod_j |C_j| of C."""
+    tagged as (j, x): sum_j |C_j| words, not the prod_j |C_j| of C.
+    Component j is read from C^perp where ``duals[j]`` is true."""
+    sides = code_dual(C).components if any(duals) else C.components
     return [
-        tuple(zip(repeat(j), w)) for j, P in enumerate(C.components) for w in enumerate_codewords(P, cap)
+        tuple(zip(repeat(j), w))
+        for j, (P, Pd, dual) in enumerate(zip(C.components, sides, duals))
+        for w in enumerate_codewords(Pd if dual else P, cap)
     ]
 
 
@@ -163,9 +166,13 @@ def find_permutation(C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_
     its partner, and a column or prefix has the same multiset in both codes
     exactly when it has in each component, so the search over the tagged
     component words returns the lex-least permutation of the whole codes.
+    A permutation preserves the inner product, and over a Frobenius ring
+    (X^perp)^perp = X, so it maps C1_j onto C2_j exactly when it maps
+    C1_j^perp onto C2_j^perp: each component is read from the smaller of
+    C1_j and C1_j^perp, and from the same side of C2_j.  Components of
+    different sizes have no permutation between them.
     """
-    if C1.algebra != C2.algebra:
-        raise ValidationError("codes live in different group algebras")
+    _same_algebra(C1, C2)
     n = C1.algebra.group.n
     if n > SEARCH_LENGTH_LIMIT:
         raise ValidationError(f"permutation search supports n <= {SEARCH_LENGTH_LIMIT}")
@@ -183,8 +190,12 @@ def find_permutation(C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_
     if C1 == C2:
         perm = identity_permutation(n)
     else:
-        words1, words2 = _component_words(C1, max_enum), _component_words(C2, max_enum)
-        perm = _search_lex_least(words1, words2, n)
+        pairs = list(zip(C1.components, C2.components))
+        perm = None
+        if all(P.cardinality() == Q.cardinality() for P, Q in pairs):
+            duals = [P.cardinality() ** 2 > P.ring.size**n for P, _ in pairs]
+            words1, words2 = (_component_words(X, duals, max_enum) for X in (C1, C2))
+            perm = _search_lex_least(words1, words2, n)
         if perm is None:
             return EquivalenceResult(
                 STATUS_NOT_EQUIVALENT, None, d1, d2, "backtracking exhausted all assignments"
@@ -205,15 +216,16 @@ def check_dual_equivalence(
     Permutations are searched per CRT component and once over the whole
     product ring; the block note records both outcomes, since component
     permutations need not assemble into a single common one.  Each search
-    walks each component of each side at most once, so a check walks at
-    most 4s spans; over a chain ring the one component search is the
-    common search.  d(C) and d(D^perp) are checked to be equal.  A caller
-    that has already checked the pair passes ``_assume_lcp=True``.
+    walks one side of each component of each code at most once, so a check
+    walks at most 4s spans; over a chain ring the one component search is
+    the common search.  D^perp is iota(C), checked by ``_lcp_distances``,
+    so d(D^perp) = d(C).  A caller that has already checked the pair passes
+    ``_assume_lcp=True``.
     """
     if not _assume_lcp and not lcp_check(C, D).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
     # the weights are cached on C and Dd, so the searches reuse them
-    Dd, d_c, d_dd = _lcp_distances(C, D, max_enum)
+    Dd, d = _lcp_distances(C, D, max_enum)
     # a chain-ring code is its own part, and keeps its cached weights
     parts = [find_permutation(Ddj, Cj, max_enum) for Cj, Ddj in zip(C.crt_project(), Dd.crt_project())]
     full = parts[0] if C.algebra.ring.s == 1 else find_permutation(Dd, C, max_enum)
@@ -228,7 +240,7 @@ def check_dual_equivalence(
     return EquivalenceResult(
         status=full.status,
         permutation=full.permutation,
-        d_c=d_c,
-        d_d_dual=d_dd,
+        d_c=d,
+        d_d_dual=d,
         block_note="; ".join(notes),
     )

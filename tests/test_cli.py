@@ -119,16 +119,15 @@ def test_lcp_true_exit_zero(capsys, cfg_path):
     assert report["equivalence"]["permutation"] == [0, 1, 2]
 
 
-def test_lcp_with_unequal_distances_exits_four(capsys, monkeypatch, cfg_path):
-    """d(C) = d(D^perp) holds for every LCP pair; a distance that broke it
-    is a fault of the program, reported with exit 4, never as a verdict."""
-    distances = iter([2, 3])
-    monkeypatch.setattr(codes, "min_distance", lambda C, cap: next(distances))
+def test_lcp_with_a_wrong_involute_exits_four(capsys, monkeypatch, cfg_path):
+    """D^perp = iota(C) holds for every LCP pair of two-sided ideals, and
+    gives d(D^perp) = d(C); an involute that broke it is a fault of the
+    program, reported with exit 4, never as a verdict.  Here iota(C) is
+    replaced by C^perp = D, whose dual is C, not D."""
+    monkeypatch.setattr(codes, "code_involute", codes.code_dual)
     code, out, err = run(capsys, "--config", cfg_path, "lcp", "C", "D")
     assert (code, out) == (4, "")
-    assert err == (
-        "internal error: AssertionError: LCP pair with d(C) = 2 but d(D^perp) = 3; these must be equal\n"
-    )
+    assert err == "internal error: AssertionError: LCP pair with iota(C)^perp != D; D^perp must be iota(C)\n"
 
 
 def test_lcp_false_exit_one(capsys, cfg_path):
@@ -868,3 +867,43 @@ def test_main_builds_one_parser_and_leaks_no_option(capsys, monkeypatch, cfg_pat
     for argv, result in zip(calls, got):
         proc = run_process(*argv)
         assert result == (proc.returncode, proc.stdout, proc.stderr)
+
+
+# An LCP pair over Z6 = F2 x F3, and one over the chain ring Z4: C = <g - 1>
+# and D = <sum of all g> in R[C5] and R[C3]; the dsm message is C's generator.
+PAIR_CONFIGS = {
+    "Z6[C5]": (6, 5, [[0, 5], [1, 1]]),
+    "Z4[C3]": ([{"p": 2, "e": 2}], 3, [[0, 3], [1, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CONFIGS))
+@pytest.mark.parametrize(
+    "argv",
+    [["code", "C"], ["dual", "C"], ["crt", "C"], ["lcp", "C", "D"], ["dsm", "C", "D", None], ["mindist", "C"],
+     ["search-lcp", "--max-ideals", "7776"]],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_leaves_cyclic_garbage(capsys, tmp_path, name, argv):
+    """Every cache points from a code to what was derived from it, so
+    reference counting frees all of a command's data: after a warm run,
+    the collector finds nothing.  The collector stays off from the first
+    run to the count, so no automatic pass frees a cycle before it."""
+    ring, n, gen = PAIR_CONFIGS[name]
+    doc = {"ring": ring, "group": {"family": "cyclic", "n": n},
+           "codes": {"C": [gen], "D": [[[i, 1] for i in range(n)]]}}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["--config", str(path)] + [json.dumps(gen) if a is None else a for a in argv]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        gc.collect()
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        garbage = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert garbage == 0

@@ -52,6 +52,8 @@ from lcpcodes.rings import ChainRing, ProductRing
 
 from counting import count_calls
 from oracles import listed_permutation_search, recursive_code_words, recursive_codewords, tallied_weights
+from test_fast_paths import CORPORA
+from test_ideal_search import SEARCH_CORPUS
 
 
 def chain(p, e=1, r=1):
@@ -344,10 +346,13 @@ def test_cap_applies_to_every_listing():
 def test_count_calls_sees_name_level_imports(monkeypatch):
     """``codes`` and ``equivalence`` import the walks by name, so a wrapper
     set on ``linalg`` alone counts none of a search's walks; ``count_calls``
-    counts each of them."""
+    counts each of them.  The [7, 3] simplex codes <(1 + x)(1 + x + x^3)>
+    and <(1 + x)(1 + x^2 + x^3)> are the smaller sides, so the search lists
+    the codes themselves."""
     algebra = GroupAlgebra(chain(2), cyclic(7))
     C1, C2 = (GroupCode.from_generators(algebra, [tuple(map(algebra.ring.project, a))]) for a in (
-        (1, 1, 0, 1, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0)))
+        (1, 1, 1, 0, 1, 0, 0), (1, 0, 1, 1, 1, 0, 0)))
+    assert C1.cardinality() == C2.cardinality() == 8
     missed = []
     with monkeypatch.context() as m:
         m.setattr(linalg, "enumerate_codewords", lambda *args: missed.append(args[0]))
@@ -395,8 +400,9 @@ def test_a_listing_keeps_nothing():
 def test_direct_search_after_the_dual_check_walks_each_component_once(monkeypatch):
     """On the F4 x F3 pairs of ``test_check_dual_equivalence_lists_each_
     component_once``, a direct common search after ``check_dual_
-    equivalence`` walks each component form of each side once, as the
-    check's own common search did, and gives the common result."""
+    equivalence`` walks one side of each component of each code once, as
+    the check's own common search did, and gives the common result: the
+    smaller of Dd_j and Dd_j^perp, and the same side of C_j."""
     A = GroupAlgebra(ProductRing([ChainRing(2, 1, 2), ChainRing(3)]), cyclic(3))
     searched_pairs = 0
     for C in enumerate_ideals(A):
@@ -405,10 +411,16 @@ def test_direct_search_after_the_dual_check_walks_each_component_once(monkeypatc
             continue
         got = check_dual_equivalence(C, D)
         Dd = code_dual(D)
+        duals = [P.cardinality() ** 2 > P.ring.size**3 for P in Dd.components]
+        sides = [
+            Pd if dual else P
+            for X in (Dd, C)
+            for P, Pd, dual in zip(X.components, code_dual(X).components, duals)
+        ]
         with monkeypatch.context() as m:
             walks = count_calls(m, linalg.enumerate_codewords)
             direct = find_permutation(Dd, C)
-        assert walks == ([] if C == Dd else list(Dd.components + C.components))
+        assert walks == ([] if C == Dd else sides)
         assert (direct.status, direct.permutation) == (got.status, got.permutation)
         searched_pairs += C != Dd
     assert searched_pairs
@@ -440,6 +452,42 @@ def test_permutation_search_matches_the_listed_search(corpus):
     for C1 in distinct:
         for C2 in distinct:
             assert find_permutation(C1, C2, cap) == listed_permutation_search(C1, C2, cap)
+
+
+F4XF2 = GroupAlgebra(ProductRing([ChainRing(2, 1, 2), ChainRing(2)]), cyclic(3))
+
+
+def side_corpus() -> dict:
+    """{algebra: name}: the algebras of the other suites' ideal corpora that
+    the weight corpus above lacks, and F4 x F2, a product of two rings of one
+    prime whose components can choose different sides."""
+    out = dict.fromkeys(GroupAlgebra(*args) for args in WEIGHT_CORPUS.values())
+    for name, (ring, group) in SEARCH_CORPUS.items():
+        out.setdefault(GroupAlgebra(cli.parse_ring(ring), cli.parse_group(group, "")), name)
+    for name, args in CORPORA.items():
+        out.setdefault(GroupAlgebra(*args), name)
+    out[F4XF2] = "F4xF2[C3]"
+    return {A: name for A, name in out.items() if name is not None}
+
+
+@pytest.mark.parametrize("algebra", [pytest.param(A, id=name) for A, name in side_corpus().items()])
+def test_smaller_side_search_matches_the_listed_search(algebra):
+    """``find_permutation`` reads each component from the smaller of C1_j and
+    C1_j^perp, and C2_j from the same side; on every ordered pair of
+    equal-size ideals it gives what the search over the codes' own words
+    gives, as on the weight corpus above.  Over F4 x F2 some found pairs
+    mix the two sides."""
+    n = algebra.group.n
+    ideals = enumerate_ideals(algebra)
+    mixed = 0
+    for C1 in ideals:
+        for C2 in ideals:
+            if C1.cardinality() == C2.cardinality():
+                got = find_permutation(C1, C2)
+                assert got == listed_permutation_search(C1, C2)
+                duals = {P.cardinality() ** 2 > P.ring.size**n for P in C1.components}
+                mixed += got.status == "found" and C1 != C2 and len(duals) == 2
+    assert mixed or algebra != F4XF2
 
 
 def test_self_equivalence_keeps_the_error_order():
