@@ -3,9 +3,15 @@
 All product-ring computation is componentwise-first: a code is stored as one
 pivot form per CRT component, operations act per component, and the Chinese
 product reassembles results (``code_crt_combine`` builds it in a given target
-algebra).  Duality uses the standard coordinatewise bilinear form on the
-coefficient vectors.  ``lcp_check`` decides a pair from code sizes alone and
-lists no codeword; ``security_parameter`` adds the distances of an LCP pair.
+algebra).  Two engines make the forms.  A component that is a prime field
+F_p, over a group cyclic in index order, is F_p[x]/(x^n - 1): its closure,
+sum, dual and involute come from generator polynomials (``polycodes``, the
+gcd path).  Every other component, every intersection, two-sidedness check
+and split, and any form that is not the form of an ideal, goes to the Howell
+engine of ``linalg``.  Both give the same canonical forms.  Duality uses the
+standard coordinatewise bilinear form on the coefficient vectors.
+``lcp_check`` decides a pair from code sizes alone and lists no codeword;
+``security_parameter`` adds the distances of an LCP pair.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from .linalg import (
     membership,
     pivot_reduce,
 )
+from .polycodes import closure, dual_poly, generator_form, generator_poly, reciprocal
+from .rings import _fp_gcd
 
 __all__ = [
     "GroupCode",
@@ -101,9 +109,11 @@ class GroupCode:
         one of up to n^2.  The group keeps both sets of index maps, so they
         are built once per group, not once per call.  Each generator's
         component row is put in the engine's form once, and the maps move
-        those rows.  The generators are checked against the algebra, unless
-        the caller made them canonical (``_canonical``: parsed literals,
-        elements of ``algebra.elements()``).
+        those rows.  A component that takes the gcd path (``_gcd_path``) is
+        closed as <gcd(x^n - 1, a_1, ..., a_t)> instead, with the same form.
+        The generators are checked against the algebra, unless the caller
+        made them canonical (``_canonical``: parsed literals, elements of
+        ``algebra.elements()``).
         """
         gens = tuple(generators) if _canonical else tuple(map(algebra.check, generators))
         group = algebra.group
@@ -113,6 +123,9 @@ class GroupCode:
         forms = []
         for j, cr in enumerate(algebra.ring.components):
             load = _scalars(cr).load
+            if _gcd_path(algebra, cr):
+                forms.append(closure(cr, n, [load(a_rows[j]) for a_rows in split]))
+                continue
             conjugates = {}
             for a_rows in split:
                 a_j = tuple(load(a_rows[j]))
@@ -230,41 +243,83 @@ def _same_algebra(C: GroupCode, D: GroupCode):
         raise ValidationError("codes live in different group algebras")
 
 
+def _gcd_path(algebra: GroupAlgebra, ring) -> bool:
+    """Whether the algebra's component over ``ring`` takes the gcd path
+    (``polycodes``): the ring is a prime field and the group is cyclic in
+    index order, so R_j[G] is F_p[x]/(x^n - 1).  Every other component is
+    reduced by the Howell engine."""
+    return ring.e == ring.r == 1 and algebra.group.cyclic_in_index_order
+
+
+def _polys(algebra: GroupAlgebra, *forms) -> list | None:
+    """The generator polynomials of forms of one component on the gcd path,
+    or None: off that path, or when some form is the form of no ideal
+    (``generator_poly``), which then goes to the Howell engine."""
+    if not _gcd_path(algebra, forms[0].ring):
+        return None
+    gs = list(map(generator_poly, forms))
+    return None if None in gs else gs
+
+
 def code_sum(C: GroupCode, D: GroupCode) -> GroupCode:
+    """Componentwise P + Q: <gcd(g_P, g_Q)> on the gcd path, else one
+    reduction of both forms' rows."""
     _same_algebra(C, D)
     n = C.algebra.group.n
-    forms = [
-        pivot_reduce(RingMatrix(P.ring, P.engine_rows + Q.engine_rows, n), _engine_rows=True)
-        for P, Q in zip(C.components, D.components)
-    ]
+    forms = []
+    for P, Q in zip(C.components, D.components):
+        gs = _polys(C.algebra, P, Q)
+        if gs:
+            forms.append(generator_form(P.ring, n, _fp_gcd(*gs, P.ring.p)))
+        else:
+            forms.append(pivot_reduce(RingMatrix(P.ring, P.engine_rows + Q.engine_rows, n), _engine_rows=True))
     return GroupCode.from_components(C.algebra, forms)
 
 
 def code_dual(C: GroupCode) -> GroupCode:
-    """Annihilator under the coordinatewise bilinear form, per component.
+    """Annihilator under the coordinatewise bilinear form, per component:
+    <g>^perp is the ideal of the monic reciprocal of (x^n - 1)/g on the gcd
+    path, else a kernel.
 
-    Computed once and cached on C; the result keeps no link back to C."""
+    Computed once and cached on C; the result keeps no link back to C.  Over
+    a product ring it is assembled from the duals of C's CRT parts, which
+    are cached on the parts and become the result's parts, so a part's dual
+    is computed once whichever of the two is asked for first."""
     if C._dual is None:
-        n = C.algebra.group.n
-        forms = [kernel(RingMatrix(P.ring, P.engine_rows, n), _engine_rows=True) for P in C.components]
-        out = GroupCode.from_components(C.algebra, forms)
-        if not out.is_two_sided():
-            raise AssertionError("dual of an ideal must remain an ideal")
+        if C.algebra.ring.s > 1:
+            parts = tuple(map(code_dual, C.crt_project()))
+            out = GroupCode.from_components(C.algebra, [X.components[0] for X in parts])
+            out._parts = parts
+        else:
+            (P,), n = C.components, C.algebra.group.n
+            gs = _polys(C.algebra, P)
+            if gs:
+                form = generator_form(P.ring, n, dual_poly(gs[0], n, P.ring.p))
+            else:
+                form = kernel(RingMatrix(P.ring, P.engine_rows, n), _engine_rows=True)
+            out = GroupCode.from_components(C.algebra, [form])
+            if not out.is_two_sided():
+                raise AssertionError("dual of an ideal must remain an ideal")
         C._dual = out
     return C._dual
 
 
 def code_involute(C: GroupCode) -> GroupCode:
     """The image of C under the coordinate map g -> g^-1.  That map reverses
-    products in R[G], so it carries two-sided ideals to two-sided ideals.
+    products in R[G], so it carries two-sided ideals to two-sided ideals; on
+    the gcd path it carries <g> onto the ideal of g's monic reciprocal.
 
     Computed once and cached on C; the result keeps no link back to C."""
     if C._involute is None:
         get = _permuter(C.algebra.group.inv)
         forms = []
         for P in C.components:
-            M = RingMatrix(P.ring, tuple(map(get, P.engine_rows)), P.ncols)
-            forms.append(pivot_reduce(M, _engine_rows=True))
+            gs = _polys(C.algebra, P)
+            if gs:
+                forms.append(generator_form(P.ring, P.ncols, reciprocal(gs[0], P.ring.p)))
+            else:
+                M = RingMatrix(P.ring, tuple(map(get, P.engine_rows)), P.ncols)
+                forms.append(pivot_reduce(M, _engine_rows=True))
         C._involute = GroupCode.from_components(C.algebra, forms)
     return C._involute
 

@@ -6,7 +6,8 @@ held as tuples of ``bytes`` rows, which bounds the order by MAX_ORDER;
 ``inv[i]`` the index of the inverse of g_i, and ``generators`` a small
 generating set, chosen greedily in index order.  ``left_translations`` and
 ``conjugations`` read g a and h^-1 a h off the coefficient tuple of an
-element a of R[G]; they are built on first use and kept on the group.
+element a of R[G]; they are built on first use and kept on the group, as is
+``cyclic_in_index_order``.
 Tables are validated on construction: identity, Latin-square property,
 associativity (Light's test on the generating set, at every order) and
 two-sided inverses, each with its own error type.
@@ -215,6 +216,14 @@ class FiniteGroup:
         t, cols = self.table, self.columns
         maps = {cols[i].translate(_padded(t[h])): None for h, i in enumerate(self.inv)}
         return tuple(map(_permuter, maps))
+
+    @cached_property
+    def cyclic_in_index_order(self) -> bool:
+        """Whether the table is ``cyclic(n)``'s, g_i * g_j = g_((i + j) mod n):
+        then coordinate i of an element of R[G] is the coefficient of x^i in
+        R[x]/(x^n - 1)."""
+        r = bytes(range(self.n))
+        return self.table == tuple(r[i:] + r[:i] for i in range(self.n))
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table

@@ -1,7 +1,11 @@
 """Exact linear algebra for submodules of R^n over one finite chain ring.
 
 One reduction engine, ``_howell``, serves span, membership, kernel,
-intersection and solve.  It computes a Howell form (Howell 1986, "Spans in
+intersection and solve here.  It is not the only way ``codes`` makes a
+form: over a prime-field component of a group cyclic in index order,
+closures, sums, duals and involutes are read off generator polynomials
+(``polycodes``), which give the forms this engine gives.  The engine
+computes a Howell form (Howell 1986, "Spans in
 the module (Z_m)^s"; Storjohann and Mulders, ESA 1998) whose pivot entries
 are exact powers gamma^t: entries below a pivot are zero, entries above are
 reduced to canonical representatives modulo <gamma^t>, and for every pivot

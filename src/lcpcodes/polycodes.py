@@ -1,0 +1,103 @@
+"""Cyclic codes over a prime field, as ideals of F_p[x]/(x^n - 1).
+
+When the group is cyclic in index order (``FiniteGroup.cyclic_in_index_order``)
+coordinate i of a component row over F_p is the coefficient of x^i, and
+F_p[G] is F_p[x]/(x^n - 1).  That ring is a principal ideal ring for every
+n: each ideal is <g> for one monic g dividing x^n - 1.  The ideal of
+a_1, ..., a_t is <gcd(x^n - 1, a_1, ..., a_t)>, <g> + <h> is <gcd(g, h)>,
+<g>^perp is generated by the reciprocal of (x^n - 1)/g, and the coordinate
+map x^i -> x^-i carries <g> onto the ideal of g's reciprocal (MacWilliams
+and Sloane, *The Theory of Error-Correcting Codes*, ch. 7).
+
+``generator_form`` gives <g> the canonical pivot form the Howell engine
+gives it, and ``generator_poly`` reads g back off a form, so a code has the
+same form whichever path built it.  Polynomials are coefficient lists, low
+degree first, as in ``rings``.
+"""
+
+from __future__ import annotations
+
+from weakref import WeakKeyDictionary
+
+from .linalg import PivotForm
+from .rings import ChainRing, _fp_divmod, _fp_gcd
+
+__all__ = ["closure", "generator_form", "generator_poly", "dual_poly", "reciprocal"]
+
+# The g of each live form known to be the form of <g>: every form
+# ``generator_form`` built, and every other form ``generator_poly`` checked.
+# Equal forms have equal g and share one entry, which goes with the first
+# of them registered (the one ``enumerate_ideals`` keeps).
+_KNOWN = WeakKeyDictionary()
+
+
+def _x_n_minus_1(n: int, p: int) -> list[int]:
+    return [p - 1] + [0] * (n - 1) + [1]
+
+
+def closure(ring: ChainRing, n: int, rows) -> PivotForm:
+    """The form of the ideal of the rows (ints mod p, one per coordinate):
+    <g> for g = gcd(x^n - 1, a_1, ..., a_t)."""
+    p = ring.p
+    g = _x_n_minus_1(n, p)
+    for a in rows:
+        g = _fp_gcd(g, a, p)
+    return generator_form(ring, n, g)
+
+
+def generator_form(ring: ChainRing, n: int, g) -> PivotForm:
+    """The canonical form of <g>, for g monic dividing x^n - 1.
+
+    x does not divide x^n - 1, so g_0 != 0 and the code words x^i g,
+    i < k = n - deg g, are triangular on columns 0..k-1: those are the
+    pivots.  Row i is the word that reads x^i there, x^i - x^k (x^(i+n-k)
+    mod g), since x^k x^(i+n-k) = x^(i+n) = x^i mod g.  Its tail is
+    -(x^(i+n-k) mod g), which for i = 0 is g - x^(n-k) and is then x times
+    the tail before, reduced by g: O(deg g) per row.
+    """
+    p, d = ring.p, len(g) - 1
+    k = n - d
+    eye = (0,) * (k - 1) + (1,) + (0,) * (k - 1)
+    tail = list(g[:d])
+    rows = []
+    for i in range(k):
+        rows.append(eye[k - 1 - i : 2 * k - 1 - i] + tuple(tail))
+        if d:
+            top = tail[-1]
+            tail = [(a - top * b) % p for a, b in zip([0] + tail[:-1], g)]
+    form = PivotForm(ring, n, tuple(rows), tuple(range(k)), (0,) * k)
+    _KNOWN[form] = g
+    return form
+
+
+def generator_poly(P: PivotForm) -> list[int] | None:
+    """The monic g dividing x^n - 1 whose form is P, or None when P is the
+    form of no ideal (``GroupCode.from_components`` takes any span).  Row 0
+    of the form of <g> is x^k g mod (x^n - 1), so g_m is row 0's entry
+    (k + m) mod n; P is trusted only when ``generator_form`` rebuilds it
+    exactly from that g (and then kept, in ``_KNOWN``)."""
+    g = _KNOWN.get(P)
+    if g is not None:
+        return g
+    n, k, p = P.ncols, len(P.pivot_cols), P.ring.p
+    if not k:
+        return _x_n_minus_1(n, p)
+    if P.pivot_cols != tuple(range(k)):
+        return None
+    row = P.engine_rows[0]
+    g = [row[(k + m) % n] for m in range(n - k + 1)]
+    if _fp_divmod(_x_n_minus_1(n, p), g, p)[1] or generator_form(P.ring, n, g) != P:
+        return None
+    _KNOWN[P] = g
+    return g
+
+
+def dual_poly(g, n: int, p: int) -> list[int]:
+    """The generator of <g>^perp: the monic reciprocal of (x^n - 1)/g."""
+    return reciprocal(_fp_divmod(_x_n_minus_1(n, p), g, p)[0], p)
+
+
+def reciprocal(g, p: int) -> list[int]:
+    """x^deg(g) g(1/x), made monic; g_0 != 0 for every g dividing x^n - 1."""
+    inv = pow(g[0], -1, p)
+    return [c * inv % p for c in reversed(g)]

@@ -154,14 +154,13 @@ def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
+    inv_lead, low = pow(b[-1], -1, p), b[:-1]
     q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
+    while len(a) > db:  # subtract c x^shift b, which clears the top term
         shift = len(a) - 1 - db
-        c = (a[-1] * inv_lead) % p
+        c = a.pop() * inv_lead % p
         q[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bc) % p
+        a[shift:] = [(x - c * y) % p for x, y in zip(a[shift:], low)]
         _fp_trim(a)
     return q, a
 
@@ -196,12 +195,21 @@ def _fp_is_irreducible(f: list[int], p: int) -> bool:
         h = power
         g = h + [0] * (2 - len(h))  # h - x
         g[1] -= 1
-        a, b = f, _fp_trim([c % p for c in g])
-        while b:  # Euclid: a ends as gcd(h - x, f)
-            a, b = b, _fp_divmod(a, b, p)[1]
-        if len(a) > 1:
+        if len(_fp_gcd(f, g, p)) > 1:
             return False
     return True
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b over F_p by Euclid's algorithm ([] when both
+    are zero)."""
+    a, b = _fp_trim([c % p for c in a]), _fp_trim([c % p for c in b])
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv_lead = pow(a[-1], -1, p)
+    return [c * inv_lead % p for c in a]
 
 
 def _fp_poly_inverse(a: list[int], f: list[int], p: int) -> list[int]:
