@@ -6,9 +6,10 @@ product reassembles results (``code_crt_combine`` builds it in a given target
 algebra).  Two engines make the forms.  A component that is a prime field
 F_p, over a group cyclic in index order, is F_p[x]/(x^n - 1): its closure,
 sum, dual and involute come from generator polynomials (``polycodes``, the
-gcd path).  Every other component, every intersection, two-sidedness check
-and split, and any form that is not the form of an ideal, goes to the Howell
-engine of ``linalg``.  Both give the same canonical forms.  Duality uses the
+gcd path), and its ideals are the <g> for the divisors g of x^n - 1.
+Every other component, every intersection, two-sidedness check and split,
+and any form that is not the form of an ideal, goes to the Howell engine of
+``linalg``.  Both give the same canonical forms.  Duality uses the
 standard coordinatewise bilinear form on the coefficient vectors.
 ``lcp_check`` decides a pair from code sizes alone and lists no codeword;
 ``security_parameter`` adds the distances of an LCP pair.
@@ -38,7 +39,7 @@ from .linalg import (
     membership,
     pivot_reduce,
 )
-from .polycodes import closure, dual_poly, generator_form, generator_poly, reciprocal
+from .polycodes import closure, divisors, dual_poly, generator_form, generator_poly, reciprocal
 from .rings import _fp_gcd
 
 __all__ = [
@@ -532,7 +533,10 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
 
     Every ideal is the Chinese product of one ideal of each chain-ring
     algebra R_j[G], so the components are enumerated on their own and
-    combined, visiting sum_j |R_j|^n elements instead of prod_j.  Within one
+    combined.  A component on the gcd path (``_gcd_path``) lists its ideals
+    as the <g> for the monic divisors g of x^n - 1 (``polycodes.divisors``),
+    with no walk and no closure.  Every other component visits its |R_j|^n
+    elements, so the walks cost sum_j |R_j|^n, not prod_j.  Within such an
     R_j[G] every ideal is a sum of principal ideals, and <a> = <u g a h> for
     every unit u of R_j and all g, h in G, so one closure is taken per orbit
     of that action.  The orbit of a is marked as the unit multiples of the
@@ -549,7 +553,7 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
     """
     if algebra.size > max_size:
         raise CapExceededError(
-            f"|R[G]| = {algebra.size} exceeds the ideal-enumeration cap {max_size}"
+            f"|R[G]| = {algebra.size} exceeds the ideal-enumeration cap {max_size} (--max-ideals)"
         )
     parts = [_chain_ideals(A) for A in algebra.components]
     ideals = [
@@ -560,9 +564,15 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
 
 
 def _chain_ideals(algebra: GroupAlgebra) -> list:
-    """Every two-sided ideal of a chain-ring algebra, in discovery order."""
+    """Every two-sided ideal of a chain-ring algebra, in discovery order
+    (on the gcd path, the <g> in the order of ``divisors``)."""
     cr = algebra.ring.components[0]
     group = algebra.group
+    if _gcd_path(algebra, cr):
+        return [
+            GroupCode.from_components(algebra, [generator_form(cr, group.n, g)])
+            for g in divisors(group.n, cr.p)
+        ]
     conjs, shifts = group.conjugations, group.left_translations
     scalings = [
         {a: (cr.mul(u, a[0]),) for a in algebra.ring.elements()}.__getitem__

@@ -7,7 +7,9 @@ n: each ideal is <g> for one monic g dividing x^n - 1.  The ideal of
 a_1, ..., a_t is <gcd(x^n - 1, a_1, ..., a_t)>, <g> + <h> is <gcd(g, h)>,
 <g>^perp is generated by the reciprocal of (x^n - 1)/g, and the coordinate
 map x^i -> x^-i carries <g> onto the ideal of g's reciprocal (MacWilliams
-and Sloane, *The Theory of Error-Correcting Codes*, ch. 7).
+and Sloane, *The Theory of Error-Correcting Codes*, ch. 7).  So the ideals
+are listed as the <g> for the ``divisors`` of x^n - 1, found by Berlekamp's
+factorization.
 
 ``generator_form`` gives <g> the canonical pivot form the Howell engine
 gives it, and ``generator_poly`` reads g back off a form, so a code has the
@@ -20,9 +22,9 @@ from __future__ import annotations
 from weakref import WeakKeyDictionary
 
 from .linalg import PivotForm
-from .rings import ChainRing, _fp_divmod, _fp_gcd
+from .rings import ChainRing, _fp_divmod, _fp_gcd, _fp_mul
 
-__all__ = ["closure", "generator_form", "generator_poly", "dual_poly", "reciprocal"]
+__all__ = ["closure", "divisors", "generator_form", "generator_poly", "dual_poly", "reciprocal"]
 
 # The g of each live form known to be the form of <g>: every form
 # ``generator_form`` built, and every other form ``generator_poly`` checked.
@@ -43,6 +45,56 @@ def closure(ring: ChainRing, n: int, rows) -> PivotForm:
     for a in rows:
         g = _fp_gcd(g, a, p)
     return generator_form(ring, n, g)
+
+
+def divisors(n: int, p: int) -> list[list[int]]:
+    """Every monic divisor of x^n - 1 over F_p.
+
+    With n = p^t m and p not dividing m, x^n - 1 = (x^m - 1)^(p^t), and
+    x^m - 1 is squarefree.  The indicator h of a p-cyclotomic coset mod m
+    (the sum of x^i over one orbit of i -> p i) has h^p = h mod x^m - 1, and
+    these h span Berlekamp's algebra: for each h in turn every factor f is
+    split into its gcds with h - c, c in F_p, which leaves the irreducible
+    factors f_i of x^m - 1.  The loop over c stops once what is left of f
+    is linear, so it costs at most p gcds per factor and coset, where a
+    walk of F_p[C_n] visits p^n elements.  The divisors are the products of
+    the f_i^(a_i), 0 <= a_i <= p^t.
+    """
+    q, m = 1, n
+    while m % p == 0:
+        q, m = q * p, m // p
+    factors = [_x_n_minus_1(m, p)]
+    covered = [0] * m
+    for s in range(m):
+        if covered[s]:
+            continue
+        h, i = [0] * m, s
+        while not h[i]:
+            h[i] = covered[i] = 1
+            i = i * p % m
+        factors = [piece for f in factors for piece in _split(f, h, p)]
+    out = [[1]]
+    for f in factors:
+        powers = [[1]]
+        for _ in range(q):
+            powers.append(_fp_mul(powers[-1], f, p))
+        out = [_fp_mul(g, power, p) for g in out for power in powers]
+    return out
+
+
+def _split(f, h, p: int) -> list[list[int]]:
+    """The pieces gcd(f, h - c) != 1, c in F_p, for f squarefree and h^p = h
+    mod f: a factorization of f.  Each piece is divided out as it is found,
+    and a cofactor of degree below 2 is the last piece."""
+    pieces = []
+    for c in range(p):
+        if len(f) < 3:
+            break
+        g = _fp_gcd(f, [h[0] - c] + h[1:], p)
+        if len(g) > 1:
+            pieces.append(g)
+            f = _fp_divmod(f, g, p)[0]
+    return pieces + [f] * (len(f) > 1)
 
 
 def generator_form(ring: ChainRing, n: int, g) -> PivotForm:

@@ -165,13 +165,18 @@ def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     return q, a
 
 
-def _fp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """a * b modulo the monic f over F_p."""
+def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b over F_p."""
     out = [0] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _fp_divmod(out, f, p)[1]
+    return [c % p for c in out]
+
+
+def _fp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """a * b modulo the monic f over F_p."""
+    return _fp_divmod(_fp_mul(a, b, p), f, p)[1]
 
 
 def _fp_is_irreducible(f: list[int], p: int) -> bool:

@@ -658,6 +658,7 @@ def test_cap_exceeded_exit_three(capsys, z6_path):
     assert "cap" in err
     code, _, err = run(capsys, "--config", z6_path, "--max-ideals", "4", "search-lcp")
     assert code == 3
+    assert "--max-ideals" in err
 
 
 def test_json_reports_round_trip(capsys, cfg_path, z6_path):

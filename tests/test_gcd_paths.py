@@ -12,8 +12,10 @@ counted, not timed).
 """
 
 import contextlib
+import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -25,6 +27,7 @@ from lcpcodes.linalg import RingMatrix, pivot_reduce
 from lcpcodes.rings import ChainRing, ProductRing, _fp_divmod, _fp_gcd, _fp_is_irreducible
 
 from counting import count_calls
+from oracles import principal_closure_ideals
 
 
 def chain(p, e=1, r=1):
@@ -121,6 +124,94 @@ def test_gcd_forms_match_the_howell_forms(name, monkeypatch):
         assert [X.components for X in sums] == [code_sum(X, Y).components for X, Y in pairs]
     if n > 1:
         assert {X.cardinality() for X in built} > {1, algebra.size}  # proper ideals too
+
+
+# algebras whose ideals are listed as divisors and checked against the
+# oracle's principal closures; p | n in the first four, and over
+# Z12 = Z4 x F3 the Z4 part keeps the walk
+DIVISOR_CORPUS = {
+    "F2[C8]": (chain(2), 8),
+    "F2[C12]": (chain(2), 12),
+    "F3[C6]": (chain(3), 6),
+    "F3[C9]": (chain(3), 9),
+    "F5[C4]": (chain(5), 4),
+    "F7[C3]": (chain(7), 3),
+    "Z6[C4]": (ProductRing.from_modulus(6), 4),
+    "Z10[C3]": (ProductRing.from_modulus(10), 3),
+    "Z12[C3]": (ProductRing.from_modulus(12), 3),
+}
+
+
+def divisor_count(n, p):
+    """(p^t + 1)^k for n = p^t m, p not dividing m, and k the number of
+    p-cyclotomic cosets mod m: each of the k irreducible factors of x^m - 1
+    takes an exponent 0..p^t."""
+    q, m = 1, n
+    while m % p == 0:
+        q, m = q * p, m // p
+    cosets = {frozenset(s * p**j % m for j in range(m)) for s in range(m)}
+    return (q + 1) ** len(cosets)
+
+
+@pytest.mark.parametrize("name", list(DIVISOR_CORPUS))
+def test_gcd_path_ideals_are_the_divisors_of_x_n_minus_1(name, monkeypatch):
+    """A gcd-path component lists its ideals with no closure, no sum and no
+    Howell reduction, and the ideals are those of the principal-closure
+    oracle run on the Howell engine alone."""
+    ring, n = DIVISOR_CORPUS[name]
+    algebra = GroupAlgebra(ring, cyclic(n))
+    closures = []
+    from_generators = GroupCode.from_generators.__func__
+
+    def counted(cls, *args, **kwargs):
+        closures.append(args[0])
+        return from_generators(cls, *args, **kwargs)
+
+    monkeypatch.setattr(GroupCode, "from_generators", classmethod(counted))
+    sums, rings = count_calls(monkeypatch, code_sum), howell_rings(monkeypatch)
+    listed = 0
+    for component in algebra.components:
+        (cr,) = component.ring.components
+        if codes._gcd_path(component, cr):
+            ideals = codes._chain_ideals(component)
+            assert closures == sums == rings == []
+            assert len({X.key for X in ideals}) == len(ideals) == divisor_count(n, cr.p)
+            listed += 1
+    assert listed == sum(cr.e == 1 for cr in ring.components) > 0
+    ideals = enumerate_ideals(algebra, max_size=algebra.size)  # F3[C9] is past the default cap
+    monkeypatch.undo()
+    with howell_only():
+        assert [X.key for X in ideals] == [X.key for X in principal_closure_ideals(algebra)]
+
+
+def test_divisors_are_every_monic_divisor():
+    """Against every monic polynomial of degree up to n, tried by division."""
+    for p, top in ((2, 12), (3, 8), (5, 5), (7, 4)):
+        for n in range(1, top + 1):
+            x_n_minus_1 = [p - 1] + [0] * (n - 1) + [1]
+            brute = [
+                list(low) + [1]
+                for d in range(n + 1)
+                for low in itertools.product(range(p), repeat=d)
+                if not _fp_divmod(x_n_minus_1, list(low) + [1], p)[1]
+            ]
+            assert sorted(polycodes.divisors(n, p)) == sorted(brute)
+
+
+@pytest.mark.parametrize("p, n", [(65521, 2), (2**64 - 59, 1)], ids=["F65521[C2]", "Z_(2^64-59)[C1]"])
+def test_large_prime_components_list_their_ideals_without_a_walk(p, n):
+    """The walk would visit p^n elements (4.3e9 for F65521[C2]); the
+    divisors of x^n - 1 are found at once."""
+    algebra = GroupAlgebra(chain(p), cyclic(n))
+    start = time.perf_counter()
+    ideals = enumerate_ideals(algebra, max_size=p**n)
+    assert time.perf_counter() - start < 5
+    polys = sorted(polycodes.generator_poly(X.components[0]) for X in ideals)
+    if n == 1:
+        assert polys == [[1], [p - 1, 1]]
+    else:
+        assert polys == [[1], [1, 1], [p - 1, 0, 1], [p - 1, 1]]
+    assert [X.cardinality() for X in ideals] == sorted(p ** (n + 1 - len(g)) for g in polys)
 
 
 def relabelled_cyclic(n, rng):
