@@ -8,7 +8,9 @@ not the form of an ideal, is reduced by the Howell engine, which is the
 oracle here: with ``codes._gcd_path`` refusing every component, each
 operation must give the same pivot forms.  The envelope closures and a
 non-LCP ``lcp`` are checked to make no Howell reduction at all (calls are
-counted, not timed).
+counted, not timed).  ``enumerate_ideals`` lists such a component's ideals
+as the divisors of x^n - 1, checked against ``oracles.principal_closure_ideals``
+and against trial division, with no closure, sum or Howell reduction.
 """
 
 import contextlib
