@@ -64,7 +64,19 @@ class Lcg:
         return self.state
 
     def randrange(self, n: int) -> int:
-        return self.next_u64() % n
+        """Uniform in [0, n).  A draw reads k = ceil(bitlen(n - 1) / 64)
+        words, the first most significant, as a value v below 2^(64 k), and
+        is redrawn while v is at or above the largest multiple of n there;
+        it gives v mod n.  For n <= 2^64 that is the first word mod n, unless
+        it is redrawn (probability below n / 2^64)."""
+        k = (max(n - 1, 1).bit_length() + 63) // 64
+        limit = (1 << 64 * k) // n * n
+        while True:
+            v = 0
+            for _ in range(k):
+                v = v << 64 | self.next_u64()
+            if v < limit:
+                return v % n
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +586,15 @@ def render_report(report: dict, cfg: InstanceConfig) -> str:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (unknown flag or subcommand, bad or missing argument)
+    exits 2 with one line, as every other malformed input does; subparsers
+    take this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     def add_common(p, suppress):
         d = argparse.SUPPRESS if suppress else None
@@ -589,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="|R[G]| cap for ideal enumeration",
         )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lcpcodes",
         description="Group codes over finite principal ideal rings: CRT decomposition, "
         "LCP checking, distances and direct-sum-masking demos.",

@@ -8,9 +8,10 @@ F_p, over a group cyclic in index order, is F_p[x]/(x^n - 1): its closure,
 sum, dual and involute come from generator polynomials (``polycodes``, the
 gcd path), and its ideals are the <g> for the divisors g of x^n - 1.
 Every other component, every intersection, two-sidedness check and split,
-and any form that is not the form of an ideal, goes to the Howell engine of
-``linalg``.  Both give the same canonical forms.  Duality uses the
-standard coordinatewise bilinear form on the coefficient vectors.
+and any form that carries no generator polynomial (``PivotForm.poly``),
+goes to the Howell engine of ``linalg``.  Both give the same canonical
+forms.  Duality uses the standard coordinatewise bilinear form on the
+coefficient vectors.
 ``lcp_check`` decides a pair from code sizes alone and lists no codeword;
 ``security_parameter`` adds the distances of an LCP pair.
 """
@@ -39,7 +40,7 @@ from .linalg import (
     membership,
     pivot_reduce,
 )
-from .polycodes import closure, divisors, dual_poly, generator_form, generator_poly, reciprocal
+from .polycodes import closure, divisors, dual_poly, generator_form, reciprocal
 from .rings import _fp_gcd
 
 __all__ = [
@@ -254,11 +255,11 @@ def _gcd_path(algebra: GroupAlgebra, ring) -> bool:
 
 def _polys(algebra: GroupAlgebra, *forms) -> list | None:
     """The generator polynomials of forms of one component on the gcd path,
-    or None: off that path, or when some form is the form of no ideal
-    (``generator_poly``), which then goes to the Howell engine."""
+    or None: off that path, or when some form carries none (``PivotForm.poly``)
+    and so goes to the Howell engine."""
     if not _gcd_path(algebra, forms[0].ring):
         return None
-    gs = list(map(generator_poly, forms))
+    gs = [P.poly for P in forms]
     return None if None in gs else gs
 
 

@@ -39,7 +39,7 @@ the private ``_engine_rows`` keyword passes rows taken from pivot forms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import prod
 from operator import xor
@@ -93,13 +93,17 @@ class RingMatrix:
 class PivotForm:
     """Canonical generator rows: pivot j is exactly gamma^{pivot_vals[j]}.
     Kept as ``engine_rows``, which equality and hashing read (the kit's map
-    to them is one to one); ``rows`` holds them as ring elements."""
+    to them is one to one); ``rows`` holds them as ring elements.  A form
+    built from a generator polynomial g (``polycodes.generator_form``)
+    carries g as ``poly``, which equality and hashing do not read; every
+    other form has None there."""
 
     ring: ChainRing
     ncols: int
     engine_rows: tuple
     pivot_cols: tuple
     pivot_vals: tuple
+    poly: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def rows(self) -> tuple:

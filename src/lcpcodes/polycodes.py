@@ -12,25 +12,17 @@ are listed as the <g> for the ``divisors`` of x^n - 1, found by Berlekamp's
 factorization.
 
 ``generator_form`` gives <g> the canonical pivot form the Howell engine
-gives it, and ``generator_poly`` reads g back off a form, so a code has the
-same form whichever path built it.  Polynomials are coefficient lists, low
-degree first, as in ``rings``.
+gives it, so a code has the same form whichever path built it, and the
+form carries g (``PivotForm.poly``) for the next operation on it.
+Polynomials are coefficient sequences, low degree first, as in ``rings``.
 """
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
-
 from .linalg import PivotForm
 from .rings import ChainRing, _fp_divmod, _fp_gcd, _fp_mul
 
-__all__ = ["closure", "divisors", "generator_form", "generator_poly", "dual_poly", "reciprocal"]
-
-# The g of each live form known to be the form of <g>: every form
-# ``generator_form`` built, and every other form ``generator_poly`` checked.
-# Equal forms have equal g and share one entry, which goes with the first
-# of them registered (the one ``enumerate_ideals`` keeps).
-_KNOWN = WeakKeyDictionary()
+__all__ = ["closure", "divisors", "generator_form", "dual_poly", "reciprocal"]
 
 
 def _x_n_minus_1(n: int, p: int) -> list[int]:
@@ -98,7 +90,7 @@ def _split(f, h, p: int) -> list[list[int]]:
 
 
 def generator_form(ring: ChainRing, n: int, g) -> PivotForm:
-    """The canonical form of <g>, for g monic dividing x^n - 1.
+    """The canonical form of <g>, for g monic dividing x^n - 1, carrying g.
 
     x does not divide x^n - 1, so g_0 != 0 and the code words x^i g,
     i < k = n - deg g, are triangular on columns 0..k-1: those are the
@@ -117,31 +109,7 @@ def generator_form(ring: ChainRing, n: int, g) -> PivotForm:
         if d:
             top = tail[-1]
             tail = [(a - top * b) % p for a, b in zip([0] + tail[:-1], g)]
-    form = PivotForm(ring, n, tuple(rows), tuple(range(k)), (0,) * k)
-    _KNOWN[form] = g
-    return form
-
-
-def generator_poly(P: PivotForm) -> list[int] | None:
-    """The monic g dividing x^n - 1 whose form is P, or None when P is the
-    form of no ideal (``GroupCode.from_components`` takes any span).  Row 0
-    of the form of <g> is x^k g mod (x^n - 1), so g_m is row 0's entry
-    (k + m) mod n; P is trusted only when ``generator_form`` rebuilds it
-    exactly from that g (and then kept, in ``_KNOWN``)."""
-    g = _KNOWN.get(P)
-    if g is not None:
-        return g
-    n, k, p = P.ncols, len(P.pivot_cols), P.ring.p
-    if not k:
-        return _x_n_minus_1(n, p)
-    if P.pivot_cols != tuple(range(k)):
-        return None
-    row = P.engine_rows[0]
-    g = [row[(k + m) % n] for m in range(n - k + 1)]
-    if _fp_divmod(_x_n_minus_1(n, p), g, p)[1] or generator_form(P.ring, n, g) != P:
-        return None
-    _KNOWN[P] = g
-    return g
+    return PivotForm(ring, n, tuple(rows), tuple(range(k)), (0,) * k, tuple(g))
 
 
 def dual_poly(g, n: int, p: int) -> list[int]:

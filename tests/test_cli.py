@@ -768,6 +768,52 @@ def test_mask_sampling_is_deterministic_and_in_code():
     assert len(masks) > 1
 
 
+def test_mask_draws_reach_above_2_64():
+    """Over Z_(p^2), p = 2^64 - 59, the full code's mask is one draw below
+    p^2 ~ 2^128; a single 64-bit word would never reach 2^64."""
+    from lcpcodes.algebra import GroupAlgebra
+    from lcpcodes.codes import code_from_generators
+    from lcpcodes.groups import cyclic
+    from lcpcodes.rings import ChainRing, ProductRing
+
+    p = 2**64 - 59
+    algebra = GroupAlgebra(ProductRing([ChainRing(p, 2, 1)]), cyclic(1))
+    D = code_from_generators(algebra, [algebra.one()])
+    for seed in (1, 2, 3):
+        mask = cli._sample_mask(D, cli.Lcg(seed))
+        assert D.contains(mask)
+        assert 2**64 <= mask[0][0][0] < p**2  # coordinate 0, component 0, digit 0
+
+
+def test_mask_draws_are_unbiased_inside_64_bits():
+    """p ~ 2^65 / 3: a word mod p would put a third of the draws in
+    [p/2, p), not half."""
+    p = 12297829382473034447
+    rng = cli.Lcg(1)
+    high = sum(rng.randrange(p) >= p // 2 for _ in range(30000))
+    assert 0.48 < high / 30000 < 0.52
+
+
+class _Words(cli.Lcg):
+    """An ``Lcg`` whose words are given."""
+
+    def __init__(self, words):
+        super().__init__()
+        self.words = iter(words)
+
+    def next_u64(self):
+        return next(self.words)
+
+
+def test_randrange_redraws_above_the_last_multiple():
+    p = 12297829382473034447  # 2^64 // p = 1, so words at or above p are redrawn
+    rng = _Words([p, 2**64 - 1, 7, 9])
+    assert rng.randrange(p) == 7
+    assert next(rng.words) == 9
+    assert _Words([5]).randrange(2**64) == 5  # one word, never redrawn
+    assert _Words([1, 3]).randrange(2**64 + 1) == (2**64 + 3) % (2**64 + 1)  # first word high
+
+
 @pytest.mark.parametrize(
     "doc, word",
     [
@@ -815,12 +861,20 @@ DSM_ARGS = ["dsm", "C", "D", "[[1,1],[2,1]]"]
         (["--max-enum", "-1", "mindist", "C"], "--max-enum -1"),
         (["mindist", "C", "--max-enum", "-1"], "--max-enum -1"),
         (["--max-ideals", "-5", "search-lcp"], "--max-ideals -5"),
+        (["--seed", "abc", "info"], "error: argument --seed: invalid int value: 'abc'"),
+        (["--no-such-flag", "info"], "error: unrecognized arguments: --no-such-flag"),
+        (["no-such-command"], "error: argument cmd: invalid choice: 'no-such-command'"),
+        (["code"], "error: the following arguments are required: name"),
     ],
-    ids=["seed-negative", "seed-2^64", "seed-2^64+1", "max-enum", "max-enum-after", "max-ideals"],
+    ids=[
+        "seed-negative", "seed-2^64", "seed-2^64+1", "max-enum", "max-enum-after", "max-ideals",
+        "seed-not-int", "unknown-flag", "unknown-command", "missing-name",
+    ],
 )
 def test_malformed_flag_exit_two(cfg_path, argv, word):
     """A seed outside [0, 2^64) or a negative cap is a usage error, not a
-    seed reduced mod 2^64 or a cap that every code exceeds."""
+    seed reduced mod 2^64 or a cap that every code exceeds; argparse's own
+    usage errors print one line too, not its usage block."""
     proc = run_process("--config", cfg_path, *argv)
     assert proc.returncode == 2
     assert proc.stdout == ""

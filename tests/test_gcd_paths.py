@@ -3,17 +3,20 @@
 A CRT component of R[G] that is a prime field F_p, with G cyclic in index
 order, is F_p[x]/(x^n - 1): ``from_generators``, ``code_sum``, ``code_dual``
 and ``code_involute`` build its forms from generator polynomials
-(``lcpcodes.polycodes``).  Every other component, and every form that is
-not the form of an ideal, is reduced by the Howell engine, which is the
-oracle here: with ``codes._gcd_path`` refusing every component, each
-operation must give the same pivot forms.  The envelope closures and a
+(``lcpcodes.polycodes``); each form built so carries its g, which
+equality and hashing ignore.  Every other component, and every form that
+carries no g, is reduced by the Howell engine, which is the oracle here:
+with ``codes._gcd_path`` refusing every component, each operation must give
+the same pivot forms.  The envelope closures and a
 non-LCP ``lcp`` are checked to make no Howell reduction at all (calls are
 counted, not timed).  ``enumerate_ideals`` lists such a component's ideals
 as the divisors of x^n - 1, checked against ``oracles.principal_closure_ideals``
-and against trial division, with no closure, sum or Howell reduction.
+and against trial division, with no closure, sum or Howell reduction.  No
+seed-1 benchmark job over a cyclic group reduces a prime-field component.
 """
 
 import contextlib
+import io
 import itertools
 import json
 import random
@@ -30,6 +33,7 @@ from lcpcodes.rings import ChainRing, ProductRing, _fp_divmod, _fp_gcd, _fp_is_i
 
 from counting import count_calls
 from oracles import principal_closure_ideals
+from test_output_identity import job_sets, load_gen
 
 
 def chain(p, e=1, r=1):
@@ -208,11 +212,11 @@ def test_large_prime_components_list_their_ideals_without_a_walk(p, n):
     start = time.perf_counter()
     ideals = enumerate_ideals(algebra, max_size=p**n)
     assert time.perf_counter() - start < 5
-    polys = sorted(polycodes.generator_poly(X.components[0]) for X in ideals)
+    polys = sorted(X.components[0].poly for X in ideals)
     if n == 1:
-        assert polys == [[1], [p - 1, 1]]
+        assert polys == [(1,), (p - 1, 1)]
     else:
-        assert polys == [[1], [1, 1], [p - 1, 0, 1], [p - 1, 1]]
+        assert polys == [(1,), (1, 1), (p - 1, 0, 1), (p - 1, 1)]
     assert [X.cardinality() for X in ideals] == sorted(p ** (n + 1 - len(g)) for g in polys)
 
 
@@ -278,7 +282,7 @@ def test_a_span_that_is_no_ideal_falls_back_to_howell(monkeypatch):
     assert P.pivot_cols == (0, 1, 2)
     ideal = GroupCode.from_generators(algebra, [((one,), (one,), (zero,), (zero,))])  # <1 + x>
     assert ideal.components[0].engine_rows[0] == P.engine_rows[0] and ideal.components[0] != P
-    assert polycodes.generator_poly(P) is None
+    assert P.poly is None
     X = GroupCode.from_components(algebra, [P])
     Y = GroupCode.from_generators(algebra, [((zero,), (zero,), (one,), (one,))])  # <x^2 + x^3>
     rings = howell_rings(monkeypatch)
@@ -309,7 +313,7 @@ def test_envelope_closures_make_no_howell_reduction(ring, n, monkeypatch):
     C = GroupCode.from_generators(algebra, [a])
     assert rings == []
     (P,) = C.components
-    g = polycodes.generator_poly(P)  # x - 1 divides g
+    g = P.poly  # x - 1 divides g
     assert g is not None and sum(g) % ring.components[0].p == 0 and C.contains(a)
     assert C.cardinality() == ring.size ** (n - len(g) + 1)
 
@@ -394,3 +398,53 @@ def test_index_order_is_cached_on_the_group():
     assert G.cyclic_in_index_order and "cyclic_in_index_order" in vars(G)
     assert not direct_product(cyclic(2), cyclic(3)).cyclic_in_index_order
     assert all(cyclic(n).cyclic_in_index_order for n in range(1, 9))
+
+
+@pytest.mark.parametrize("p, n", [(2, 12), (3, 9), (5, 4)], ids=["F2[C12]", "F3[C9]", "F5[C4]"])
+def test_the_generator_polynomial_is_invisible_to_equality(p, n, monkeypatch):
+    """For every divisor g of x^n - 1, the form ``generator_form`` builds
+    equals, and hashes like, the Howell form of <g>; only the first carries
+    g.  The Howell-built codes, which carry no g, take the Howell engine for
+    their sums, duals and involutes, and get the gcd-built results."""
+    algebra = GroupAlgebra(chain(p), cyclic(n))
+    (cr,) = algebra.ring.components
+    gs = polycodes.divisors(n, p)
+    built = [GroupCode.from_components(algebra, [polycodes.generator_form(cr, n, g)]) for g in gs]
+    with howell_only():
+        howell = []
+        for g in gs:
+            coefficients = [0] * n
+            for i, c in enumerate(g):  # g mod x^n - 1
+                coefficients[i % n] = (coefficients[i % n] + c) % p
+            howell.append(GroupCode.from_generators(algebra, [tuple(((c,),) for c in coefficients)]))
+    for g, X, Y in zip(gs, built, howell):
+        (P,), (Q,) = X.components, Y.components
+        assert P == Q and hash(P) == hash(Q) and X == Y
+        assert P.poly == tuple(g) and Q.poly is None
+    rings = howell_rings(monkeypatch)
+    for X, Y, X2, Y2 in zip(built, howell, built[1:] + built[:1], howell[1:] + howell[:1]):
+        assert code_sum(Y, Y2).components == code_sum(X, X2).components
+        assert code_dual(Y).components == code_dual(X).components
+        assert code_involute(Y).components == code_involute(X).components
+    assert len(rings) == 3 * len(gs)  # one per operation on a Howell-built code
+
+
+def test_benchmark_cyclic_prime_field_components_take_the_gcd_path(tmp_path, monkeypatch):
+    """No seed-1 benchmark job over a cyclic group (``test_output_identity``'s
+    runs) reduces a prime-field component in ``linalg._lower_block``, the
+    step behind ``pivot_reduce``, ``kernel`` and ``intersect``.  A gcd-built
+    form that lost its g would take that step and print the same report,
+    so only this count sees it.  ``SpanSolver`` and ``DsmSplitter`` stay on
+    Howell by design and are not counted."""
+    sets = job_sets(load_gen(), tmp_path)
+    rings = count_calls(monkeypatch, linalg._lower_block)
+    ran = 0
+    for name in ("reduce:1", "enumerate:1", "search:1"):
+        for key, label, argv, doc in sets[name]:
+            if not (key.endswith(":json") and doc["group"].get("family") == "cyclic"):
+                continue
+            ran += any(cr.e == cr.r == 1 for cr in cli.parse_ring(doc["ring"]).components)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                cli.main(argv)
+            assert [R for R in rings if R.e == R.r == 1] == [], f"{key} ({label})"
+    assert ran and rings  # prime-field components were met, and other rings reduced
