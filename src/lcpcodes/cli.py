@@ -577,8 +577,6 @@ def render_report(report: dict, cfg: InstanceConfig) -> str:
             )
             lines.extend(_render_pivot(comp["pivot"]))
         lines.append(f"combine(project(C)) == C: {report['recombine_identity']}")
-    else:  # pragma: no cover
-        lines.append(json.dumps(report, sort_keys=True))
     return "\n".join(lines)
 
 

@@ -76,7 +76,6 @@ class GroupCode:
         self._weights = None
         self._dual = None
         self._involute = None
-        self._parts = None
 
     @property
     def generators(self) -> tuple:
@@ -224,16 +223,9 @@ class GroupCode:
         return True
 
     def crt_project(self) -> tuple["GroupCode", ...]:
-        """The component codes, each over its own chain-ring algebra (built
-        once and kept); a chain-ring code is its own part, and is not kept
-        on itself."""
-        if self.algebra.ring.s == 1:
-            return (self,)
-        if self._parts is None:
-            self._parts = tuple(
-                GroupCode.from_components(A, (P,)) for A, P in zip(self.algebra.components, self.components)
-            )
-        return self._parts
+        """The component codes, each over its own chain-ring algebra, built
+        afresh on each call."""
+        return tuple(GroupCode.from_components(A, (P,)) for A, P in zip(self.algebra.components, self.components))
 
 
 def code_from_generators(algebra: GroupAlgebra, generators) -> GroupCode:
@@ -283,25 +275,19 @@ def code_dual(C: GroupCode) -> GroupCode:
     <g>^perp is the ideal of the monic reciprocal of (x^n - 1)/g on the gcd
     path, else a kernel.
 
-    Computed once and cached on C; the result keeps no link back to C.  Over
-    a product ring it is assembled from the duals of C's CRT parts, which
-    are cached on the parts and become the result's parts, so a part's dual
-    is computed once whichever of the two is asked for first."""
+    Computed once and cached on C; the result keeps no link back to C."""
     if C._dual is None:
-        if C.algebra.ring.s > 1:
-            parts = tuple(map(code_dual, C.crt_project()))
-            out = GroupCode.from_components(C.algebra, [X.components[0] for X in parts])
-            out._parts = parts
-        else:
-            (P,), n = C.components, C.algebra.group.n
+        n = C.algebra.group.n
+        forms = []
+        for P in C.components:
             gs = _polys(C.algebra, P)
             if gs:
-                form = generator_form(P.ring, n, dual_poly(gs[0], n, P.ring.p))
+                forms.append(generator_form(P.ring, n, dual_poly(gs[0], n, P.ring.p)))
             else:
-                form = kernel(RingMatrix(P.ring, P.engine_rows, n), _engine_rows=True)
-            out = GroupCode.from_components(C.algebra, [form])
-            if not out.is_two_sided():
-                raise AssertionError("dual of an ideal must remain an ideal")
+                forms.append(kernel(RingMatrix(P.ring, P.engine_rows, n), _engine_rows=True))
+        out = GroupCode.from_components(C.algebra, forms)
+        if not out.is_two_sided():
+            raise AssertionError("dual of an ideal must remain an ideal")
         C._dual = out
     return C._dual
 
@@ -401,9 +387,8 @@ def weight_enumerator(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> tuple:
     word's weight is the popcount of its flags.  Over a product ring every
     component is walked at one common field width, so the flags line up; a
     codeword is nonzero where any of its components is, and flags a
-    (x words) and flags b (y words) give a | b (x * y words).  A
-    component's own flags also give the weights of its part in
-    ``crt_project``, which are kept.  The counts are cached on C."""
+    (x words) and flags b (y words) give a | b (x * y words).  The counts
+    are cached on C."""
     card = C.cardinality()
     if card > max_enum:  # also when cached, so a cap means the same on every call
         raise CapExceededError(
@@ -419,12 +404,10 @@ def weight_enumerator(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> tuple:
         else:
             w = max(_field_width(P.ring) for P in C.components)
             keys = Counter({0: 1})
-            for P, X in zip(C.components, C.crt_project()):
+            for P in C.components:
                 part = Counter()
                 for flags in _nonzero_flags(P, max_enum, w):
                     part.update(flags)
-                if X._weights is None:
-                    X._weights = _tally(part, n)
                 joined = Counter()
                 for a, x in keys.items():
                     for b, y in part.items():
@@ -467,16 +450,12 @@ def _lcp_distances(C: GroupCode, D: GroupCode, max_enum: int) -> tuple:
     For two-sided ideals D = iota(C)^perp (the proof is on
     ``cli.cmd_search_lcp``'s loop), and this is checked, not assumed: over a
     Frobenius ring (X^perp)^perp = X, so iota(C)^perp = D gives D^perp =
-    iota(C).  iota permutes coordinates, so iota(C) and each of its CRT
-    parts take the weights of C and of C's parts, walked once."""
+    iota(C).  iota permutes coordinates, so the one walk of C gives both
+    distances; iota(C) is not walked."""
     Dd = code_involute(C)
     if code_dual(Dd) != D:
         raise AssertionError("LCP pair with iota(C)^perp != D; D^perp must be iota(C)")
-    d = min_distance(C, max_enum)
-    for X, Y in zip(Dd.crt_project(), C.crt_project()):
-        X._weights = Y._weights
-    Dd._weights = C._weights
-    return Dd, d
+    return Dd, min_distance(C, max_enum)
 
 
 # ---------------------------------------------------------------------------

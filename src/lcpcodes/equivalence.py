@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .codes import GroupCode, _lcp_distances, _same_algebra, code_dual, lcp_check, min_distance, weight_enumerator
@@ -65,21 +65,22 @@ def _check_permutation(perm, n):
 
 
 def verify_permutation(C1: GroupCode, C2: GroupCode, perm) -> bool:
-    """Whether permuting the coordinates of C1 yields exactly C2.
-
-    Checked on the component pivot rows plus a cardinality comparison: the
-    permuted generators landing inside C2 with equal sizes forces equality.
-    """
+    """Whether permuting the coordinates of C1 yields exactly C2
+    (``_carries``, on every component)."""
     _same_algebra(C1, C2)
-    n = C1.algebra.group.n
-    _check_permutation(perm, n)
-    if C1.cardinality() != C2.cardinality():
-        return False
-    for P, Q in zip(C1.components, C2.components):
-        for row in P.engine_rows:
-            if not membership(apply_permutation(perm, row), Q, _engine_rows=True):
-                return False
-    return True
+    _check_permutation(perm, C1.algebra.group.n)
+    return _carries(zip(C1.components, C2.components), perm)
+
+
+def _carries(pairs, perm) -> bool:
+    """Whether perm carries each pivot form P onto its partner Q, checked on
+    P's pivot rows plus a cardinality comparison: the permuted generators
+    landing inside Q with equal sizes forces equality."""
+    return all(
+        P.cardinality() == Q.cardinality()
+        and all(membership(apply_permutation(perm, row), Q, _engine_rows=True) for row in P.engine_rows)
+        for P, Q in pairs
+    )
 
 
 def _column_signature(words, c):
@@ -143,34 +144,53 @@ def _search_lex_least(words1, words2, n):
     return None
 
 
-def _component_words(C: GroupCode, duals, cap: int) -> list:
-    """The words of C's CRT components, each coordinate x of component j
-    tagged as (j, x): sum_j |C_j| words, not the prod_j |C_j| of C.
-    Component j is read from C^perp where ``duals[j]`` is true."""
+def _smaller_sides(C: GroupCode) -> list:
+    """Each component form of C, or that of C^perp where it is the smaller
+    (|C_j|^2 > |R_j|^n).  A permutation preserves the inner product, and
+    over a Frobenius ring (X^perp)^perp = X, so it carries C1_j onto C2_j
+    exactly when it carries C1_j^perp onto C2_j^perp: codes with equal
+    component sizes may be searched on these sides."""
+    n = C.algebra.group.n
+    duals = [P.cardinality() ** 2 > P.ring.size**n for P in C.components]
     sides = code_dual(C).components if any(duals) else C.components
-    return [
-        tuple(zip(repeat(j), w))
-        for j, (P, Pd, dual) in enumerate(zip(C.components, sides, duals))
-        for w in enumerate_codewords(Pd if dual else P, cap)
-    ]
+    return [Pd if dual else P for P, Pd, dual in zip(C.components, sides, duals)]
+
+
+def _tagged_words(j: int, P, cap: int) -> list:
+    """The words of the span of P, each coordinate x tagged as (j, x)."""
+    return [tuple(zip(repeat(j), w)) for w in enumerate_codewords(P, cap)]
+
+
+def _search(pairs, words):
+    """The lex-least permutation carrying P onto Q for every pair (P, Q) of
+    component forms, or None when there is none.
+
+    Equal pairs take the identity, the least permutation, and read no
+    words.  Otherwise ``words`` holds, pair by pair, the tagged words of the
+    sides (``_smaller_sides``) of P and of Q.  A column or prefix has the
+    same multiset in both lists exactly when it has in each component, so
+    the search over all the pairs' words returns the lex-least permutation
+    for all of them.  Whatever is returned is checked by ``_carries``."""
+    n = pairs[0][0].ncols
+    if all(P == Q for P, Q in pairs):
+        perm = identity_permutation(n)
+    else:
+        perm = _search_lex_least(*(list(chain.from_iterable(side)) for side in zip(*words)), n)
+        if perm is None:
+            return None
+    if not _carries(pairs, perm):
+        raise AssertionError("backtracking returned a permutation that does not verify")
+    return perm
 
 
 def find_permutation(C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> EquivalenceResult:
     """Search for a coordinate permutation with C2 = C1 * P.
 
     The weight enumerators are compared first; for C1 == C2 the answer is
-    the identity, which is the least permutation and maps C1 onto itself,
-    so no codeword is built.  Otherwise the search reads the component
-    words of both codes (``_component_words``), each component walked once.
-    A permutation maps C1 onto C2 exactly when it maps each component onto
-    its partner, and a column or prefix has the same multiset in both codes
-    exactly when it has in each component, so the search over the tagged
-    component words returns the lex-least permutation of the whole codes.
-    A permutation preserves the inner product, and over a Frobenius ring
-    (X^perp)^perp = X, so it maps C1_j onto C2_j exactly when it maps
-    C1_j^perp onto C2_j^perp: each component is read from the smaller of
-    C1_j and C1_j^perp, and from the same side of C2_j.  Components of
-    different sizes have no permutation between them.
+    the identity, and no codeword is built.  Otherwise ``_search`` reads the
+    tagged words of the smaller side of each component of C1, then of C2,
+    each walked once: sum_j |C_j| words, not the prod_j |C_j| of a code.
+    Components of different sizes have no permutation between them.
     """
     _same_algebra(C1, C2)
     n = C1.algebra.group.n
@@ -187,21 +207,18 @@ def find_permutation(C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_
         return EquivalenceResult(
             STATUS_NOT_EQUIVALENT, None, d1, d2, "weight enumerators differ"
         )
-    if C1 == C2:
-        perm = identity_permutation(n)
-    else:
-        pairs = list(zip(C1.components, C2.components))
-        perm = None
-        if all(P.cardinality() == Q.cardinality() for P, Q in pairs):
-            duals = [P.cardinality() ** 2 > P.ring.size**n for P, _ in pairs]
-            words1, words2 = (_component_words(X, duals, max_enum) for X in (C1, C2))
-            perm = _search_lex_least(words1, words2, n)
-        if perm is None:
-            return EquivalenceResult(
-                STATUS_NOT_EQUIVALENT, None, d1, d2, "backtracking exhausted all assignments"
-            )
-    if not verify_permutation(C1, C2, perm):
-        raise AssertionError("backtracking returned a permutation that does not verify")
+    pairs = list(zip(C1.components, C2.components))
+    perm = None
+    if all(P.cardinality() == Q.cardinality() for P, Q in pairs):
+        words = []
+        if C1 != C2:
+            w1, w2 = ([_tagged_words(j, P, max_enum) for j, P in enumerate(_smaller_sides(X))] for X in (C1, C2))
+            words = list(zip(w1, w2))
+        perm = _search(pairs, words)
+    if perm is None:
+        return EquivalenceResult(
+            STATUS_NOT_EQUIVALENT, None, d1, d2, "backtracking exhausted all assignments"
+        )
     return EquivalenceResult(STATUS_FOUND, perm, d1, d2, "")
 
 
@@ -215,32 +232,34 @@ def check_dual_equivalence(
 
     Permutations are searched per CRT component and once over the whole
     product ring; the block note records both outcomes, since component
-    permutations need not assemble into a single common one.  Each search
-    walks one side of each component of each code at most once, so a check
-    walks at most 4s spans; over a chain ring the one component search is
-    the common search.  D^perp is iota(C), checked by ``_lcp_distances``,
-    so d(D^perp) = d(C).  A caller that has already checked the pair passes
-    ``_assume_lcp=True``.
+    permutations need not assemble into a single common one.  D^perp is
+    iota(C), checked by ``_lcp_distances``, so d(D^perp) = d(C), and
+    iota(C)_j has the size of C_j.  When iota(C) != C, the smaller side of
+    each component of iota(C) and of C is walked once, a component equal on
+    both walked once for both, so a check walks at most 2s spans; every
+    search (``_search``) reads those tagged words.  Over a chain ring the
+    one component search is the common search.  A caller that has already
+    checked the pair passes ``_assume_lcp=True``.
     """
     if not _assume_lcp and not lcp_check(C, D).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
-    # the weights are cached on C and Dd, so the searches reuse them
     Dd, d = _lcp_distances(C, D, max_enum)
-    # a chain-ring code is its own part, and keeps its cached weights
-    parts = [find_permutation(Ddj, Cj, max_enum) for Cj, Ddj in zip(C.crt_project(), Dd.crt_project())]
-    full = parts[0] if C.algebra.ring.s == 1 else find_permutation(Dd, C, max_enum)
+    n = C.algebra.group.n
+    if n > SEARCH_LENGTH_LIMIT:
+        raise ValidationError(f"permutation search supports n <= {SEARCH_LENGTH_LIMIT}")
+    pairs = list(zip(Dd.components, C.components))
+    words = []  # per component, the tagged words of the sides of Dd_j and C_j
+    if Dd != C:
+        for j, (X, Y) in enumerate(zip(_smaller_sides(Dd), _smaller_sides(C))):
+            wy = _tagged_words(j, Y, max_enum)
+            words.append((wy if X == Y else _tagged_words(j, X, max_enum), wy))
+    parts = [_search(pairs[j : j + 1], words[j : j + 1]) for j in range(len(pairs))]
+    full = parts[0] if len(pairs) == 1 else _search(pairs, words)
 
-    def note(label, res):
-        if res.status == STATUS_FOUND:
-            return f"{label}: found {list(res.permutation)}"
-        return f"{label}: {res.status}"
+    def note(label, perm):
+        return f"{label}: {STATUS_NOT_EQUIVALENT}" if perm is None else f"{label}: found {list(perm)}"
 
-    notes = [note(f"component {j}", res) for j, res in enumerate(parts)]
+    notes = [note(f"component {j}", perm) for j, perm in enumerate(parts)]
     notes.append(note("common permutation", full))
-    return EquivalenceResult(
-        status=full.status,
-        permutation=full.permutation,
-        d_c=d,
-        d_d_dual=d,
-        block_note="; ".join(notes),
-    )
+    status = STATUS_NOT_EQUIVALENT if full is None else STATUS_FOUND
+    return EquivalenceResult(status, full, d, d, "; ".join(notes))
