@@ -96,10 +96,6 @@ class GroupAlgebra:
         R = self.ring
         return tuple(R.sub(x, y) for x, y in zip(a, b))
 
-    def neg(self, a):
-        R = self.ring
-        return tuple(R.neg(x) for x in a)
-
     def scale(self, c, a):
         self._arity(a)
         R = self.ring

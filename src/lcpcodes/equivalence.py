@@ -6,7 +6,8 @@ frequency signatures, and finally backtracks over signature-respecting
 assignments in increasing order, so a found permutation is always the
 lexicographically least valid one.  For an LCP pair (C, D) the dual-distance
 report gives d(C) = d(D^perp), since D^perp = iota(C), and looks for both
-per-component and whole-ring permutations carrying D^perp onto C.
+per-component and whole-ring permutations carrying D^perp onto C: at most
+s walks, no kernel, and iota: g -> g^-1 itself, unsearched, above n = 16.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from operator import itemgetter
 
 from .codes import GroupCode, _lcp_distances, _same_algebra, code_dual, lcp_check, min_distance, weight_enumerator
 from .errors import CapExceededError, NotLcpError, ValidationError
+from .groups import _permuter
 from .linalg import DEFAULT_ENUM_CAP, enumerate_codewords, membership
 
 __all__ = [
@@ -96,7 +98,8 @@ def _search_lex_least(words1, words2, n):
     w[:k], w[k]) -> id of w[:k+1], so each DFS level maps words2's ids one
     step further and compares counts of ids; a prefix words1 never has maps
     to None, and the counts then differ.  The counts are compared as plain
-    dicts, whose equality runs in C.
+    dicts, whose equality runs in C.  At the last column the prefixes are
+    whole words, so a full assignment maps words1 onto words2 as multisets.
     """
     if len(words1) != len(words2):
         return None
@@ -112,7 +115,6 @@ def _search_lex_least(words1, words2, n):
         ids = [step.setdefault((i, w[k]), len(step)) for i, w in zip(ids, words1)]
         steps.append(step)
         proj1.append(dict(Counter(ids)))
-    set2 = set(words2)
     perm = [0] * n
     used = [False] * n
     ids2 = [[0] * len(words2)] + [None] * n  # ids2[k]: words2's prefix ids under perm[:k]
@@ -122,7 +124,7 @@ def _search_lex_least(words1, words2, n):
     pos = [0] * (n + 1)
     k = 0
     while k >= 0:
-        if k == n and all(apply_permutation(perm, w) in set2 for w in words1):
+        if k == n:
             return tuple(perm)
         cands = candidates[k] if k < n else ()
         while pos[k] < len(cands):
@@ -166,11 +168,12 @@ def _search(pairs, words):
     component forms, or None when there is none.
 
     Equal pairs take the identity, the least permutation, and read no
-    words.  Otherwise ``words`` holds, pair by pair, the tagged words of the
-    sides (``_smaller_sides``) of P and of Q.  A column or prefix has the
-    same multiset in both lists exactly when it has in each component, so
-    the search over all the pairs' words returns the lex-least permutation
-    for all of them.  Whatever is returned is checked by ``_carries``."""
+    words.  Otherwise ``words`` holds, pair by pair, the tagged words of
+    P's side and of Q's: P and Q, or P^perp and Q^perp.  A column or prefix
+    has the same multiset in both lists exactly when it has in each
+    component, so the search over all the pairs' words returns the
+    lex-least permutation for all of them.  Whatever is returned is checked
+    by ``_carries``."""
     n = pairs[0][0].ncols
     if all(P == Q for P, Q in pairs):
         perm = identity_permutation(n)
@@ -230,36 +233,40 @@ def check_dual_equivalence(
 ) -> EquivalenceResult:
     """For an LCP pair: compare d(C) with d(D^perp) and search permutations.
 
-    Permutations are searched per CRT component and once over the whole
-    product ring; the block note records both outcomes, since component
-    permutations need not assemble into a single common one.  D^perp is
-    iota(C), checked by ``_lcp_distances``, so d(D^perp) = d(C), and
-    iota(C)_j has the size of C_j.  When iota(C) != C, the smaller side of
-    each component of iota(C) and of C is walked once, a component equal on
-    both walked once for both, so a check walks at most 2s spans; every
-    search (``_search``) reads those tagged words.  Over a chain ring the
-    one component search is the common search.  A caller that has already
-    checked the pair passes ``_assume_lcp=True``.
+    D^perp = iota(C), checked by ``_lcp_distances``, so d(D^perp) = d(C)
+    and iota carries D^perp onto C: a search that finds no permutation is a
+    fault.  Permutations are searched per CRT component and once over the
+    whole ring, and the block note records both.  When iota(C) != C, each
+    component walks C_j, or D_j when that is smaller, and the other side is
+    the same words moved by iota: iota(C_j), or iota(D_j) = C_j^perp, onto
+    which D_j = iota(C_j)^perp is carried (``_smaller_sides``).  So a check
+    walks at most s spans and takes no kernel.  Past SEARCH_LENGTH_LIMIT
+    iota itself is reported, checked by ``_carries``, and no search runs.
+    A caller that has already checked the pair passes ``_assume_lcp=True``.
     """
     if not _assume_lcp and not lcp_check(C, D).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
     Dd, d = _lcp_distances(C, D, max_enum)
-    n = C.algebra.group.n
-    if n > SEARCH_LENGTH_LIMIT:
-        raise ValidationError(f"permutation search supports n <= {SEARCH_LENGTH_LIMIT}")
+    group = C.algebra.group
+    n = group.n
     pairs = list(zip(Dd.components, C.components))
+    if n > SEARCH_LENGTH_LIMIT:
+        if not _carries(pairs, group.inv):
+            raise AssertionError("g -> g^-1 does not carry D^perp onto C")
+        note = f"witness g -> g^-1; no search run, n > {SEARCH_LENGTH_LIMIT}"
+        return EquivalenceResult(STATUS_FOUND, group.inv, d, d, note)
     words = []  # per component, the tagged words of the sides of Dd_j and C_j
     if Dd != C:
-        for j, (X, Y) in enumerate(zip(_smaller_sides(Dd), _smaller_sides(C))):
-            wy = _tagged_words(j, Y, max_enum)
-            words.append((wy if X == Y else _tagged_words(j, X, max_enum), wy))
+        move = _permuter(group.inv)
+        for j, (P, Q) in enumerate(zip(C.components, D.components)):
+            dual = P.cardinality() ** 2 > P.ring.size**n
+            walked = _tagged_words(j, Q if dual else P, max_enum)
+            moved = list(map(move, walked))
+            words.append((walked, moved) if dual else (moved, walked))
     parts = [_search(pairs[j : j + 1], words[j : j + 1]) for j in range(len(pairs))]
     full = parts[0] if len(pairs) == 1 else _search(pairs, words)
-
-    def note(label, perm):
-        return f"{label}: {STATUS_NOT_EQUIVALENT}" if perm is None else f"{label}: found {list(perm)}"
-
-    notes = [note(f"component {j}", perm) for j, perm in enumerate(parts)]
-    notes.append(note("common permutation", full))
-    status = STATUS_NOT_EQUIVALENT if full is None else STATUS_FOUND
-    return EquivalenceResult(status, full, d, d, "; ".join(notes))
+    if full is None or None in parts:
+        raise AssertionError("no permutation carries D^perp = iota(C) onto C")
+    notes = [f"component {j}: found {list(perm)}" for j, perm in enumerate(parts)]
+    notes.append(f"common permutation: found {list(full)}")
+    return EquivalenceResult(STATUS_FOUND, full, d, d, "; ".join(notes))

@@ -193,9 +193,6 @@ class FiniteGroup:
     def op(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def inverse(self, i: int) -> int:
-        return self.inv[i]
-
     def is_abelian(self) -> bool:
         """Whether the table equals its transpose."""
         return self.table == self.columns

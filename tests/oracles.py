@@ -295,20 +295,26 @@ def dual_equivalence_reference(C, D, max_enum=1 << 20):
     ``tallied_weights``, then every component and the whole ring searched on
     their own by ``listed_permutation_search``, over word lists from the
     recursion; no listing or search of the library takes part.  The errors
-    come in the library's order: a cap on a distance, then the length limit
-    of the search."""
+    come in the library's order: a cap on a distance first.  Past the
+    search's length limit the report is the witness g -> g^-1, checked on
+    the two word lists."""
     from lcpcodes.codes import code_dual, lcp_check
     from lcpcodes.equivalence import SEARCH_LENGTH_LIMIT, STATUS_FOUND, EquivalenceResult
-    from lcpcodes.errors import ValidationError
 
     if not lcp_check(C, D).is_lcp:
         raise ValueError("not an LCP pair")
     Dd = code_dual(D)
-    n = C.algebra.group.n
+    group = C.algebra.group
+    n = group.n
     weights = [tallied_weights(X, max_enum) for X in (C, Dd)]
     d_c, d_dd = (next((w for w in range(1, n + 1) if counts[w]), n + 1) for counts in weights)
     if n > SEARCH_LENGTH_LIMIT:
-        raise ValidationError(f"permutation search supports n <= {SEARCH_LENGTH_LIMIT}")
+        iota = group.inv
+        moved = {tuple(w[iota[i]] for i in range(n)) for w in recursive_code_words(Dd)}
+        if moved != set(recursive_code_words(C)):
+            raise AssertionError("g -> g^-1 does not carry D^perp onto C")
+        note = f"witness g -> g^-1; no search run, n > {SEARCH_LENGTH_LIMIT}"
+        return EquivalenceResult(STATUS_FOUND, iota, d_c, d_dd, note)
     notes = []
     for j, (Cj, Ddj) in enumerate(zip(C.crt_project(), Dd.crt_project())):
         res = listed_permutation_search(Ddj, Cj, max_enum)

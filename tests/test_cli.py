@@ -882,6 +882,38 @@ def test_malformed_flag_exit_two(cfg_path, argv, word):
     assert proc.stderr.count("\n") == 1 and word in proc.stderr
 
 
+F4_CYCLIC_3 = {"ring": [{"p": 2, "r": 2}], "group": {"family": "cyclic", "n": 3}}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, word",
+    [
+        ({"ring": 6, "group": {"table": 5}}, ["info"], "group table path 5 must be a string"),
+        ({"ring": 6, "group": {"family": "cyclic"}}, ["info"], "needs an integer 'n'"),
+        (dict(F4_CYCLIC_3, codes={"C": [[[0, [[1, 0, 1]]]]]}), ["info"], "too long"),
+        (dict(F4_CYCLIC_3, codes={"C": [[[0, [[True]]]]]}), ["info"], "must list integers"),
+        (dict(F4_CYCLIC_3, codes={"C": [[[0, ["x"]]]]}), ["info"], "bad coefficient part 'x'"),
+        (dict(RUNNING_CONFIG, codes={"C": [5]}), ["info"], "bad element literal 5"),
+        ([], ["info"], "config must be an object"),
+        (dict(RUNNING_CONFIG, codes=[]), ["info"], "'codes' must map code names"),
+        (dict(RUNNING_CONFIG, seed=-1), ["info"], "seed -1 must be an integer"),
+        (RUNNING_CONFIG, ["dsm", "C", "D", "[[0,"], "message is not a JSON element literal"),
+        (RUNNING_CONFIG, ["--max-enum", "-1", "info"], "--max-enum -1 must be non-negative"),
+    ],
+    ids=["table-path-int", "cyclic-no-n", "part-too-long", "part-bool", "part-string",
+         "element-int", "config-list", "codes-empty-list", "seed-negative", "dsm-message",
+         "max-enum-negative"],
+)
+def test_malformed_input_exits_two_in_process(capsys, tmp_path, doc, argv, word):
+    """Each malformed input is refused by its own check, here in this
+    process: exit 2, no report, and one error line naming the fault."""
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(path), *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and word in err
+
+
 def test_flag_bounds_are_inclusive(capsys, cfg_path):
     code, report, _ = run_json(capsys, "--config", cfg_path, "--json", "--seed", str(2**64 - 1), *DSM_ARGS)
     assert code == 0 and report["seed"] == 2**64 - 1

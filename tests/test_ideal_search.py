@@ -41,7 +41,13 @@ from lcpcodes.codes import (
     min_distance,
     weight_enumerator,
 )
-from lcpcodes.equivalence import _search_lex_least, check_dual_equivalence, find_permutation, verify_permutation
+from lcpcodes.equivalence import (
+    STATUS_FOUND,
+    _search_lex_least,
+    check_dual_equivalence,
+    find_permutation,
+    verify_permutation,
+)
 from lcpcodes.errors import CapExceededError, NotLcpError, ValidationError
 from lcpcodes.groups import cyclic, direct_product
 from lcpcodes.rings import ChainRing, ProductRing
@@ -180,10 +186,11 @@ def test_involute_maps_every_codeword_through_the_inverses(searched):
 
 
 def test_involute_shares_the_weight_enumerator(searched):
-    """g -> g^-1 permutes coordinates, so C and iota(C) have one weight
-    enumerator: computed from C first or from iota(C) first, both equal the
-    brute-force tallies, also for the CRT parts.  The cap still holds for
-    the code that was not walked: |iota(C)| = |C|."""
+    """g -> g^-1 permutes coordinates, so C and iota(C) have equal weight
+    enumerators.  Each code takes its own from its own walk: computed from C
+    first or from iota(C) first, both equal the brute-force tallies, also
+    for the CRT parts.  The cap still holds on an enumerator already
+    cached: |iota(C)| = |C|."""
     _, algebra, ideals, _ = searched
     for ideal in ideals:
         for c_first in (True, False):
@@ -191,6 +198,7 @@ def test_involute_shares_the_weight_enumerator(searched):
             iC = code_involute(C)
             pair = (C, iC) if c_first else (iC, C)  # walked in this order
             assert [weight_enumerator(X) for X in pair] == [tallied_weights(X) for X in pair]
+            assert weight_enumerator(C) == weight_enumerator(iC)
             for X in pair:
                 parts = X.crt_project()
                 assert [weight_enumerator(Y) for Y in parts] == [tallied_weights(Y) for Y in parts]
@@ -201,8 +209,9 @@ def test_involute_shares_the_weight_enumerator(searched):
 
 def test_check_dual_equivalence_walks_each_component_of_c_once(monkeypatch):
     """Over Z6[C4], for each LCP pair (C, iota(C)^perp) as search-lcp forms
-    it, C's components are walked once: D^perp = iota(C) shares C's weights,
-    and the CRT parts of both take theirs from that walk."""
+    it, the distances take one weight walk of each component of C and no
+    other: d(D^perp) = d(C), since D^perp = iota(C), so neither iota(C) nor
+    a CRT part is walked for its weights."""
     A = GroupAlgebra(ProductRing.from_modulus(6), cyclic(4))
     walked = []
     real = codes._nonzero_flags
@@ -312,10 +321,11 @@ def test_dsm_splitter_needs_one_algebra():
 def test_check_dual_equivalence_lists_each_component_once(monkeypatch):
     """Over F4 x F3, g -> g^-1 moves ideals of F4[C3], so D^perp = iota(C)
     differs from C and the searches need words.  The component searches and
-    the common search read one walk of each component of each side, and a
-    component equal on both sides is walked once for both, so no form is
-    walked twice and a check walks at most 2s forms; the report is the one
-    built the long way."""
+    the common search read one walk per component, of C_j or of D_j,
+    whichever is smaller, and the same words moved by g -> g^-1 for the
+    other side.  So a check walks at most s forms, each a component of C or
+    of D and none twice, and takes no kernel once D = iota(C)^perp is
+    built; the report is the one built the long way."""
     A = GroupAlgebra(ProductRing([ChainRing(2, 1, 2), ChainRing(3)]), cyclic(3))
     searched_pairs = 0
     for C in enumerate_ideals(A):
@@ -325,8 +335,11 @@ def test_check_dual_equivalence_lists_each_component_once(monkeypatch):
             continue
         with monkeypatch.context() as m:
             walks = count_calls(m, linalg.enumerate_codewords)
+            kernels = count_calls(m, linalg.kernel)
             got = check_dual_equivalence(C, D)
-        assert len(walks) <= 2 * A.ring.s
+        assert len(walks) <= A.ring.s and kernels == []
+        forms = {P.key() for P in C.components + D.components}
+        assert all(P.key() in forms for P in walks)
         assert max(Counter(P.key() for P in walks).values(), default=0) <= 1
         assert got == dual_equivalence_reference(C, D)
         searched_pairs += C != Dd
@@ -385,8 +398,9 @@ def outcome(fn, *args, **kwargs):
 
 
 def test_check_dual_equivalence_errors_match_reference():
-    """Cap errors and the length limit surface as before: over Z6[C3] with a
-    cap of 2 words, and at length 17, past the permutation search's limit."""
+    """Cap errors surface as before: over Z6[C3] with a cap of 2 words, and
+    at length 17.  Past the permutation search's limit a pair within the cap
+    reports g -> g^-1 as found, with no search."""
     A = GroupAlgebra(ProductRing.from_modulus(6), cyclic(3))
     ideals = enumerate_ideals(A)
     for i, j in full_scan_lcp_pairs(ideals):
@@ -400,7 +414,11 @@ def test_check_dual_equivalence_errors_match_reference():
     for C, D, cap in ((small, big, 1 << 20), (big, small, 4)):
         got = outcome(check_dual_equivalence, C, D, max_enum=cap)
         assert got == outcome(dual_equivalence_reference, C, D, max_enum=cap)
-        assert got[0] is (ValidationError if cap > 4 else CapExceededError)
+        if cap > 4:
+            assert got.status == STATUS_FOUND and got.permutation == A17.group.inv
+            assert "no search run" in got.block_note
+        else:
+            assert got[0] is CapExceededError
 
 
 TINY = {

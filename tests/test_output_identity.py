@@ -3,7 +3,9 @@
 The runs are every job that ``perfbench/gen.py::build`` makes for the
 ``reduce``, ``enumerate`` and ``search`` workloads at seeds 1 and 7, each
 with and without ``--json``, plus ``search-lcp`` (``--json``) on the four
-2^12-element algebras and ``lcp`` on the F2[C15] Hamming pair.  Each run
+2^12-element algebras and ``lcp`` on the F2[C15] Hamming pair, the F2[C17]
+pair and the F2[C23] Golay pair (both past the search's length limit, so
+g -> g^-1 is the reported witness).  Each run
 goes through ``cli.main`` in this process and is hashed as the sha256 of
 its stdout, stderr and exit code; ``output_manifest.json`` holds the
 digests.  A change meant to alter a report needs a new manifest, written by
@@ -31,24 +33,34 @@ WORKLOADS = ("reduce", "enumerate", "search")
 SEEDS = (1, 7)
 MODES = (("json", ["--json"]), ("text", []))
 BIG_SEARCH = [("F2", "cyclic", 12), ("F2", "dihedral", 6), ("Z4", "cyclic", 6), ("F4", "cyclic", 6)]
-# C = <1 + x + x^4>, the cyclic Hamming [15, 11] code, and D = iota(C)^perp,
-# generated by its first pivot row
-F2_C15_PAIR = {
-    "ring": 2,
-    "group": {"family": "cyclic", "n": 15},
-    "codes": {
-        "C": [[[0, 1], [1, 1], [4, 1]]],
-        "D": [[[i, 1] for i in (0, 4, 5, 6, 7, 9, 11, 12)]],
-    },
-    "seed": 0,
+
+
+def pair_config(n, c, d):
+    """F2[C_n] with C and D each generated by the sum of the group elements
+    indexed in c and d."""
+    return {
+        "ring": 2,
+        "group": {"family": "cyclic", "n": n},
+        "codes": {"C": [[[i, 1] for i in c]], "D": [[[i, 1] for i in d]]},
+        "seed": 0,
+    }
+
+
+# LCP pairs (C, D = iota(C)^perp), each D generated by its first pivot row:
+# {name: (label, config)}
+LCP_PAIRS = {
+    "F2[C15]": ("lcp F2[C15] Hamming pair", pair_config(15, (0, 1, 4), (0, 4, 5, 6, 7, 9, 11, 12))),
+    "F2[C17]": ("lcp F2[C17] <1 + x>, <sum of G>", pair_config(17, (0, 1), range(17))),
+    "F2[C23]": ("lcp F2[C23] Golay pair", pair_config(23, (0, 2, 4, 5, 6, 10, 11), (0, 11, 13, 16, 19, 20, 21, 22))),
 }
 
 
-def load_gen():
-    """``perfbench/gen.py``, which imports its sibling ``polys`` by name."""
+def load_perfbench(stem):
+    """``perfbench/<stem>.py``, which may import its siblings (``gen`` and
+    ``polys``) by name."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+        spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", ROOT / "perfbench" / f"{stem}.py")
         module = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = module  # dataclasses look their module up here
         spec.loader.exec_module(module)
@@ -80,7 +92,8 @@ def job_sets(gen, directory):
     for ring, family, n in BIG_SEARCH:
         gen._search_job(b, gen.RINGS[ring], family, n)
     where = directory / "extra"
-    gen.write_configs(dict(b.configs, **{"pair.json": F2_C15_PAIR}), str(where))
+    pairs = {f"{name}.json": doc for name, (_, doc) in LCP_PAIRS.items()}
+    gen.write_configs(dict(b.configs, **pairs), str(where))
     extra = [
         (
             f"extra:{job['label']}:json",
@@ -90,9 +103,10 @@ def job_sets(gen, directory):
         )
         for job in b.jobs
     ]
-    for mode, flag in MODES:
-        argv = ["--config", str(where / "pair.json")] + flag + ["lcp", "C", "D"]
-        extra.append((f"extra:lcp F2[C15]:{mode}", "lcp F2[C15] Hamming pair", argv, F2_C15_PAIR))
+    for name, (label, doc) in LCP_PAIRS.items():
+        for mode, flag in MODES:
+            argv = ["--config", str(where / f"{name}.json")] + flag + ["lcp", "C", "D"]
+            extra.append((f"extra:lcp {name}:{mode}", label, argv, doc))
     sets["extra"] = extra
     return sets
 
@@ -107,7 +121,7 @@ def digest(argv) -> str:
 
 @pytest.fixture(scope="module")
 def sets(tmp_path_factory):
-    return job_sets(load_gen(), tmp_path_factory.mktemp("jobs"))
+    return job_sets(load_perfbench("gen"), tmp_path_factory.mktemp("jobs"))
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +155,7 @@ if __name__ == "__main__":  # write the manifest
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_output_identity.py --write")
     with tempfile.TemporaryDirectory() as tmp:
-        all_runs = [run for runs in job_sets(load_gen(), pathlib.Path(tmp)).values() for run in runs]
+        all_runs = [run for runs in job_sets(load_perfbench("gen"), pathlib.Path(tmp)).values() for run in runs]
         digests = {key: digest(argv) for key, _, argv, _ in all_runs}
     MANIFEST.write_text(json.dumps(digests, indent=0, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(digests)} digests written to {MANIFEST}")
