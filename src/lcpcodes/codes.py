@@ -10,8 +10,11 @@ gcd path), and its ideals are the <g> for the divisors g of x^n - 1.
 Every other component, every intersection, two-sidedness check and split,
 and any form that carries no generator polynomial (``PivotForm.poly``),
 goes to the Howell engine of ``linalg``.  Both give the same canonical
-forms.  Duality uses the standard coordinatewise bilinear form on the
-coefficient vectors.
+forms.  ``enumerate_ideals`` lists a component's ideals by one of three
+routes: the divisors on the gcd path; on any other separable component
+(p not dividing |G|) one closure per combination of its block idempotents;
+on a modular one a walk of its elements.  Duality uses the standard
+coordinatewise bilinear form on the coefficient vectors.
 ``lcp_check`` decides a pair from code sizes alone and lists no codeword;
 ``security_parameter`` adds the distances of an LCP pair.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 
 from .algebra import GroupAlgebra, component_rows, from_component_rows
@@ -41,7 +45,7 @@ from .linalg import (
     pivot_reduce,
 )
 from .polycodes import closure, divisors, dual_poly, generator_form, reciprocal
-from .rings import _fp_gcd
+from .rings import ChainRing, ProductRing, _fp_gcd
 
 __all__ = [
     "GroupCode",
@@ -513,13 +517,18 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
 
     Every ideal is the Chinese product of one ideal of each chain-ring
     algebra R_j[G], so the components are enumerated on their own and
-    combined.  A component on the gcd path (``_gcd_path``) lists its ideals
-    as the <g> for the monic divisors g of x^n - 1 (``polycodes.divisors``),
-    with no walk and no closure.  Every other component visits its |R_j|^n
-    elements, so the walks cost sum_j |R_j|^n, not prod_j.  Within such an
-    R_j[G] every ideal is a sum of principal ideals, and <a> = <u g a h> for
-    every unit u of R_j and all g, h in G, so one closure is taken per orbit
-    of that action.  The orbit of a is marked as the unit multiples of the
+    combined, by one of three routes (``_chain_ideals``).  A component on
+    the gcd path (``_gcd_path``) lists its ideals as the <g> for the monic
+    divisors g of x^n - 1 (``polycodes.divisors``), with no walk and no
+    closure.  Any other separable component (``_separable``: p does not
+    divide |G|) is the product of its b blocks R_j[G] e_i, and lists its
+    (e + 1)^b ideals as the closures of sum_i gamma^(a_i) e_i over its
+    primitive central idempotents e_i (``_block_idempotents``), with no walk
+    and no sum.  Every modular component visits its |R_j|^n elements, so
+    the walks cost the sum of |R_j|^n over those components, not the
+    product.  Within such an R_j[G] every ideal is a sum of principal
+    ideals, and <a> = <u g a h> for every unit u of R_j and all g, h in G,
+    so one closure is taken per orbit of that action.  The orbit of a is marked as the unit multiples of the
     left translates of its conjugates, since g a h = (g h) (h^-1 a h), through
     the group's kept index maps.  The principal ideals are then closed under
     sums by a worklist: each ideal is summed only with the ideals found
@@ -529,7 +538,8 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
     the larger when its generators are members (a principal ideal is
     generated by its orbit representative, a sum by the union of its parts'
     generators).  Skipping those sums leaves the ideals found, and the order
-    in which they are found, unchanged.
+    in which they are found, unchanged.  The cap on |R[G]| is checked
+    before any route runs, so it bounds all three.
     """
     if algebra.size > max_size:
         raise CapExceededError(
@@ -544,8 +554,12 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
 
 
 def _chain_ideals(algebra: GroupAlgebra) -> list:
-    """Every two-sided ideal of a chain-ring algebra, in discovery order
-    (on the gcd path, the <g> in the order of ``divisors``)."""
+    """Every two-sided ideal of a chain-ring algebra, in discovery order,
+    by one of three routes: on the gcd path (``_gcd_path``) the <g> in the
+    order of ``divisors``; on a separable component (``_separable``) the
+    ideals R[G] * sum_i gamma^(a_i) e_i over the block idempotents e_i
+    (``_block_idempotents``), one closure per exponent vector a in
+    {0..e}^b; on a modular one the walk of ``enumerate_ideals``."""
     cr = algebra.ring.components[0]
     group = algebra.group
     if _gcd_path(algebra, cr):
@@ -553,6 +567,12 @@ def _chain_ideals(algebra: GroupAlgebra) -> list:
             GroupCode.from_components(algebra, [generator_form(cr, group.n, g)])
             for g in divisors(group.n, cr.p)
         ]
+    if _separable(algebra, cr):
+        gens = [algebra.zero()]
+        for x in _block_idempotents(algebra):
+            layer = [algebra.scale((cr.gamma_power(a),), x) for a in range(cr.e + 1)]
+            gens = [algebra.add(z, y) for z in gens for y in layer]
+        return [GroupCode.from_generators(algebra, (z,), _canonical=True) for z in gens]
     conjs, shifts = group.conjugations, group.left_translations
     scalings = [
         {a: (cr.mul(u, a[0]),) for a in algebra.ring.elements()}.__getitem__
@@ -590,3 +610,103 @@ def _within(rows, X: GroupCode) -> bool:
     """Whether the ideal generated by the engine rows lies in the chain-ring ideal X."""
     P = X.components[0]
     return all(membership(v, P, _engine_rows=True) for v in rows)
+
+
+def _separable(algebra: GroupAlgebra, ring) -> bool:
+    """Whether the algebra's component over ``ring`` is separable, p not
+    dividing |G|: then R_j[G] is the direct product of its blocks
+    R_j[G] e_i, each a matrix ring over a Galois ring, whose two-sided
+    ideals are the gamma^a R_j[G] e_i (Maschke's theorem over the residue
+    field, and idempotent lifting; Lam, A First Course in Noncommutative
+    Rings, sections 21-22)."""
+    return algebra.group.n % ring.p != 0
+
+
+def _block_idempotents(algebra: GroupAlgebra) -> list:
+    """The primitive central idempotents e_i of a separable chain-ring
+    algebra GR(p^e, r)[G], as algebra elements.
+
+    Over the residue field F_q, z -> z^q is F_q-linear on the center, whose
+    basis is the class sums, and its fixed space is the F_q-span of the e_i
+    (over an abelian group, the span of the sums of the orbits of
+    g -> g^q; otherwise a kernel).  Their number b is the number of orbits
+    of the conjugacy classes under g -> g^q (Witt-Berman).  The split
+    starts from {1}: for v in the fixed space and an idempotent f found so
+    far, f - (v f - c f)^(q-1) is the part of f on which v takes the value
+    c in F_q, and it stops once b idempotents are found.  Each lifts to
+    GR(p^e, r) by ceil(log2 e) steps x <- 3x^2 - 2x^3, each doubling the
+    p-adic precision.  The lifts are checked central, orthogonal and summing
+    to 1, which makes each idempotent (x = x * sum_y y = x^2)."""
+    cr = algebra.ring.components[0]
+    group = algebra.group
+    n, q, t, classes = group.n, cr.q, group.table, group.classes
+    where = {g: k for k, cls in enumerate(classes) for g in cls}
+    frobenius = []  # class k -> the class of g^q, g in class k; g^n = 1
+    for cls in classes:
+        x = 0
+        for _ in range(q % n):
+            x = t[x][cls[0]]
+        frobenius.append(where[x])
+    orbits = []
+    for k in range(len(classes)):
+        if all(k not in orbit for orbit in orbits):
+            orbit = [k]
+            while frobenius[orbit[-1]] != k:
+                orbit.append(frobenius[orbit[-1]])
+            orbits.append(orbit)
+    field = cr if cr.e == 1 else ChainRing(cr.p, 1, cr.r, [c % cr.p for c in cr.modulus])
+    F = GroupAlgebra(ProductRing([field]), group)
+    zero, one, nil = F.zero(), F.ring.one, F.ring.zero
+    if group.is_abelian():  # the orbit of the identity spans the scalars, which split nothing
+        basis = [tuple(one if where[g] in orbit else nil for g in range(n)) for orbit in orbits[1:]]
+    else:
+        sums = [tuple(one if where[g] == k else nil for g in range(n)) for k in range(len(classes))]
+        images = [F.sub(_power(F, z, q), z) for z in sums]
+        rows = tuple(tuple(z[cls[0]][0] for z in images) for cls in classes)
+        fixed = kernel(RingMatrix(field, rows, len(classes)))
+        basis = [tuple((x[where[g]],) for g in range(n)) for x in fixed.rows]
+    found = [F.one()]
+    for v in basis:
+        if len(found) == len(orbits):
+            break
+        split = []
+        for f in found:
+            vf, rest = F.mul(v, f), f
+            for c in field.elements()[:-1]:  # what is left at the last c is its part
+                if rest == zero:
+                    break
+                part = F.sub(f, _power(F, F.sub(vf, F.scale((c,), f)), q - 1))
+                if part != zero:
+                    split.append(part)
+                    rest = F.sub(rest, part)
+            if rest != zero:
+                split.append(rest)
+        found = split
+    if len(found) != len(orbits):
+        raise AssertionError(f"split gave {len(found)} block idempotents, Witt-Berman counts {len(orbits)}")
+    three, two = (cr.from_int(3),), (cr.from_int(2),)
+    blocks = []
+    for x in found:  # the residues' digits, read in GR(p^e, r)
+        for _ in range((cr.e - 1).bit_length()):  # each step doubles the p-adic precision
+            x2 = algebra.mul(x, x)
+            x = algebra.sub(algebra.scale(three, x2), algebra.scale(two, algebra.mul(x2, x)))
+        if any(len({x[g] for g in cls}) > 1 for cls in classes):
+            raise AssertionError("lifted block idempotent is not central")
+        blocks.append(x)
+    if any(algebra.mul(x, y) != algebra.zero() for i, x in enumerate(blocks) for y in blocks[:i]):
+        raise AssertionError("block idempotents are not orthogonal")
+    if reduce(algebra.add, blocks) != algebra.one():
+        raise AssertionError("block idempotents do not sum to 1")
+    return blocks
+
+
+def _power(A: GroupAlgebra, x, k: int):
+    """x^k in A for k >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else A.mul(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = A.mul(x, x)

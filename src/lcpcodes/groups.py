@@ -6,8 +6,8 @@ held as tuples of ``bytes`` rows, which bounds the order by MAX_ORDER;
 ``inv[i]`` the index of the inverse of g_i, and ``generators`` a small
 generating set, chosen greedily in index order.  ``left_translations`` and
 ``conjugations`` read g a and h^-1 a h off the coefficient tuple of an
-element a of R[G]; they are built on first use and kept on the group, as is
-``cyclic_in_index_order``.
+element a of R[G]; they are built on first use and kept on the group, as
+are ``classes`` (the conjugacy classes) and ``cyclic_in_index_order``.
 Tables are validated on construction: identity, Latin-square property,
 associativity (Light's test on the generating set, at every order) and
 two-sided inverses, each with its own error type.
@@ -213,6 +213,19 @@ class FiniteGroup:
         t, cols = self.table, self.columns
         maps = {cols[i].translate(_padded(t[h])): None for h, i in enumerate(self.inv)}
         return tuple(map(_permuter, maps))
+
+    @cached_property
+    def classes(self) -> tuple:
+        """The conjugacy classes, each a tuple of indices in increasing order,
+        listed by least member (the identity's class first)."""
+        if self.is_abelian():
+            return tuple((g,) for g in range(self.n))
+        t, found = self.table, {}
+        for g in range(self.n):
+            if g not in found:
+                cls = tuple(sorted({t[t[h][g]][i] for h, i in enumerate(self.inv)}))
+                found.update(dict.fromkeys(cls, cls))
+        return tuple(dict.fromkeys(found.values()))
 
     @cached_property
     def cyclic_in_index_order(self) -> bool:

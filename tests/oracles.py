@@ -161,6 +161,54 @@ def code_word_set(code, cap=1 << 20):
     return set(code.codewords(cap))
 
 
+def conjugacy_classes(group):
+    """The conjugacy classes as frozensets: each element conjugated by every
+    element, with inverses found by searching the table for the identity."""
+    n = group.n
+    inv = [next(j for j in range(n) if group.op(h, j) == 0) for h in range(n)]
+    return {frozenset(group.op(group.op(h, g), inv[h]) for h in range(n)) for g in range(n)}
+
+
+def class_power_orbit_count(group, q):
+    """The number of orbits of the conjugacy classes under g -> g^q, with
+    g^q as q - 1 products; for p not dividing |G| it is the number of blocks
+    of F_q[G] (Witt-Berman)."""
+    classes = conjugacy_classes(group)
+    power = {}
+    for g in range(group.n):
+        x = g
+        for _ in range(q - 1):
+            x = group.op(x, g)
+        power[g] = x
+    image = {C: next(D for D in classes if power[min(C)] in D) for C in classes}
+    orbits = set()
+    for C in classes:
+        orbit, D = {C}, image[C]
+        while D != C:
+            orbit.add(D)
+            D = image[D]
+        orbits.add(frozenset(orbit))
+    return len(orbits)
+
+
+def primitive_central_idempotents(algebra):
+    """Every primitive central idempotent of a chain-ring algebra, by
+    squaring every element and commuting each idempotent with every group
+    element (``naive_product``): the central idempotents e != 0 with no
+    central idempotent f outside {0, e} and f e = f."""
+    ring, group = algebra.ring, algebra.group
+    n = group.n
+    basis = [basis_element(ring, n, g) for g in range(n)]
+    central = [
+        a
+        for a in algebra.elements()
+        if naive_product(ring, group, a, a) == a
+        and all(naive_product(ring, group, g, a) == naive_product(ring, group, a, g) for g in basis)
+    ]
+    nonzero = [e for e in central if e != zero_vec(ring, n)]
+    return {e for e in nonzero if not any(f != e and naive_product(ring, group, f, e) == f for f in nonzero)}
+
+
 # ---------------------------------------------------------------------------
 # replaced constructions, kept as references for the fast paths
 #
