@@ -341,7 +341,7 @@ def cmd_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     report["d_d_dual"] = eq.d_d_dual
     report["equivalence"] = {
         "status": eq.status,
-        "permutation": list(eq.permutation) if eq.permutation else None,
+        "permutation": list(eq.permutation),
         "block_note": eq.block_note,
     }
     return report, EXIT_OK
@@ -437,7 +437,7 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
                 "d_d_dual": eq.d_d_dual,
                 "security_parameter": min(eq.d_c, eq.d_d_dual),
                 "equivalence_status": eq.status,
-                "permutation": list(eq.permutation) if eq.permutation else None,
+                "permutation": list(eq.permutation),
             }
         )
     report = {

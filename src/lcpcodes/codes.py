@@ -12,9 +12,11 @@ and any form that carries no generator polynomial (``PivotForm.poly``),
 goes to the Howell engine of ``linalg``.  Both give the same canonical
 forms.  ``enumerate_ideals`` lists a component's ideals by one of three
 routes: the divisors on the gcd path; on any other separable component
-(p not dividing |G|) one closure per combination of its block idempotents;
-on a modular one a walk of its elements.  Duality uses the standard
-coordinatewise bilinear form on the coefficient vectors.
+(p not dividing |G|) one closure per combination of its block idempotents,
+split from the orbit sums of the classes K under K -> K^q, as (sum K)^q =
+sum K^q there (``_block_idempotents``); on a modular one a walk of its
+elements.  Duality uses the standard coordinatewise bilinear form on the
+coefficient vectors.
 ``lcp_check`` decides a pair from code sizes alone and lists no codeword;
 ``security_parameter`` adds the distances of an LCP pair.
 """
@@ -626,14 +628,17 @@ def _block_idempotents(algebra: GroupAlgebra) -> list:
     """The primitive central idempotents e_i of a separable chain-ring
     algebra GR(p^e, r)[G], as algebra elements.
 
-    Over the residue field F_q, z -> z^q is F_q-linear on the center, whose
-    basis is the class sums, and its fixed space is the F_q-span of the e_i
-    (over an abelian group, the span of the sums of the orbits of
-    g -> g^q; otherwise a kernel).  Their number b is the number of orbits
-    of the conjugacy classes under g -> g^q (Witt-Berman).  The split
-    starts from {1}: for v in the fixed space and an idempotent f found so
-    far, f - (v f - c f)^(q-1) is the part of f on which v takes the value
-    c in F_q, and it stops once b idempotents are found.  Each lifts to
+    Over the residue field F_q, z -> z^q is F_q-linear on the center of
+    A = F_q[G] and fixes exactly the F_q-span of the e_i.  For each class K,
+    (sum K)^q = sum K^q, K^q = {g^q : g in K} (a class of |K| elements, as
+    gcd(q, |G|) = 1): (x + y)^p = x^p + y^p mod the commutators [A, A], and
+    Z(A) meets [A, A] in 0, as a block M_d(E) of A has d dividing |G| and so
+    no traceless scalar but 0.  So the sums of the orbits of the classes
+    under K -> K^q are a basis of that span, and their number b is the
+    number of blocks (Witt-Berman).  The split starts from {1}, the
+    identity's orbit: for each other orbit sum v and each idempotent f found
+    so far, f - (v f - c f)^(q-1) is the part of f on which v takes the
+    value c in F_q; it stops once b idempotents are found.  Each lifts to
     GR(p^e, r) by ceil(log2 e) steps x <- 3x^2 - 2x^3, each doubling the
     p-adic precision.  The lifts are checked central, orthogonal and summing
     to 1, which makes each idempotent (x = x * sum_y y = x^2)."""
@@ -657,18 +662,11 @@ def _block_idempotents(algebra: GroupAlgebra) -> list:
     field = cr if cr.e == 1 else ChainRing(cr.p, 1, cr.r, [c % cr.p for c in cr.modulus])
     F = GroupAlgebra(ProductRing([field]), group)
     zero, one, nil = F.zero(), F.ring.one, F.ring.zero
-    if group.is_abelian():  # the orbit of the identity spans the scalars, which split nothing
-        basis = [tuple(one if where[g] in orbit else nil for g in range(n)) for orbit in orbits[1:]]
-    else:
-        sums = [tuple(one if where[g] == k else nil for g in range(n)) for k in range(len(classes))]
-        images = [F.sub(_power(F, z, q), z) for z in sums]
-        rows = tuple(tuple(z[cls[0]][0] for z in images) for cls in classes)
-        fixed = kernel(RingMatrix(field, rows, len(classes)))
-        basis = [tuple((x[where[g]],) for g in range(n)) for x in fixed.rows]
     found = [F.one()]
-    for v in basis:
+    for orbit in orbits[1:]:
         if len(found) == len(orbits):
             break
+        v = tuple(one if where[g] in orbit else nil for g in range(n))
         split = []
         for f in found:
             vf, rest = F.mul(v, f), f

@@ -169,17 +169,22 @@ def conjugacy_classes(group):
     return {frozenset(group.op(group.op(h, g), inv[h]) for h in range(n)) for g in range(n)}
 
 
-def class_power_orbit_count(group, q):
-    """The number of orbits of the conjugacy classes under g -> g^q, with
-    g^q as q - 1 products; for p not dividing |G| it is the number of blocks
-    of F_q[G] (Witt-Berman)."""
-    classes = conjugacy_classes(group)
+def power_map(group, k):
+    """{g: g^k} for k >= 1, g^k as k - 1 products."""
     power = {}
     for g in range(group.n):
         x = g
-        for _ in range(q - 1):
+        for _ in range(k - 1):
             x = group.op(x, g)
         power[g] = x
+    return power
+
+
+def class_power_orbit_count(group, q):
+    """The number of orbits of the conjugacy classes under g -> g^q; for p
+    not dividing |G| it is the number of blocks of F_q[G] (Witt-Berman)."""
+    classes = conjugacy_classes(group)
+    power = power_map(group, q)
     image = {C: next(D for D in classes if power[min(C)] in D) for C in classes}
     orbits = set()
     for C in classes:
@@ -215,6 +220,34 @@ def primitive_central_idempotents(algebra):
 # Unlike the brute force above, these reduce through the library's canonical
 # pivot form, so their results compare with the library's by ``key``; what
 # they keep is the old amount of work, not independence from the engine.
+
+
+def frobenius_fixed_space(algebra):
+    """The fixed space of z -> z^q on the center of F_q[G], F_q the residue
+    field of a chain-ring algebra GR(p^e, r)[G], as the library once found
+    it for a nonabelian group: the kernel of z -> z^q - z on the class sums,
+    with z^q as q - 1 products.  Returns F_q and the pivot form of the
+    space in F_q^n, each kernel vector x written out as sum_K x_K (sum K)."""
+    from lcpcodes.algebra import GroupAlgebra
+    from lcpcodes.linalg import RingMatrix, kernel, pivot_reduce
+    from lcpcodes.rings import ChainRing, ProductRing
+
+    (cr,) = algebra.ring.components
+    field = ChainRing(cr.p, 1, cr.r, [c % cr.p for c in cr.modulus])
+    F = GroupAlgebra(ProductRing([field]), algebra.group)
+    n, classes = algebra.group.n, algebra.group.classes
+    images = []
+    for cls in classes:
+        z = tuple(F.ring.one if g in cls else F.ring.zero for g in range(n))
+        x = z
+        for _ in range(field.q - 1):
+            x = F.mul(x, z)
+        images.append(F.sub(x, z))
+    rows = tuple(tuple(z[cls[0]][0] for z in images) for cls in classes)
+    fixed = kernel(RingMatrix(field, rows, len(classes)))
+    where = {g: k for k, cls in enumerate(classes) for g in cls}
+    vectors = tuple(tuple(x[where[g]] for g in range(n)) for x in fixed.rows)
+    return field, pivot_reduce(RingMatrix(field, vectors, n))
 
 
 def translate_closure_forms(algebra, gens):

@@ -10,7 +10,8 @@ classes under g -> g^q, q = p^r (Witt-Berman).  ``codes._chain_ideals``
 lists such a component that way (``codes._separable``), with no walk of
 R_j[G] and no sum.  These tests hold that listing to the walk it replaced
 (forced by refusing the route), the idempotents to a brute-force search of
-the algebra, and the counts to the theorem.
+the algebra, their span to the kernel of z -> z^q - z on the class sums
+that the orbit sums replaced, and the counts to the theorem.
 """
 
 import json
@@ -18,14 +19,22 @@ from math import prod
 
 import pytest
 
-from lcpcodes import cli, codes
+from lcpcodes import cli, codes, linalg
 from lcpcodes.algebra import GroupAlgebra
 from lcpcodes.codes import GroupCode, code_sum, enumerate_ideals
-from lcpcodes.groups import cyclic, dihedral, direct_product, symmetric
+from lcpcodes.groups import cyclic, dihedral, direct_product, group_from_table, symmetric
+from lcpcodes.linalg import RingMatrix, pivot_reduce
 from lcpcodes.rings import ChainRing, ProductRing
 
 from counting import count_calls
-from oracles import class_power_orbit_count, primitive_central_idempotents
+from oracles import (
+    class_power_orbit_count,
+    conjugacy_classes,
+    frobenius_fixed_space,
+    naive_product,
+    power_map,
+    primitive_central_idempotents,
+)
 from test_ideal_search import SEARCH_CORPUS
 
 
@@ -152,11 +161,20 @@ def test_brute_force_covers_every_kind_of_component():
 
 def test_block_idempotents_on_a_nonabelian_group():
     """F5[S3] = F5 + F5 + M2(F5): three blocks, of dimensions 1, 1 and 4,
-    found through the kernel of z -> z^5 - z on the class sums."""
+    split from the orbit sums of its three classes, each its own orbit
+    under K -> K^5."""
     A = GroupAlgebra(chain(5), symmetric(3))
     found = codes._block_idempotents(A)
     ideals = [GroupCode.from_generators(A, (x,)) for x in found]
     assert sorted(X.cardinality() for X in ideals) == [5, 5, 5**4]
+
+
+def test_block_idempotents_take_no_kernel(monkeypatch):
+    """The fixed space of z -> z^q is read off the orbit sums, also over a
+    nonabelian group: F5[S3] makes no ``linalg.kernel`` call."""
+    kernels = count_calls(monkeypatch, linalg.kernel)
+    codes._block_idempotents(GroupAlgebra(chain(5), symmetric(3)))
+    assert kernels == []
 
 
 # Algebras whose every component is separable, for the counts; F7[S3]
@@ -206,3 +224,83 @@ def test_block_route_walks_nothing_and_sums_nothing(name, monkeypatch):
         e, b = blocks_of(A)
         assert walks == sums == []
         assert len(closures) <= (e + 1) ** b == len(ideals)
+
+
+def c7_by_c3():
+    """C7 x| C3 with b a b^-1 = a^2, a^i b^j at index i + 7j.  Its classes
+    are {1}, those of a, a^-1, b and b^-1; g -> g^5 swaps the last two
+    pairs, as 5 is not a square mod 7 and b^5 = b^-1."""
+
+    def op(x, y):
+        return (x % 7 + 2 ** (x // 7) * (y % 7)) % 7 + 7 * ((x // 7 + y // 7) % 3)
+
+    return group_from_table([[op(x, y) for y in range(21)] for x in range(21)])
+
+
+def _fixed_space_cases():
+    """{name: component}, each separable component of the algebras above
+    once, three nonabelian groups whose classes K -> K^q fixes, and one
+    whose classes it moves."""
+    seen = {}
+    for name, algebra in list(ALGEBRAS.items()) + list(THEOREM.items()):
+        for A in separable_components(algebra):
+            if A not in seen.values():
+                seen[f"{name}:{A.ring!r}"] = A
+    seen["F5[D4]"] = GroupAlgebra(chain(5), dihedral(4))
+    seen["F5[S4]"] = GroupAlgebra(chain(5), symmetric(4))
+    seen["F7[S4]"] = GroupAlgebra(chain(7), symmetric(4))
+    seen["F5[C7:C3]"] = GroupAlgebra(chain(5), c7_by_c3())
+    return seen
+
+
+FIXED = _fixed_space_cases()
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_orbit_sums_span_the_fixed_space(name):
+    """(sum K)^q = sum K^q for every class K, by q - 1 forward convolutions
+    over F_q; so the sums of the orbits of the classes under K -> K^q span
+    the kernel of z -> z^q - z on the class sums (the route they replaced),
+    and so do the residues of the block idempotents."""
+    A = FIXED[name]
+    field, fixed = frobenius_fixed_space(A)
+    group, q = A.group, field.q
+    n, power = group.n, power_map(group, q)
+
+    def indicator(elements):
+        return tuple(field.one if g in elements else field.zero for g in range(n))
+
+    classes = conjugacy_classes(group)
+    image = {K: frozenset(power[g] for g in K) for K in classes}
+    assert set(image.values()) == classes
+    for K in classes:
+        x = z = indicator(K)
+        for _ in range(q - 1):
+            x = naive_product(field, group, x, z)
+        assert x == indicator(image[K])
+    orbits = set()
+    for K in classes:
+        orbit, L = set(K), image[K]
+        while L != K:
+            orbit |= L
+            L = image[L]
+        orbits.add(frozenset(orbit))
+    assert len(orbits) == class_power_orbit_count(group, q)
+
+    def span(rows):
+        return pivot_reduce(RingMatrix(field, tuple(rows), n))
+
+    assert span(map(indicator, orbits)) == fixed
+    assert fixed.cardinality() == q ** len(orbits)
+    blocks = codes._block_idempotents(A)
+    assert span(tuple(tuple(c % field.p for c in x[g][0]) for g in range(n)) for x in blocks) == fixed
+
+
+def test_block_idempotents_where_frobenius_moves_classes():
+    """F5[C7 x| C3] has five classes in three orbits under K -> K^5, so
+    three blocks: F5, F25 and M3(F25), of 5, 5^2 and 5^18 elements."""
+    A = FIXED["F5[C7:C3]"]
+    assert len(conjugacy_classes(A.group)) == 5
+    assert class_power_orbit_count(A.group, 5) == 3
+    ideals = [GroupCode.from_generators(A, (x,)) for x in codes._block_idempotents(A)]
+    assert sorted(X.cardinality() for X in ideals) == [5, 5**2, 5**18]
