@@ -47,7 +47,7 @@ from .linalg import (
     pivot_reduce,
 )
 from .polycodes import closure, divisors, dual_poly, generator_form, reciprocal
-from .rings import ChainRing, ProductRing, _fp_gcd
+from .rings import ChainRing, ProductRing, _fp_gcd, _power
 
 __all__ = [
     "GroupCode",
@@ -518,28 +518,30 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
     """All two-sided ideals of R[G], sorted by cardinality then canonical key.
 
     Every ideal is the Chinese product of one ideal of each chain-ring
-    algebra R_j[G], so the components are enumerated on their own and
-    combined, by one of three routes (``_chain_ideals``).  A component on
-    the gcd path (``_gcd_path``) lists its ideals as the <g> for the monic
-    divisors g of x^n - 1 (``polycodes.divisors``), with no walk and no
-    closure.  Any other separable component (``_separable``: p does not
-    divide |G|) is the product of its b blocks R_j[G] e_i, and lists its
-    (e + 1)^b ideals as the closures of sum_i gamma^(a_i) e_i over its
-    primitive central idempotents e_i (``_block_idempotents``), with no walk
-    and no sum.  Every modular component visits its |R_j|^n elements, so
-    the walks cost the sum of |R_j|^n over those components, not the
-    product.  Within such an R_j[G] every ideal is a sum of principal
-    ideals, and <a> = <u g a h> for every unit u of R_j and all g, h in G,
-    so one closure is taken per orbit of that action.  The orbit of a is marked as the unit multiples of the
-    left translates of its conjugates, since g a h = (g h) (h^-1 a h), through
-    the group's kept index maps.  The principal ideals are then closed under
-    sums by a worklist: each ideal is summed only with the ideals found
-    before it, so every pair is summed once, and only when neither ideal
-    lies in the other; otherwise the sum is the larger one, which is already
-    found.  Containment is read off generators: the smaller ideal lies in
-    the larger when its generators are members (a principal ideal is
-    generated by its orbit representative, a sum by the union of its parts'
-    generators).  Skipping those sums leaves the ideals found, and the order
+    algebra R_j[G], so the components are enumerated on their own, as pivot
+    forms, and combined into one ``GroupCode`` per choice of a form in each.
+    A component lists its ideals by one of three routes (``_chain_ideals``).
+    On the gcd path (``_gcd_path``) they are the <g> for the monic divisors
+    g of x^n - 1 (``polycodes.divisors``), with no walk and no closure.  Any
+    other separable component (``_separable``: p does not divide |G|) is the
+    product of its b blocks R_j[G] e_i, and lists its (e + 1)^b ideals as
+    the closures of sum_i gamma^(a_i) e_i over its primitive central
+    idempotents e_i, those of the residue field's algebra lifted as
+    x -> x^(p^(e-1)) (``_block_idempotents``), with no walk and no sum.
+    Every modular component visits its |R_j|^n elements, so the walks cost
+    the sum of |R_j|^n over those components, not the product.  Within such
+    an R_j[G] every ideal is a sum of principal ideals, and <a> = <u g a h>
+    for every unit u of R_j and all g, h in G, so one closure is taken per
+    orbit of that action.  The orbit of a is marked as the unit multiples
+    of the left translates of its conjugates, since g a h = (g h) (h^-1 a h),
+    through the group's kept index maps.  The principal ideals are then
+    closed under sums by a worklist: each ideal is summed only with the
+    ideals found before it, so every pair is summed once, and only when
+    neither ideal lies in the other; otherwise the sum is the larger one,
+    which is already found.  Containment is read off generators: the
+    smaller ideal lies in the larger when its generators are members (a
+    principal ideal is generated by its orbit representative, a sum by the
+    union of its parts' generators).  Skipping those sums leaves the ideals found, and the order
     in which they are found, unchanged.  The cap on |R[G]| is checked
     before any route runs, so it bounds all three.
     """
@@ -548,33 +550,27 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
             f"|R[G]| = {algebra.size} exceeds the ideal-enumeration cap {max_size} (--max-ideals)"
         )
     parts = [_chain_ideals(A) for A in algebra.components]
-    ideals = [
-        GroupCode.from_components(algebra, [X.components[0] for X in combo])
-        for combo in itertools.product(*parts)
-    ]
+    ideals = [GroupCode.from_components(algebra, combo) for combo in itertools.product(*parts)]
     return sorted(ideals, key=lambda c: (c.cardinality(), c.key))
 
 
 def _chain_ideals(algebra: GroupAlgebra) -> list:
-    """Every two-sided ideal of a chain-ring algebra, in discovery order,
-    by one of three routes: on the gcd path (``_gcd_path``) the <g> in the
-    order of ``divisors``; on a separable component (``_separable``) the
-    ideals R[G] * sum_i gamma^(a_i) e_i over the block idempotents e_i
+    """Every two-sided ideal of a chain-ring algebra as its pivot form, in
+    discovery order: on the gcd path (``_gcd_path``) the <g> in the order
+    of ``divisors``; on a separable component (``_separable``) the ideals
+    R[G] * sum_i gamma^(a_i) e_i over the block idempotents e_i
     (``_block_idempotents``), one closure per exponent vector a in
     {0..e}^b; on a modular one the walk of ``enumerate_ideals``."""
     cr = algebra.ring.components[0]
     group = algebra.group
     if _gcd_path(algebra, cr):
-        return [
-            GroupCode.from_components(algebra, [generator_form(cr, group.n, g)])
-            for g in divisors(group.n, cr.p)
-        ]
+        return [generator_form(cr, group.n, g) for g in divisors(group.n, cr.p)]
     if _separable(algebra, cr):
         gens = [algebra.zero()]
         for x in _block_idempotents(algebra):
             layer = [algebra.scale((cr.gamma_power(a),), x) for a in range(cr.e + 1)]
             gens = [algebra.add(z, y) for z in gens for y in layer]
-        return [GroupCode.from_generators(algebra, (z,), _canonical=True) for z in gens]
+        return [GroupCode.from_generators(algebra, (z,), _canonical=True).components[0] for z in gens]
     conjs, shifts = group.conjugations, group.left_translations
     scalings = [
         {a: (cr.mul(u, a[0]),) for a in algebra.ring.elements()}.__getitem__
@@ -605,7 +601,7 @@ def _chain_ideals(algebra: GroupAlgebra) -> list:
             if S.components not in found:
                 found[S.components] = S, S.cardinality(), tuple(dict.fromkeys(gx + gy))
                 ideals.append(found[S.components])
-    return [X for X, _, _ in ideals]
+    return [X.components[0] for X, _, _ in ideals]
 
 
 def _within(rows, X: GroupCode) -> bool:
@@ -638,10 +634,14 @@ def _block_idempotents(algebra: GroupAlgebra) -> list:
     number of blocks (Witt-Berman).  The split starts from {1}, the
     identity's orbit: for each other orbit sum v and each idempotent f found
     so far, f - (v f - c f)^(q-1) is the part of f on which v takes the
-    value c in F_q; it stops once b idempotents are found.  Each lifts to
-    GR(p^e, r) by ceil(log2 e) steps x <- 3x^2 - 2x^3, each doubling the
-    p-adic precision.  The lifts are checked central, orthogonal and summing
-    to 1, which makes each idempotent (x = x * sum_y y = x^2)."""
+    value c in F_q; it stops once b idempotents are found.  Each residue x,
+    its digits read in GR(p^e, r), is central, and x = u + p y there with
+    u the central idempotent it lifts to and y central; so its lift is
+    x^(p^(e-1)) = u, as the k-th binomial term, k >= 1, of
+    (u + p y)^(p^(e-1)) has p-adic valuation at least
+    e - 1 - v_p(k) + k >= e.  The lifts are checked central,
+    orthogonal and summing to 1, which makes each idempotent
+    (x = x * sum_y y = x^2)."""
     cr = algebra.ring.components[0]
     group = algebra.group
     n, q, t, classes = group.n, cr.q, group.table, group.classes
@@ -673,7 +673,7 @@ def _block_idempotents(algebra: GroupAlgebra) -> list:
             for c in field.elements()[:-1]:  # what is left at the last c is its part
                 if rest == zero:
                     break
-                part = F.sub(f, _power(F, F.sub(vf, F.scale((c,), f)), q - 1))
+                part = F.sub(f, _power(F.mul, F.sub(vf, F.scale((c,), f)), q - 1))
                 if part != zero:
                     split.append(part)
                     rest = F.sub(rest, part)
@@ -682,12 +682,9 @@ def _block_idempotents(algebra: GroupAlgebra) -> list:
         found = split
     if len(found) != len(orbits):
         raise AssertionError(f"split gave {len(found)} block idempotents, Witt-Berman counts {len(orbits)}")
-    three, two = (cr.from_int(3),), (cr.from_int(2),)
     blocks = []
     for x in found:  # the residues' digits, read in GR(p^e, r)
-        for _ in range((cr.e - 1).bit_length()):  # each step doubles the p-adic precision
-            x2 = algebra.mul(x, x)
-            x = algebra.sub(algebra.scale(three, x2), algebra.scale(two, algebra.mul(x2, x)))
+        x = _power(algebra.mul, x, cr.p ** (cr.e - 1))
         if any(len({x[g] for g in cls}) > 1 for cls in classes):
             raise AssertionError("lifted block idempotent is not central")
         blocks.append(x)
@@ -696,15 +693,3 @@ def _block_idempotents(algebra: GroupAlgebra) -> list:
     if reduce(algebra.add, blocks) != algebra.one():
         raise AssertionError("block idempotents do not sum to 1")
     return blocks
-
-
-def _power(A: GroupAlgebra, x, k: int):
-    """x^k in A for k >= 1, by repeated squaring."""
-    out = None
-    while True:
-        if k & 1:
-            out = x if out is None else A.mul(out, x)
-        k >>= 1
-        if not k:
-            return out
-        x = A.mul(x, x)

@@ -126,7 +126,7 @@ def _search_lex_least(words1, words2, n):
     while k >= 0:
         if k == n:
             return tuple(perm)
-        cands = candidates[k] if k < n else ()
+        cands = candidates[k]
         while pos[k] < len(cands):
             c2 = cands[pos[k]]
             pos[k] += 1
@@ -148,12 +148,11 @@ def _search_lex_least(words1, words2, n):
 
 def _smaller_sides(C: GroupCode) -> list:
     """Each component form of C, or that of C^perp where it is the smaller
-    (|C_j|^2 > |R_j|^n).  A permutation preserves the inner product, and
-    over a Frobenius ring (X^perp)^perp = X, so it carries C1_j onto C2_j
-    exactly when it carries C1_j^perp onto C2_j^perp: codes with equal
-    component sizes may be searched on these sides."""
-    n = C.algebra.group.n
-    duals = [P.cardinality() ** 2 > P.ring.size**n for P in C.components]
+    (``PivotForm.dual_is_smaller``).  A permutation preserves the inner
+    product, and over a Frobenius ring (X^perp)^perp = X, so it carries
+    C1_j onto C2_j exactly when it carries C1_j^perp onto C2_j^perp: codes
+    with equal component sizes may be searched on these sides."""
+    duals = [P.dual_is_smaller() for P in C.components]
     sides = code_dual(C).components if any(duals) else C.components
     return [Pd if dual else P for P, Pd, dual in zip(C.components, sides, duals)]
 
@@ -259,7 +258,7 @@ def check_dual_equivalence(
     if Dd != C:
         move = _permuter(group.inv)
         for j, (P, Q) in enumerate(zip(C.components, D.components)):
-            dual = P.cardinality() ** 2 > P.ring.size**n
+            dual = P.dual_is_smaller()
             walked = _tagged_words(j, Q if dual else P, max_enum)
             moved = list(map(move, walked))
             words.append((walked, moved) if dual else (moved, walked))

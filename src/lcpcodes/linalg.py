@@ -115,6 +115,10 @@ class PivotForm:
     def contains(self, v) -> bool:
         return membership(v, self)
 
+    def dual_is_smaller(self) -> bool:
+        """Whether |P|^2 > |R|^n, so P^perp is the smaller (|P| |P^perp| = |R|^n)."""
+        return self.cardinality() ** 2 > self.ring.size**self.ncols
+
     def key(self):  # on ring elements: table indices sort otherwise
         return (self.pivot_cols, self.pivot_vals, self.rows)
 

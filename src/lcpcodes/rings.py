@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import partial
 from math import gcd, prod
 
 from .errors import CapExceededError, NotInvertibleError, ValidationError
@@ -179,25 +180,34 @@ def _fp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     return _fp_divmod(_fp_mul(a, b, p), f, p)[1]
 
 
+def _power(mul, x, k: int):
+    """x^k for k >= 1 under the associative product ``mul``, by repeated
+    squaring: about 2 log2 k products."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = mul(x, x)
+
+
 def _fp_is_irreducible(f: list[int], p: int) -> bool:
     """Monic f over F_p has no monic factor of degree in [1, deg(f)/2].
 
     Ben-Or's test: gcd(x^(p^d) - x, f) = 1 for each such d.  Each x^(p^d)
-    mod f is the p-th power of the one before, by squaring, so the cost
+    mod f is the p-th power of the one before (``_power``), so the cost
     grows with log p rather than with the p^d candidate factors.
     """
     f = _fp_trim([c % p for c in f])
     r = len(f) - 1
     if r < 1:
         return False
+    mulmod = partial(_fp_mulmod, f=f, p=p)
     h = [0, 1]  # x^(p^d) mod f, from d = 0
     for _ in range(r // 2):
-        power, base, k = [1], h, p  # h^p, by squaring
-        while k:
-            if k & 1:
-                power = _fp_mulmod(power, base, f, p)
-            base, k = _fp_mulmod(base, base, f, p), k >> 1
-        h = power
+        h = _power(mulmod, h, p)
         g = h + [0] * (2 - len(h))  # h - x
         g[1] -= 1
         if len(_fp_gcd(f, g, p)) > 1:

@@ -250,6 +250,29 @@ def frobenius_fixed_space(algebra):
     return field, pivot_reduce(RingMatrix(field, vectors, n))
 
 
+def newton_lifted_idempotents(algebra):
+    """The block idempotents of a separable chain-ring algebra
+    GR(p^e, r)[G] as the library once lifted them: those of the residue
+    field's algebra F_q[G] (``codes._block_idempotents`` there, where no
+    lift runs), their digits read in GR(p^e, r), each taken by Newton steps
+    x <- 3x^2 - 2x^3 (``naive_product``) until x^2 = x.  Each step doubles
+    the p-adic precision, so about log2 e steps are taken."""
+    from lcpcodes.algebra import GroupAlgebra
+    from lcpcodes.codes import _block_idempotents
+    from lcpcodes.rings import ChainRing, ProductRing
+
+    ring, group = algebra.ring, algebra.group
+    (cr,) = ring.components
+    field = ChainRing(cr.p, 1, cr.r, [c % cr.p for c in cr.modulus])
+    lifted = []
+    for x in _block_idempotents(GroupAlgebra(ProductRing([field]), group)):
+        while (x2 := naive_product(ring, group, x, x)) != x:
+            t = tuple(map(ring.sub, x2, naive_product(ring, group, x2, x)))  # x^2 - x^3
+            x = tuple(ring.add(a, ring.add(b, b)) for a, b in zip(x2, t))
+        lifted.append(x)
+    return lifted
+
+
 def translate_closure_forms(algebra, gens):
     """Per-component pivot forms of the span of every g * a * h, g, h in G:
     the n^2-translate ideal closure."""

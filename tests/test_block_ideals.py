@@ -11,7 +11,8 @@ lists such a component that way (``codes._separable``), with no walk of
 R_j[G] and no sum.  These tests hold that listing to the walk it replaced
 (forced by refusing the route), the idempotents to a brute-force search of
 the algebra, their span to the kernel of z -> z^q - z on the class sums
-that the orbit sums replaced, and the counts to the theorem.
+that the orbit sums replaced, their lift x^(p^(e-1)) to the Newton steps it
+replaced, and the counts to the theorem.
 """
 
 import json
@@ -32,6 +33,7 @@ from oracles import (
     conjugacy_classes,
     frobenius_fixed_space,
     naive_product,
+    newton_lifted_idempotents,
     power_map,
     primitive_central_idempotents,
 )
@@ -96,7 +98,7 @@ def ideal_sets(A, *, gcd=True, blocks=True):
         if not blocks:
             mp.setattr(codes, "_separable", lambda algebra, ring: False)
         ideals = codes._chain_ideals(A)
-    found = {X.components for X in ideals}
+    found = set(ideals)
     assert len(found) == len(ideals)
     return found
 
@@ -175,6 +177,37 @@ def test_block_idempotents_take_no_kernel(monkeypatch):
     kernels = count_calls(monkeypatch, linalg.kernel)
     codes._block_idempotents(GroupAlgebra(chain(5), symmetric(3)))
     assert kernels == []
+
+
+# Separable chain-ring algebras with e >= 2, for the lift: the first six
+# are past the brute force (|R[G]| > BRUTE_LIMIT), the rest within it.
+LIFTS = {
+    "Z16[C5]": (chain(2, 4), cyclic(5)),
+    "Z27[C4]": (chain(3, 3), cyclic(4)),
+    "GR(8,2)[C3]": (chain(2, 3, 2), cyclic(3)),
+    "Z25[S3]": (chain(5, 2), symmetric(3)),
+    "Z49[D3]": (chain(7, 2), dihedral(3)),
+    "Z25[C3]": (chain(5, 2), cyclic(3)),
+    "Z4[C3]": (chain(2, 2), cyclic(3)),
+    "Z8[C3]": (chain(2, 3), cyclic(3)),
+    "Z9[C2]": (chain(3, 2), cyclic(2)),
+    "GR(4,2)[C3]": (chain(2, 2, 2), cyclic(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(LIFTS))
+def test_power_lift_matches_the_newton_lift(name):
+    """Each residue block idempotent x lifts to GR(p^e, r) as
+    x^(p^(e-1)): the same elements, in the same order, as Newton steps
+    x <- 3x^2 - 2x^3 run until x^2 = x."""
+    A = GroupAlgebra(*LIFTS[name])
+    assert A.ring.components[0].e >= 2
+    assert codes._block_idempotents(A) == newton_lifted_idempotents(A)
+
+
+def test_lift_cases_reach_past_the_brute_force():
+    past = [name for name, case in LIFTS.items() if GroupAlgebra(*case).size > BRUTE_LIMIT]
+    assert past == list(LIFTS)[:6]
 
 
 # Algebras whose every component is separable, for the counts; F7[S3]

@@ -711,6 +711,19 @@ def test_group_from_table_file(capsys, tmp_path):
     assert report["group"]["abelian"] is False
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("x\n0\n", "bad order line 'x'"), ("2\n0 1\n1\n", "row '1' does not have 2 entries")],
+    ids=["order-line", "short-row"],
+)
+def test_malformed_table_file_exit_two(capsys, tmp_path, text, message):
+    (tmp_path / "g.tbl").write_text(text, encoding="utf-8")
+    doc = {"ring": [{"p": 2}], "group": {"table": "g.tbl"}, "codes": {}}
+    path = tmp_path / "tbl.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "--config", str(path), "info") == (2, "", f"error: {message}\n")
+
+
 def test_tuple_coefficients_for_extension_components(capsys, tmp_path):
     doc = {
         "ring": [{"p": 2}, {"p": 2, "r": 2}],

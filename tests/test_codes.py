@@ -223,6 +223,20 @@ def test_from_generators_checks_its_generators():
         GroupCode.from_generators(A_F2C3, [A_F2C2.one()])
 
 
+def test_from_components_checks_its_forms():
+    """The forms must be one per component, each over that component's ring
+    and of length |G|: Z6[C3] needs two, the first over F2 and of length 3."""
+    forms = GroupCode.from_generators(A_Z6C3, [A_Z6C3.one()]).components
+    assert GroupCode.from_components(A_Z6C3, forms).is_full
+    with pytest.raises(ValidationError, match="need 2 component forms, got 1"):
+        GroupCode.from_components(A_Z6C3, forms[:1])
+    with pytest.raises(ValidationError, match="does not match the algebra"):
+        GroupCode.from_components(A_Z6C3, forms[::-1])  # rings swapped
+    short = GroupCode.from_generators(A_Z6C2, [A_Z6C2.one()]).components
+    with pytest.raises(ValidationError, match="does not match the algebra"):
+        GroupCode.from_components(A_Z6C3, short)  # length 2
+
+
 def test_ideal_enumeration_checks_no_element_again(monkeypatch):
     """The elements ``enumerate_ideals`` closes come canonical from
     ``algebra.elements()``, so no closure checks them again."""

@@ -181,7 +181,7 @@ def test_gcd_path_ideals_are_the_divisors_of_x_n_minus_1(name, monkeypatch):
         if codes._gcd_path(component, cr):
             ideals = codes._chain_ideals(component)
             assert closures == sums == rings == []
-            assert len({X.key for X in ideals}) == len(ideals) == divisor_count(n, cr.p)
+            assert len({P.key() for P in ideals}) == len(ideals) == divisor_count(n, cr.p)
             listed += 1
     assert listed == sum(cr.e == 1 for cr in ring.components) > 0
     ideals = enumerate_ideals(algebra, max_size=algebra.size)  # F3[C9] is past the default cap

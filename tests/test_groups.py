@@ -287,6 +287,13 @@ def test_cayley_file_errors():
         parse_cayley_table("2\n0 1\n1 x\n")
 
 
+def test_label_count_must_match_the_order():
+    table = cyclic(3).table
+    assert FiniteGroup(table, labels=["1", "a", "b"]).labels == ("1", "a", "b")
+    with pytest.raises(ValidationError, match="label count"):
+        FiniteGroup(table, labels=["1", "a"])
+
+
 def test_direct_table_constructor_rejects_misplaced_identity():
     # FiniteGroup itself (unlike group_from_table) insists on identity at 0
     with pytest.raises(IdentityError):

@@ -136,7 +136,7 @@ def test_enumerate_ideals_sums_only_incomparable_ideals(name, monkeypatch):
         monkeypatch.setattr(codes, "_gcd_path", lambda algebra, ring: False)
     found = codes._chain_ideals(algebra)
     monkeypatch.undo()
-    assert [X.key for X in found] == [X.key for X in order]
+    assert [(P.key(),) for P in found] == [X.key for X in order]
     words = [code_word_set(X) for X in order]
     incomparable = [
         (X.key, Y.key)

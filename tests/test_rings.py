@@ -286,6 +286,8 @@ def test_product_arity_checks():
         R6.check(((1,),))
     with pytest.raises(ValidationError):
         ProductRing([])
+    with pytest.raises(ValidationError, match="is not a chain ring"):
+        ProductRing([ChainRing(2), (2, 1, 1)])
 
 
 def test_factorize():
