@@ -85,8 +85,6 @@ class Lcg:
 
 @dataclass
 class InstanceConfig:
-    ring: ProductRing
-    group: FiniteGroup
     algebra: GroupAlgebra
     generators: dict  # code name -> its parsed, canonical generators
     seed: int
@@ -217,9 +215,7 @@ def load_config(path: str) -> InstanceConfig:
     if not isinstance(doc, dict) or "ring" not in doc or "group" not in doc:
         raise ValidationError("config must be an object with 'ring' and 'group'")
     base_dir = os.path.dirname(os.path.abspath(path))
-    ring = parse_ring(doc["ring"])
-    group = parse_group(doc["group"], base_dir)
-    algebra = GroupAlgebra(ring, group)
+    algebra = GroupAlgebra(parse_ring(doc["ring"]), parse_group(doc["group"], base_dir))
     codes_doc = doc.get("codes", {})
     if not isinstance(codes_doc, dict):
         raise ValidationError(f"'codes' must map code names to generator lists, got {codes_doc!r}")
@@ -229,7 +225,7 @@ def load_config(path: str) -> InstanceConfig:
             raise ValidationError(f"code {name!r} must map to a list of generators")
         generators[name] = tuple(parse_element(algebra, g) for g in gens)
     seed = _check_seed(doc.get("seed", 0))
-    return InstanceConfig(ring=ring, group=group, algebra=algebra, generators=generators, seed=seed)
+    return InstanceConfig(algebra=algebra, generators=generators, seed=seed)
 
 
 def _check_seed(seed):
@@ -273,14 +269,15 @@ def code_json(C: GroupCode):
 
 
 def cmd_info(cfg: InstanceConfig, args) -> tuple[dict, int]:
+    ring, group = cfg.algebra.ring, cfg.algebra.group
     report = {
         "command": "info",
         "ring": {
-            "size": cfg.ring.size,
-            "s": cfg.ring.s,
-            "components": [c.describe() for c in cfg.ring.components],
+            "size": ring.size,
+            "s": ring.s,
+            "components": [c.describe() for c in ring.components],
         },
-        "group": {"order": cfg.group.n, "abelian": cfg.group.is_abelian()},
+        "group": {"order": group.n, "abelian": group.is_abelian()},
         "algebra_size": cfg.algebra.size,
         "codes": sorted(cfg.generators),
     }
@@ -464,7 +461,7 @@ def cmd_crt(cfg: InstanceConfig, args) -> tuple[dict, int]:
         "components": [
             {
                 "index": j,
-                "ring": repr(cfg.ring.components[j]),
+                "ring": repr(cfg.algebra.ring.components[j]),
                 "cardinality": part.cardinality(),
                 "pivot": pivot_json(part.components[0]),
             }
@@ -498,7 +495,7 @@ def render_report(report: dict, cfg: InstanceConfig) -> str:
     lines = []
     if cmd == "info":
         r = report["ring"]
-        lines.append(f"ring: {cfg.ring!r}  (s = {r['s']}, |R| = {r['size']})")
+        lines.append(f"ring: {cfg.algebra.ring!r}  (s = {r['s']}, |R| = {r['size']})")
         for k, c in enumerate(r["components"]):
             lines.append(
                 f"  component {k}: p={c['p']} e={c['e']} r={c['r']} size={c['size']}"

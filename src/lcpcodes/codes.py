@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
 
@@ -37,6 +37,7 @@ from .linalg import (
     PivotForm,
     RingMatrix,
     SpanSolver,
+    _check_enum_cap,
     _field_width,
     _nonzero_flags,
     _scalars,
@@ -71,31 +72,30 @@ __all__ = [
 DEFAULT_IDEAL_CAP = 1 << 12
 
 
+@dataclass(repr=False)
 class GroupCode:
-    """A two-sided ideal of R[G], held as per-component pivot forms."""
+    """A two-sided ideal of R[G], held as per-component pivot forms: the
+    algebra and the forms are the whole value (equality and hash)."""
 
-    def __init__(self, algebra: GroupAlgebra, generators, components):
-        self.algebra = algebra
-        self._generators = None if generators is None else tuple(generators)
-        self.components = tuple(components)
-        self._key = None
-        self._weights = None
-        self._dual = None
-        self._involute = None
+    algebra: GroupAlgebra
+    components: tuple  # one pivot form per CRT component
+    _weights: tuple | None = field(default=None, init=False, compare=False)
+    _dual: "GroupCode | None" = field(default=None, init=False, compare=False)
+    _involute: "GroupCode | None" = field(default=None, init=False, compare=False)
+
+    def __hash__(self):
+        return hash((self.algebra, self.components))
 
     @property
     def generators(self) -> tuple:
-        """The defining generators; for a code built from component forms,
-        the component pivot rows embedded with zeros in the other components
-        (built on first use)."""
-        if self._generators is None:
-            zeros = [(P.ring.zero,) * P.ncols for P in self.components]
-            self._generators = tuple(
-                from_component_rows(zeros[:j] + [row] + zeros[j + 1 :])
-                for j, form in enumerate(self.components)
-                for row in form.rows
-            )
-        return self._generators
+        """The component pivot rows embedded with zeros in the other
+        components, read off the forms on each call."""
+        zeros = [(P.ring.zero,) * P.ncols for P in self.components]
+        return tuple(
+            from_component_rows(zeros[:j] + [row] + zeros[j + 1 :])
+            for j, form in enumerate(self.components)
+            for row in form.rows
+        )
 
     # -- constructors -------------------------------------------------------
 
@@ -122,11 +122,10 @@ class GroupCode:
         made them canonical (``_canonical``: parsed literals, elements of
         ``algebra.elements()``).
         """
-        gens = tuple(generators) if _canonical else tuple(map(algebra.check, generators))
         group = algebra.group
         n = group.n
         conj_maps, shifts = group.conjugations, group.left_translations
-        split = [component_rows(a) for a in gens]
+        split = [component_rows(a if _canonical else algebra.check(a)) for a in generators]
         forms = []
         for j, cr in enumerate(algebra.ring.components):
             load = _scalars(cr).load
@@ -152,7 +151,7 @@ class GroupCode:
             if form is None:  # no generators: the zero ideal
                 form = PivotForm(cr, n, (), (), ())
             forms.append(form)
-        return cls(algebra, gens, forms)
+        return cls(algebra, tuple(forms))
 
     @classmethod
     def from_components(cls, algebra: GroupAlgebra, forms) -> "GroupCode":
@@ -165,7 +164,7 @@ class GroupCode:
         for form, cr in zip(forms, ring.components):
             if form.ring != cr or form.ncols != n:
                 raise ValidationError("component form does not match the algebra")
-        return cls(algebra, None, forms)
+        return cls(algebra, forms)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -187,29 +186,14 @@ class GroupCode:
     def codewords(self, cap: int = DEFAULT_ENUM_CAP):
         """All codewords as algebra elements: the product of the component
         spans, each walked by ``enumerate_codewords`` on every call."""
-        if self.cardinality() > cap:
-            raise CapExceededError(
-                f"code of size {self.cardinality()} exceeds the enumeration cap {cap}"
-            )
+        _check_enum_cap("code", self.cardinality(), cap)
         for combo in itertools.product(*(enumerate_codewords(P, cap) for P in self.components)):
             yield from_component_rows(combo)
 
     @property
     def key(self):
         """Canonical identity of the code: all component pivot forms."""
-        if self._key is None:
-            self._key = tuple(P.key() for P in self.components)
-        return self._key
-
-    def __eq__(self, other):  # equal keys, read off the engine rows
-        return (
-            isinstance(other, GroupCode)
-            and self.algebra == other.algebra
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.components))
+        return tuple(P.key() for P in self.components)
 
     def __repr__(self):
         return f"GroupCode(|C| = {self.cardinality()})"
@@ -395,11 +379,8 @@ def weight_enumerator(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> tuple:
     codeword is nonzero where any of its components is, and flags a
     (x words) and flags b (y words) give a | b (x * y words).  The counts
     are cached on C."""
-    card = C.cardinality()
-    if card > max_enum:  # also when cached, so a cap means the same on every call
-        raise CapExceededError(
-            f"code of size {card} exceeds the enumeration cap {max_enum}"
-        )
+    # checked also when cached, so a cap means the same on every call
+    _check_enum_cap("code", C.cardinality(), max_enum)
     if C._weights is None:
         n = C.algebra.group.n
         if len(C.components) == 1:

@@ -238,9 +238,10 @@ def check_dual_equivalence(
     whole ring, and the block note records both.  When iota(C) != C, each
     component walks C_j, or D_j when that is smaller, and the other side is
     the same words moved by iota: iota(C_j), or iota(D_j) = C_j^perp, onto
-    which D_j = iota(C_j)^perp is carried (``_smaller_sides``).  So a check
-    walks at most s spans and takes no kernel.  Past SEARCH_LENGTH_LIMIT
-    iota itself is reported, checked by ``_carries``, and no search runs.
+    which D_j = iota(C_j)^perp is carried (``PivotForm.dual_is_smaller``
+    picks the side).  So a check walks at most s spans and takes no
+    kernel.  Past SEARCH_LENGTH_LIMIT iota itself is reported, checked by
+    ``_carries``, and no search runs.
     A caller that has already checked the pair passes ``_assume_lcp=True``.
     """
     if not _assume_lcp and not lcp_check(C, D).is_lcp:

@@ -405,6 +405,13 @@ def _pack(v, n, w):
     return sum(c << ((k * n + i) * w) for i, x in enumerate(v) for k, c in enumerate(x))
 
 
+def _check_enum_cap(what: str, size: int, cap: int) -> None:
+    """The one enumeration-cap check: a listing of ``size`` words past
+    ``cap`` raises, naming both and the flag that raises the cap."""
+    if size > cap:
+        raise CapExceededError(f"{what} of size {size} exceeds the enumeration cap {cap} (--max-enum)")
+
+
 def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     """Yield the span elements as packed ints, in blocks, in the enumeration
     order: row 0 varies slowest, each coefficient through its transversal.
@@ -424,8 +431,7 @@ def _packed_blocks(P: PivotForm, cap: int, w: int = 0):
     and each sum of the leading walk rows' multiples is added to the whole
     table.
     """
-    if P.cardinality() > cap:
-        raise CapExceededError(f"span of size {P.cardinality()} exceeds the enumeration cap {cap}")
+    _check_enum_cap("span", P.cardinality(), cap)
     ring, n = P.ring, P.ncols
     m = ring.pe
     w, unit = _layout(ring, n, w)

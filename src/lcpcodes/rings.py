@@ -466,26 +466,27 @@ class ChainRing:
         return best
 
     def inverse(self, a):
-        """Multiplicative inverse: invert in the residue field, Newton-lift."""
+        """Multiplicative inverse: over Z_{p^e} (r = 1) the exact
+        pow(a, -1, p^e); for r > 1 invert in the residue field, Newton-lift."""
         a = self.check(a)
         if not self.is_unit(a):
             raise NotInvertibleError(f"{a} is not a unit in {self!r}")
         cached = self._inv_cache.get(a)
         if cached is not None:
             return cached
-        p = self.p
         if self.r == 1:
-            b = (pow(a[0] % p, p - 2, p),)
+            b = (pow(a[0], -1, self.pe),)
         else:
+            p = self.p
             res = _fp_poly_inverse([c % p for c in a], [c % p for c in self.modulus], p)
             b = tuple(res) + (0,) * (self.r - len(res))
-        two = self.from_int(2)
-        guard = 0
-        while self.mul(a, b) != self.one:
-            b = self.mul(b, self.sub(two, self.mul(a, b)))
-            guard += 1
-            if guard > self.e + 2:
-                raise AssertionError("inverse lifting failed to converge")
+            two = self.from_int(2)
+            guard = 0
+            while self.mul(a, b) != self.one:
+                b = self.mul(b, self.sub(two, self.mul(a, b)))
+                guard += 1
+                if guard > self.e + 2:
+                    raise AssertionError("inverse lifting failed to converge")
         self._inv_cache[a] = b
         return b
 

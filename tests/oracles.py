@@ -455,7 +455,7 @@ def recursive_codewords(P, cap=1 << 20):
 
     if P.cardinality() > cap:
         raise CapExceededError(
-            f"span of size {P.cardinality()} exceeds the enumeration cap {cap}"
+            f"span of size {P.cardinality()} exceeds the enumeration cap {cap} (--max-enum)"
         )
     ring = P.ring
 
@@ -492,7 +492,7 @@ def tallied_weights(C, max_enum=1 << 20):
 
     card = C.cardinality()
     if card > max_enum:
-        raise CapExceededError(f"code of size {card} exceeds the enumeration cap {max_enum}")
+        raise CapExceededError(f"code of size {card} exceeds the enumeration cap {max_enum} (--max-enum)")
     n = C.algebra.group.n
     zeros = [cr.zero for cr in C.algebra.ring.components]
     counts = [0] * (n + 1)
@@ -569,7 +569,7 @@ def listed_permutation_search(C1, C2, max_enum=1 << 20):
     for C in (C1, C2):
         if C.cardinality() > max_enum:
             exc = CapExceededError(
-                f"code of size {C.cardinality()} exceeds the enumeration cap {max_enum}"
+                f"code of size {C.cardinality()} exceeds the enumeration cap {max_enum} (--max-enum)"
             )
             return EquivalenceResult(STATUS_EXHAUSTED, None, None, None, f"enumeration cap hit: {exc}")
         lists.append(recursive_code_words(C))

@@ -1,5 +1,7 @@
 """Group-code construction, lattice operations, duality, LCP, DSM."""
 
+import random
+
 import pytest
 
 from lcpcodes import linalg
@@ -10,6 +12,7 @@ from lcpcodes.codes import (
     code_crt_combine,
     code_dual,
     code_from_generators,
+    code_involute,
     code_intersect,
     code_sum,
     dsm_split,
@@ -20,7 +23,7 @@ from lcpcodes.codes import (
     weight_enumerator,
 )
 from lcpcodes.errors import CapExceededError, NotLcpError, ValidationError
-from lcpcodes.groups import cyclic
+from lcpcodes.groups import cyclic, symmetric
 from lcpcodes.rings import ChainRing, ProductRing
 
 from counting import count_calls
@@ -375,3 +378,33 @@ def test_contains_and_generators(running_pair):
     assert not C.contains(ints(A_F2C3, 1, 0, 0))
     for g in C.generators:
         assert C.contains(g)
+
+
+INTERCHANGE_ALGEBRAS = {
+    "Z6[C3]": A_Z6C3,
+    "Z4[C4]": GroupAlgebra(ProductRing([ChainRing(2, 2)]), cyclic(4)),
+    "F4[C3]": GroupAlgebra(ProductRing([ChainRing(2, 1, 2)]), cyclic(3)),
+    "GR(4,2)[C3]": GroupAlgebra(ProductRing([ChainRing(2, 2, 2)]), cyclic(3)),
+    "F3[S3]": GroupAlgebra(ProductRing([ChainRing(3)]), symmetric(3)),
+    "Z6[S3]": GroupAlgebra(ProductRing.from_modulus(6), symmetric(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERCHANGE_ALGEBRAS))
+def test_equal_codes_are_interchangeable(name):
+    """A code is its algebra and its component forms: a code closed from one
+    element and the code built from its forms agree on every query, the
+    generators among them, whatever the closure was given."""
+    A = INTERCHANGE_ALGEBRAS[name]
+    rng = random.Random(f"interchange {name}")
+    elements = A.ring.elements()
+    for _ in range(20):
+        a = tuple(rng.choice(elements) for _ in range(A.group.n))
+        C = GroupCode.from_generators(A, [a])
+        D = GroupCode.from_components(A, C.components)
+        assert C == D and hash(C) == hash(D)
+        assert C.generators == D.generators
+        assert C.key == D.key
+        assert weight_enumerator(C) == weight_enumerator(D)
+        assert code_dual(C) == code_dual(D)
+        assert code_involute(C) == code_involute(D)

@@ -50,6 +50,21 @@ def test_identity_relocation():
     assert G == cyclic(3) or G.table == cyclic(3).table
 
 
+def test_identity_relocation_moves_the_labels():
+    """C3 written as a * b = (a + b + 1) mod 3 has its identity at index 2;
+    the relabeled group puts it at 0, and every label names the same element
+    as before."""
+    table = [[(a + b + 1) % 3 for b in range(3)] for a in range(3)]
+    exponent = {"x": 1, "y": 2, "e": 0}  # label -> k with the element g^k
+    G = group_from_table(table, ["x", "y", "e"])
+    assert G.labels == ("e", "y", "x")
+    for a in range(3):
+        assert G.op(0, a) == G.op(a, 0) == a
+        for b in range(3):
+            got = exponent[G.labels[G.op(a, b)]]
+            assert got == (exponent[G.labels[a]] + exponent[G.labels[b]]) % 3
+
+
 def test_validation_errors_are_distinct():
     with pytest.raises(LatinSquareError):
         group_from_table([[0, 1], [1, 1]])
@@ -132,6 +147,8 @@ def test_tiny_constructors():
     assert k4.n == 4 and k4.is_abelian()
     assert symmetric(1).n == 1
     assert symmetric(2).table == cyclic(2).table
+    with pytest.raises(ValidationError, match="dihedral parameter must be >= 1"):
+        dihedral(0)
 
 
 def _dihedral_oracle(n):

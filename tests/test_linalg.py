@@ -253,6 +253,14 @@ def test_span_solver_needs_one_image_per_row():
         SpanSolver(mat, identity_images(Z9, 2))
 
 
+def test_span_solver_checks_the_target_length():
+    solver = SpanSolver(M(Z4, [[1, 2, 3]]), identity_images(Z4, 1))
+    assert solver.solve(((2,), (0,), (2,))) == ((2,),)
+    for target in (((1,), (2,)), ((1,), (2,), (3,), (0,))):
+        with pytest.raises(ValidationError, match="target length mismatch"):
+            solver.solve(target)
+
+
 def test_ring_matrix_validation():
     with pytest.raises(ValidationError):
         RingMatrix.make(Z4, (((1,), (0,)), ((1,),)), 2)

@@ -497,7 +497,7 @@ def test_self_equivalence_keeps_the_error_order():
     capped = find_permutation(full, same, max_enum=7)
     assert capped == EquivalenceResult(
         STATUS_EXHAUSTED, None, None, None,
-        "enumeration cap hit: code of size 8 exceeds the enumeration cap 7",
+        "enumeration cap hit: code of size 8 exceeds the enumeration cap 7 (--max-enum)",
     )
     long = GroupAlgebra(chain(2), cyclic(17))
     big = generated(long, ((1,),))

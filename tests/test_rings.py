@@ -46,10 +46,41 @@ def test_mul_examples():
     assert Z4.mul((2,), (3,)) == (2,)
 
 
+@pytest.mark.parametrize("op, sign", [("add", "+"), ("sub", "-"), ("mul", "*")])
+@pytest.mark.parametrize("ring, good, bad", [(Z4, (1,), (1, 0)), (F4, (1, 0), (1,))])
+def test_chain_ring_operations_check_arity(op, sign, ring, good, bad):
+    fn = getattr(ring, op)
+    for a, b in ((good, bad), (bad, good)):
+        with pytest.raises(ValidationError, match=rf"arity mismatch: .* \{sign} "):
+            fn(a, b)
+
+
+def test_format_element_of_a_residue_ring_and_a_mixed_product():
+    assert Z9.format_element((7,)) == "7"
+    R = ProductRing([F4, ChainRing(3)])  # F4 x F3: no integer lift
+    assert R.format_element(((1, 1), (2,))) == "(x+1, 2)"
+    assert R.format_element(((0, 1), (0,))) == "(x, 0)"
+    assert R.format_element(R.zero) == "(0, 0)"
+
+
 def test_unit_examples():
     assert not Z4.is_unit((2,))
     assert Z4.is_unit((3,))
     assert not Z4.is_unit(Z4.zero)
+
+
+@pytest.mark.parametrize("p, e", [(2, 3), (3, 2), (3, 3)])
+def test_inverse_over_z_pe_is_pow(p, e):
+    ring, m = ChainRing(p, e), p**e
+    units = [u for u in range(m) if u % p]
+    assert [ring.inverse((u,)) for u in units] == [(pow(u, -1, m),) for u in units]
+
+
+def test_inverse_over_a_64_bit_prime_squared_is_pow():
+    p = 2**64 - 59
+    ring, m = ChainRing(p, 2), p * p
+    for u in (1, 2, 3, p - 1, p + 1, 2**64, m - 1, m // 3):
+        assert ring.inverse((u,)) == (pow(u, -1, m),)
 
 
 def test_inverse_examples():
@@ -131,6 +162,10 @@ def test_modulus_validation():
         ChainRing(4, 1, 1)  # p not prime
     with pytest.raises(ValidationError):
         default_modulus(2, 1, 7)  # r out of range
+    with pytest.raises(ValidationError, match="p = 4 is not prime"):
+        default_modulus(4, 1, 2)
+    with pytest.raises(ValidationError, match="need e >= 1 and r >= 1"):
+        default_modulus(2, 0, 2)
 
 
 def test_element_check():
@@ -284,6 +319,9 @@ def test_product_arity_checks():
     R6 = ProductRing.from_modulus(6)
     with pytest.raises(ValidationError):
         R6.check(((1,),))
+    for a, b in ((((1,), (1,)), ((1,),)), (((1,),), ((1,), (1,)))):
+        with pytest.raises(ValidationError, match="arity mismatch in"):
+            R6.add(a, b)
     with pytest.raises(ValidationError):
         ProductRing([])
     with pytest.raises(ValidationError, match="is not a chain ring"):
