@@ -13,14 +13,11 @@ from .codes import (
     LcpReport,
     code_crt_combine,
     code_dual,
-    code_from_generators,
     code_intersect,
     code_sum,
-    dsm_split,
     enumerate_ideals,
     lcp_check,
     min_distance,
-    security_parameter,
     weight_enumerator,
 )
 from .equivalence import (
@@ -72,7 +69,6 @@ __all__ = [
     "GroupCode",
     "LcpReport",
     "DsmSplitter",
-    "code_from_generators",
     "code_sum",
     "code_intersect",
     "code_dual",
@@ -80,8 +76,6 @@ __all__ = [
     "lcp_check",
     "min_distance",
     "weight_enumerator",
-    "security_parameter",
-    "dsm_split",
     "enumerate_ideals",
     "EquivalenceResult",
     "verify_permutation",

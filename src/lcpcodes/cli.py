@@ -412,13 +412,9 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     ideals = enumerate_ideals(cfg.algebra, max_size=args.max_ideals)
     index = {C.components: i for i, C in enumerate(ideals)}
     pairs = []
-    # The only possible complement of C is D = iota(C)^perp, iota: g -> g^-1.
-    # If R[G] = C + D with C meet D = 0, then 1 = e + f with e in C, f in D
-    # central idempotents.  <x, y> is the coefficient of 1 in x iota(y), so
-    # x in D^perp <=> x iota(D) = 0 <=> x in R[G] iota(e) = iota(C); double
-    # duality then gives D = iota(C)^perp, so one lcp_check per ideal decides,
-    # and D^perp = iota(C) whether or not the pair is LCP (check_dual_equivalence
-    # checks it on the two codes cached here, with no new kernel).
+    # D = iota(C)^perp is the only possible complement of C (the proof is on
+    # check_dual_equivalence, which checks D^perp = iota(C) on the two codes
+    # cached here, with no new kernel), so one lcp_check per ideal decides.
     for i, C in enumerate(ideals):
         D = code_dual(code_involute(C))
         if not lcp_check(C, D).is_lcp:

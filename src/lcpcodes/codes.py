@@ -18,7 +18,7 @@ sum K^q there (``_block_idempotents``); on a modular one a walk of its
 elements.  Duality uses the standard coordinatewise bilinear form on the
 coefficient vectors.
 ``lcp_check`` decides a pair from code sizes alone and lists no codeword;
-``security_parameter`` adds the distances of an LCP pair.
+``equivalence.check_dual_equivalence`` adds the distances of an LCP pair.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "GroupCode",
     "LcpReport",
     "DsmSplitter",
-    "code_from_generators",
     "code_sum",
     "code_intersect",
     "code_dual",
@@ -63,8 +62,6 @@ __all__ = [
     "lcp_check",
     "min_distance",
     "weight_enumerator",
-    "security_parameter",
-    "dsm_split",
     "enumerate_ideals",
     "DEFAULT_IDEAL_CAP",
 ]
@@ -175,10 +172,6 @@ class GroupCode:
     def is_zero(self) -> bool:
         return self.cardinality() == 1
 
-    @property
-    def is_full(self) -> bool:
-        return self.cardinality() == self.algebra.size
-
     def contains(self, a) -> bool:
         rows = component_rows(self.algebra.check(a))
         return all(membership(row, P) for row, P in zip(rows, self.components))
@@ -216,10 +209,6 @@ class GroupCode:
         """The component codes, each over its own chain-ring algebra, built
         afresh on each call."""
         return tuple(GroupCode.from_components(A, (P,)) for A, P in zip(self.algebra.components, self.components))
-
-
-def code_from_generators(algebra: GroupAlgebra, generators) -> GroupCode:
-    return GroupCode.from_generators(algebra, generators)
 
 
 def _same_algebra(C: GroupCode, D: GroupCode):
@@ -325,7 +314,7 @@ def code_crt_combine(parts, algebra: GroupAlgebra) -> GroupCode:
 
 
 # ---------------------------------------------------------------------------
-# LCP, distances, security parameter
+# LCP and distances
 
 
 @dataclass(frozen=True)
@@ -338,7 +327,7 @@ class LcpReport:
 
 def lcp_check(C: GroupCode, D: GroupCode) -> LcpReport:
     """Decide whether (C, D) is a linear complementary pair; no codeword is
-    listed or walked (``security_parameter`` gives the distances).
+    listed or walked (``check_dual_equivalence`` gives the distances).
 
     Runs both the direct test (trivial intersection and full sum) and the
     componentwise test (``_component_verdict``), which must agree.  Both
@@ -423,28 +412,6 @@ def min_distance(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     return n + 1
 
 
-def security_parameter(C: GroupCode, D: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> int:
-    """min{d(C), d(D^perp)} for an LCP pair; the two are equal."""
-    if not lcp_check(C, D).is_lcp:
-        raise NotLcpError("security parameter is only defined for LCP pairs")
-    return _lcp_distances(C, D, max_enum)[1]
-
-
-def _lcp_distances(C: GroupCode, D: GroupCode, max_enum: int) -> tuple:
-    """(D^perp, d(C)) for an LCP pair, where D^perp = iota(C) and so
-    d(D^perp) = d(C).
-
-    For two-sided ideals D = iota(C)^perp (the proof is on
-    ``cli.cmd_search_lcp``'s loop), and this is checked, not assumed: over a
-    Frobenius ring (X^perp)^perp = X, so iota(C)^perp = D gives D^perp =
-    iota(C).  iota permutes coordinates, so the one walk of C gives both
-    distances; iota(C) is not walked."""
-    Dd = code_involute(C)
-    if code_dual(Dd) != D:
-        raise AssertionError("LCP pair with iota(C)^perp != D; D^perp must be iota(C)")
-    return Dd, min_distance(C, max_enum)
-
-
 # ---------------------------------------------------------------------------
 # direct sum masking
 
@@ -485,10 +452,6 @@ class DsmSplitter:
         if not (self.C.contains(c) and self.D.contains(d)):
             raise AssertionError("split parts fall outside the pair's codes")
         return c, d
-
-
-def dsm_split(z, C: GroupCode, D: GroupCode):
-    return DsmSplitter(C, D).split(z)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +566,7 @@ def _separable(algebra: GroupAlgebra, ring) -> bool:
 
 def _block_idempotents(algebra: GroupAlgebra) -> list:
     """The primitive central idempotents e_i of a separable chain-ring
-    algebra GR(p^e, r)[G], as algebra elements.
+    algebra GR(p^e, r)[G], as algebra elements; a modular one is refused.
 
     Over the residue field F_q, z -> z^q is F_q-linear on the center of
     A = F_q[G] and fixes exactly the F_q-span of the e_i.  For each class K,
@@ -626,6 +589,8 @@ def _block_idempotents(algebra: GroupAlgebra) -> list:
     cr = algebra.ring.components[0]
     group = algebra.group
     n, q, t, classes = group.n, cr.q, group.table, group.classes
+    if not _separable(algebra, cr):  # K -> K^q would not permute the classes
+        raise ValidationError(f"block idempotents need p = {cr.p} not dividing |G| = {n}")
     where = {g: k for k, cls in enumerate(classes) for g in cls}
     frobenius = []  # class k -> the class of g^q, g in class k; g^n = 1
     for cls in classes:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 
-from .codes import GroupCode, _lcp_distances, _same_algebra, code_dual, lcp_check, min_distance, weight_enumerator
+from .codes import GroupCode, _same_algebra, code_dual, code_involute, lcp_check, min_distance, weight_enumerator
 from .errors import CapExceededError, NotLcpError, ValidationError
 from .groups import _permuter
 from .linalg import DEFAULT_ENUM_CAP, enumerate_codewords, membership
@@ -232,10 +232,15 @@ def check_dual_equivalence(
 ) -> EquivalenceResult:
     """For an LCP pair: compare d(C) with d(D^perp) and search permutations.
 
-    D^perp = iota(C), checked by ``_lcp_distances``, so d(D^perp) = d(C)
-    and iota carries D^perp onto C: a search that finds no permutation is a
-    fault.  Permutations are searched per CRT component and once over the
-    whole ring, and the block note records both.  When iota(C) != C, each
+    The only possible complement of C is D = iota(C)^perp, iota: g -> g^-1:
+    if R[G] = C + D with C meet D = 0, then 1 = e + f with e in C, f in D
+    central idempotents; <x, y> is the coefficient of 1 in x iota(y), so
+    x in D^perp <=> x iota(D) = 0 <=> x in R[G] iota(e) = iota(C), and over
+    a Frobenius ring (X^perp)^perp = X.  That is checked, not assumed; iota
+    permutes coordinates, so the one walk of C gives d(D^perp) = d(C), and
+    a search that finds no permutation of D^perp onto C is a fault.
+    Permutations are searched per CRT component and once over the whole
+    ring, and the block note records both.  When iota(C) != C, each
     component walks C_j, or D_j when that is smaller, and the other side is
     the same words moved by iota: iota(C_j), or iota(D_j) = C_j^perp, onto
     which D_j = iota(C_j)^perp is carried (``PivotForm.dual_is_smaller``
@@ -246,7 +251,10 @@ def check_dual_equivalence(
     """
     if not _assume_lcp and not lcp_check(C, D).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
-    Dd, d = _lcp_distances(C, D, max_enum)
+    Dd = code_involute(C)
+    if code_dual(Dd) != D:
+        raise AssertionError("LCP pair with iota(C)^perp != D; D^perp must be iota(C)")
+    d = min_distance(C, max_enum)
     group = C.algebra.group
     n = group.n
     pairs = list(zip(Dd.components, C.components))

@@ -190,9 +190,6 @@ class FiniteGroup:
 
     # -- queries ---------------------------------------------------------------
 
-    def op(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def is_abelian(self) -> bool:
         """Whether the table equals its transpose."""
         return self.table == self.columns

@@ -112,9 +112,6 @@ class PivotForm:
     def cardinality(self) -> int:
         return _span_size(self.ring, self.pivot_vals)
 
-    def contains(self, v) -> bool:
-        return membership(v, self)
-
     def dual_is_smaller(self) -> bool:
         """Whether |P|^2 > |R|^n, so P^perp is the smaller (|P| |P^perp| = |R|^n)."""
         return self.cardinality() ** 2 > self.ring.size**self.ncols

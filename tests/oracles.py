@@ -61,7 +61,7 @@ def naive_product(ring, group, a, b):
         if ai == ring.zero:
             continue
         for j in range(n):
-            k = group.op(i, j)
+            k = group.table[i][j]
             out[k] = ring.add(out[k], ring.mul(ai, b[j]))
     return tuple(out)
 
@@ -71,7 +71,7 @@ def subgroup_closure(group, elements):
     right multiplication from the identity."""
     reached, frontier = {0}, [0]
     while frontier:
-        frontier = {group.op(i, g) for i in frontier for g in elements} - reached
+        frontier = {group.table[i][g] for i in frontier for g in elements} - reached
         reached |= frontier
     return reached
 
@@ -165,8 +165,8 @@ def conjugacy_classes(group):
     """The conjugacy classes as frozensets: each element conjugated by every
     element, with inverses found by searching the table for the identity."""
     n = group.n
-    inv = [next(j for j in range(n) if group.op(h, j) == 0) for h in range(n)]
-    return {frozenset(group.op(group.op(h, g), inv[h]) for h in range(n)) for g in range(n)}
+    inv = [next(j for j in range(n) if group.table[h][j] == 0) for h in range(n)]
+    return {frozenset(group.table[group.table[h][g]][inv[h]] for h in range(n)) for g in range(n)}
 
 
 def power_map(group, k):
@@ -175,7 +175,7 @@ def power_map(group, k):
     for g in range(group.n):
         x = g
         for _ in range(k - 1):
-            x = group.op(x, g)
+            x = group.table[x][g]
         power[g] = x
     return power
 

@@ -23,7 +23,6 @@ from lcpcodes.codes import (
     enumerate_ideals,
     lcp_check,
     min_distance,
-    security_parameter,
 )
 from lcpcodes.equivalence import (
     STATUS_FOUND,
@@ -343,7 +342,7 @@ def test_criterion_7_lcd_special_case(corpora):
                 failures.append((name, "verdict", C))
             if rep.is_lcp:
                 lcd_count += 1
-                if security_parameter(C, Cd) != min_distance(C):
+                if check_dual_equivalence(C, Cd).d_c != min_distance(C):
                     failures.append((name, "security-parameter", C))
     elapsed = time.monotonic() - start
     ok = not failures

@@ -23,6 +23,7 @@ import pytest
 from lcpcodes import cli, codes, linalg
 from lcpcodes.algebra import GroupAlgebra
 from lcpcodes.codes import GroupCode, code_sum, enumerate_ideals
+from lcpcodes.errors import ValidationError
 from lcpcodes.groups import cyclic, dihedral, direct_product, group_from_table, symmetric
 from lcpcodes.linalg import RingMatrix, pivot_reduce
 from lcpcodes.rings import ChainRing, ProductRing
@@ -177,6 +178,24 @@ def test_block_idempotents_take_no_kernel(monkeypatch):
     kernels = count_calls(monkeypatch, linalg.kernel)
     codes._block_idempotents(GroupAlgebra(chain(5), symmetric(3)))
     assert kernels == []
+
+
+@pytest.mark.parametrize(
+    "ring, group, p, n",
+    [
+        (chain(2), cyclic(4), 2, 4),
+        (chain(2), symmetric(3), 2, 6),
+        (chain(3), symmetric(3), 3, 6),
+        (chain(2, 2), cyclic(2), 2, 2),
+    ],
+    ids=["F2[C4]", "F2[S3]", "F3[S3]", "Z4[C2]"],
+)
+def test_block_idempotents_refuse_a_modular_component(ring, group, p, n):
+    """With p dividing |G|, K -> K^q need not permute the classes (on F2[C4]
+    g -> g^2 sends the four onto two), so an orbit would never close: the
+    split is refused before it starts, naming p and |G|."""
+    with pytest.raises(ValidationError, match=rf"^block idempotents need p = {p} not dividing \|G\| = {n}$"):
+        codes._block_idempotents(GroupAlgebra(ring, group))
 
 
 # Separable chain-ring algebras with e >= 2, for the lift: the first six

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from lcpcodes import cli, codes
+from lcpcodes import cli, codes, equivalence
 
 RUNNING_CONFIG = {
     "ring": [{"p": 2, "e": 1, "r": 1}],
@@ -124,7 +124,7 @@ def test_lcp_with_a_wrong_involute_exits_four(capsys, monkeypatch, cfg_path):
     gives d(D^perp) = d(C); an involute that broke it is a fault of the
     program, reported with exit 4, never as a verdict.  Here iota(C) is
     replaced by C^perp = D, whose dual is C, not D."""
-    monkeypatch.setattr(codes, "code_involute", codes.code_dual)
+    monkeypatch.setattr(equivalence, "code_involute", codes.code_dual)
     code, out, err = run(capsys, "--config", cfg_path, "lcp", "C", "D")
     assert (code, out) == (4, "")
     assert err == "internal error: AssertionError: LCP pair with iota(C)^perp != D; D^perp must be iota(C)\n"
@@ -765,12 +765,12 @@ def test_seed_override_changes_only_the_mask(capsys, cfg_path):
 
 def test_mask_sampling_is_deterministic_and_in_code():
     from lcpcodes.algebra import GroupAlgebra
-    from lcpcodes.codes import code_from_generators
+    from lcpcodes.codes import GroupCode
     from lcpcodes.groups import cyclic
     from lcpcodes.rings import ChainRing, ProductRing
 
     algebra = GroupAlgebra(ProductRing([ChainRing(2, 1, 1)]), cyclic(3))
-    D = code_from_generators(algebra, [algebra.one()])  # full algebra
+    D = GroupCode.from_generators(algebra, [algebra.one()])  # full algebra
     masks = set()
     for seed in range(16):
         m1 = cli._sample_mask(D, cli.Lcg(seed))
@@ -785,13 +785,13 @@ def test_mask_draws_reach_above_2_64():
     """Over Z_(p^2), p = 2^64 - 59, the full code's mask is one draw below
     p^2 ~ 2^128; a single 64-bit word would never reach 2^64."""
     from lcpcodes.algebra import GroupAlgebra
-    from lcpcodes.codes import code_from_generators
+    from lcpcodes.codes import GroupCode
     from lcpcodes.groups import cyclic
     from lcpcodes.rings import ChainRing, ProductRing
 
     p = 2**64 - 59
     algebra = GroupAlgebra(ProductRing([ChainRing(p, 2, 1)]), cyclic(1))
-    D = code_from_generators(algebra, [algebra.one()])
+    D = GroupCode.from_generators(algebra, [algebra.one()])
     for seed in (1, 2, 3):
         mask = cli._sample_mask(D, cli.Lcg(seed))
         assert D.contains(mask)

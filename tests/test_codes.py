@@ -11,17 +11,15 @@ from lcpcodes.codes import (
     GroupCode,
     code_crt_combine,
     code_dual,
-    code_from_generators,
     code_involute,
     code_intersect,
     code_sum,
-    dsm_split,
     enumerate_ideals,
     lcp_check,
     min_distance,
-    security_parameter,
     weight_enumerator,
 )
+from lcpcodes.equivalence import check_dual_equivalence
 from lcpcodes.errors import CapExceededError, NotLcpError, ValidationError
 from lcpcodes.groups import cyclic, symmetric
 from lcpcodes.rings import ChainRing, ProductRing
@@ -47,8 +45,8 @@ def flat(word):
 
 @pytest.fixture(scope="module")
 def running_pair():
-    C = code_from_generators(A_F2C3, [ints(A_F2C3, 1, 1, 0)])
-    D = code_from_generators(A_F2C3, [ints(A_F2C3, 1, 1, 1)])
+    C = GroupCode.from_generators(A_F2C3, [ints(A_F2C3, 1, 1, 0)])
+    D = GroupCode.from_generators(A_F2C3, [ints(A_F2C3, 1, 1, 1)])
     return C, D
 
 
@@ -58,10 +56,10 @@ def test_from_generators_examples(running_pair):
     assert {flat(w) for w in C.codewords()} == {(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)}
     assert code_word_set(C) == brute_ideal(A_F2C3, C.generators)
 
-    full = code_from_generators(A_F2C3, [A_F2C3.one()])
-    assert full.is_full and full.cardinality() == 8
+    full = GroupCode.from_generators(A_F2C3, [A_F2C3.one()])
+    assert full.cardinality() == full.algebra.size == 8
 
-    zero = code_from_generators(A_F2C3, [])
+    zero = GroupCode.from_generators(A_F2C3, [])
     assert zero.is_zero and zero.cardinality() == 1
 
 
@@ -73,11 +71,11 @@ def test_code_is_two_sided(running_pair):
 def test_code_sum_examples(running_pair):
     C, D = running_pair
     total = code_sum(C, D)
-    assert total.is_full
+    assert total.cardinality() == total.algebra.size
     assert code_word_set(total) == {
         A_F2C3.add(c, d) for c in code_word_set(C) for d in code_word_set(D)
     }
-    zero = code_from_generators(A_F2C3, [])
+    zero = GroupCode.from_generators(A_F2C3, [])
     assert code_sum(C, zero) == C
     assert code_sum(C, C) == C
 
@@ -88,7 +86,7 @@ def test_code_intersect_examples(running_pair):
     assert inter.is_zero
     assert code_word_set(inter) == code_word_set(C) & code_word_set(D)
     assert code_intersect(C, C) == C
-    full = code_from_generators(A_F2C3, [A_F2C3.one()])
+    full = GroupCode.from_generators(A_F2C3, [A_F2C3.one()])
     assert code_intersect(C, full) == C
 
 
@@ -99,8 +97,8 @@ def test_code_dual_examples(running_pair):
     assert code_word_set(Dd) == brute_dual(A_F2C3, code_word_set(D))
     # the even-weight code
     assert {flat(w) for w in Dd.codewords()} == {(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)}
-    full = code_from_generators(A_F2C3, [A_F2C3.one()])
-    zero = code_from_generators(A_F2C3, [])
+    full = GroupCode.from_generators(A_F2C3, [A_F2C3.one()])
+    zero = GroupCode.from_generators(A_F2C3, [])
     assert code_dual(full) == zero
     assert code_dual(zero) == full
 
@@ -114,12 +112,12 @@ def test_dual_involution_and_size(running_pair):
 
 def _z6c2_pair():
     comp_f2, comp_f3 = A_Z6C2.components
-    full_f2 = code_from_generators(comp_f2, [comp_f2.one()])
-    zero_f2 = code_from_generators(comp_f2, [])
+    full_f2 = GroupCode.from_generators(comp_f2, [comp_f2.one()])
+    zero_f2 = GroupCode.from_generators(comp_f2, [])
     one_plus_g = tuple(((1,),) for _ in range(2))
     one_minus_g = (((1,),), ((2,),))
-    c_f3 = code_from_generators(comp_f3, [one_plus_g])
-    d_f3 = code_from_generators(comp_f3, [one_minus_g])
+    c_f3 = GroupCode.from_generators(comp_f3, [one_plus_g])
+    d_f3 = GroupCode.from_generators(comp_f3, [one_minus_g])
     C = code_crt_combine([full_f2, c_f3], algebra=A_Z6C2)
     D = code_crt_combine([zero_f2, d_f3], algebra=A_Z6C2)
     return C, D
@@ -136,15 +134,15 @@ def test_crt_combine_cardinality_example():
     }
     assert code_word_set(C) == lifted
 
-    zero = code_from_generators(A_Z6C2, [])
+    zero = GroupCode.from_generators(A_Z6C2, [])
     assert zero.cardinality() == 1
-    full = code_from_generators(A_Z6C2, [A_Z6C2.one()])
+    full = GroupCode.from_generators(A_Z6C2, [A_Z6C2.one()])
     assert full.cardinality() == 36
 
 
 def test_crt_project_combine_identity(running_pair):
     C, _ = running_pair
-    for X in (C, _z6c2_pair()[0], code_from_generators(A_Z6C2, [])):
+    for X in (C, _z6c2_pair()[0], GroupCode.from_generators(A_Z6C2, [])):
         parts = X.crt_project()
         back = code_crt_combine(parts, algebra=X.algebra)
         assert back == X
@@ -154,17 +152,18 @@ def test_crt_project_combine_identity(running_pair):
 
 def test_crt_combine_validation():
     comp_f2, comp_f3 = A_Z6C2.components
-    full_f2 = code_from_generators(comp_f2, [comp_f2.one()])
+    full_f2 = GroupCode.from_generators(comp_f2, [comp_f2.one()])
     with pytest.raises(ValidationError):
         code_crt_combine([full_f2], algebra=A_Z6C2)
-    other = code_from_generators(A_F2C3, [A_F2C3.one()])
+    other = GroupCode.from_generators(A_F2C3, [A_F2C3.one()])
     with pytest.raises(ValidationError):
         code_crt_combine([full_f2, other], algebra=A_Z6C2)
-    full_f3 = code_from_generators(comp_f3, [comp_f3.one()])
+    full_f3 = GroupCode.from_generators(comp_f3, [comp_f3.one()])
     for parts in ([], [full_f3, full_f2], [full_f2, full_f3, full_f3]):
         with pytest.raises(ValidationError):
             code_crt_combine(parts, algebra=A_Z6C2)
-    assert code_crt_combine([full_f2, full_f3], algebra=A_Z6C2).is_full
+    combined = code_crt_combine([full_f2, full_f3], algebra=A_Z6C2)
+    assert combined.cardinality() == combined.algebra.size
 
 
 def test_lcp_check_examples(running_pair):
@@ -176,8 +175,8 @@ def test_lcp_check_examples(running_pair):
     rep_cc = lcp_check(C, C)
     assert not rep_cc.is_lcp and rep_cc.intersection_size == 4
 
-    full = code_from_generators(A_F2C3, [A_F2C3.one()])
-    zero = code_from_generators(A_F2C3, [])
+    full = GroupCode.from_generators(A_F2C3, [A_F2C3.one()])
+    zero = GroupCode.from_generators(A_F2C3, [])
     assert lcp_check(full, zero).is_lcp
 
 
@@ -185,8 +184,8 @@ def test_lcp_check_one_component_meets_trivially():
     """Z6[C3] = F2[C3] x F3[C3].  Over F2, <sum g> and <1 + g> meet in 0 and
     fill F2[C3]; over F3, <sum g> = <(1 - g)^2> lies inside <1 - g>, so the
     pair meets in 3 words there and its sum is not full."""
-    C = code_from_generators(A_Z6C3, [ints(A_Z6C3, 1, 5, 3)])  # (sum g, 1 - g)
-    D = code_from_generators(A_Z6C3, [ints(A_Z6C3, 1, 1, 4)])  # (1 + g, sum g)
+    C = GroupCode.from_generators(A_Z6C3, [ints(A_Z6C3, 1, 5, 3)])  # (sum g, 1 - g)
+    D = GroupCode.from_generators(A_Z6C3, [ints(A_Z6C3, 1, 1, 4)])  # (1 + g, sum g)
     rep = lcp_check(C, D)
     assert rep.intersection_size == 3
     assert rep.component_verdicts == (True, False)
@@ -202,8 +201,8 @@ def test_lcp_check_decides_without_walking(monkeypatch):
     both fields, <g - 1> and <sum g> are complementary; |C| = 6^34 is far
     above the enumeration cap, and no word is walked or listed."""
     A = GroupAlgebra(ProductRing.from_modulus(6), cyclic(35))
-    C = code_from_generators(A, [ints(A, 5, 1, *[0] * 33)])
-    D = code_from_generators(A, [ints(A, *[1] * 35)])
+    C = GroupCode.from_generators(A, [ints(A, 5, 1, *[0] * 33)])
+    D = GroupCode.from_generators(A, [ints(A, *[1] * 35)])
     walks = count_calls(monkeypatch, linalg._nonzero_flags)
     listings = count_calls(monkeypatch, linalg.enumerate_codewords)
     rep = lcp_check(C, D)
@@ -230,7 +229,7 @@ def test_from_components_checks_its_forms():
     """The forms must be one per component, each over that component's ring
     and of length |G|: Z6[C3] needs two, the first over F2 and of length 3."""
     forms = GroupCode.from_generators(A_Z6C3, [A_Z6C3.one()]).components
-    assert GroupCode.from_components(A_Z6C3, forms).is_full
+    assert GroupCode.from_components(A_Z6C3, forms).cardinality() == A_Z6C3.size
     with pytest.raises(ValidationError, match="need 2 component forms, got 1"):
         GroupCode.from_components(A_Z6C3, forms[:1])
     with pytest.raises(ValidationError, match="does not match the algebra"):
@@ -252,7 +251,7 @@ def test_ideal_enumeration_checks_no_element_again(monkeypatch):
 
 def test_lcp_check_mismatched_algebras(running_pair):
     C, _ = running_pair
-    other = code_from_generators(A_F2C2, [A_F2C2.one()])
+    other = GroupCode.from_generators(A_F2C2, [A_F2C2.one()])
     with pytest.raises(ValidationError):
         lcp_check(C, other)
 
@@ -262,30 +261,30 @@ def test_min_distance_examples(running_pair):
     assert min_distance(C) == 2
     assert weight_enumerator(C) == (1, 0, 3, 0)
     assert min_distance(D) == 3
-    full = code_from_generators(A_F2C2, [A_F2C2.one()])
+    full = GroupCode.from_generators(A_F2C2, [A_F2C2.one()])
     assert min_distance(full) == 1
-    zero = code_from_generators(A_F2C3, [])
+    zero = GroupCode.from_generators(A_F2C3, [])
     assert zero.is_zero
     assert min_distance(zero) == 4  # n + 1 convention for the zero code
     with pytest.raises(CapExceededError):
-        min_distance(code_from_generators(A_F2C3, [A_F2C3.one()]), max_enum=4)
+        min_distance(GroupCode.from_generators(A_F2C3, [A_F2C3.one()]), max_enum=4)
 
 
 def test_security_parameter_examples(running_pair):
     C, D = running_pair
-    assert security_parameter(C, D) == 2
-    full = code_from_generators(A_F2C3, [A_F2C3.one()])
-    zero = code_from_generators(A_F2C3, [])
-    assert security_parameter(full, zero) == 1
+    assert check_dual_equivalence(C, D).d_c == 2
+    full = GroupCode.from_generators(A_F2C3, [A_F2C3.one()])
+    zero = GroupCode.from_generators(A_F2C3, [])
+    assert check_dual_equivalence(full, zero).d_c == 1
     with pytest.raises(NotLcpError):
-        security_parameter(C, C)
+        check_dual_equivalence(C, C)
 
 
 def test_security_parameter_z6c2_pair():
     C, D = _z6c2_pair()
     rep = lcp_check(C, D)
     assert rep.is_lcp
-    got = security_parameter(C, D)
+    got = check_dual_equivalence(C, D).d_c
     # brute-force both distances from the enumerated codewords
     zero = C.algebra.ring.zero
 
@@ -305,7 +304,7 @@ def test_security_parameter_z6c2_pair():
 def test_dsm_split_examples(running_pair):
     C, D = running_pair
     z = ints(A_F2C3, 1, 0, 0)
-    c, d = dsm_split(z, C, D)
+    c, d = DsmSplitter(C, D).split(z)
     assert flat(c) == (0, 1, 1) and flat(d) == (1, 1, 1)
     # unique by brute force over C x D
     combos = [
@@ -317,15 +316,15 @@ def test_dsm_split_examples(running_pair):
     assert combos == [(c, d)]
 
     z0 = A_F2C3.zero()
-    assert dsm_split(z0, C, D) == (z0, z0)
+    assert DsmSplitter(C, D).split(z0) == (z0, z0)
     member = ints(A_F2C3, 0, 1, 1)
-    assert dsm_split(member, C, D) == (member, z0)
+    assert DsmSplitter(C, D).split(member) == (member, z0)
 
 
 def test_dsm_split_requires_lcp(running_pair):
     C, _ = running_pair
     with pytest.raises(NotLcpError):
-        dsm_split(A_F2C3.zero(), C, C)
+        DsmSplitter(C, C).split(A_F2C3.zero())
 
 
 def test_dsm_splitter_covers_whole_algebra(running_pair):
@@ -353,7 +352,7 @@ def test_enumerate_ideals_contains_zero_and_full():
     for algebra in (A_F2C2, A_Z6C2):
         ideals = enumerate_ideals(algebra)
         assert any(I.is_zero for I in ideals)
-        assert any(I.is_full for I in ideals)
+        assert any(I.cardinality() == I.algebra.size for I in ideals)
 
 
 def test_enumerate_ideals_cap():

@@ -11,7 +11,6 @@ from lcpcodes.algebra import GroupAlgebra
 from lcpcodes.codes import (
     GroupCode,
     code_dual,
-    code_from_generators,
     code_involute,
     enumerate_ideals,
     lcp_check,
@@ -46,8 +45,8 @@ def ints(algebra, *values):
 
 @pytest.fixture(scope="module")
 def running_pair():
-    C = code_from_generators(A_F2C3, [ints(A_F2C3, 1, 1, 0)])
-    D = code_from_generators(A_F2C3, [ints(A_F2C3, 1, 1, 1)])
+    C = GroupCode.from_generators(A_F2C3, [ints(A_F2C3, 1, 1, 0)])
+    D = GroupCode.from_generators(A_F2C3, [ints(A_F2C3, 1, 1, 1)])
     return C, D
 
 
@@ -188,8 +187,8 @@ def test_check_dual_equivalence_running_pair(running_pair):
 
 
 def test_check_dual_equivalence_trivial_pair():
-    full = code_from_generators(A_F2C3, [A_F2C3.one()])
-    zero = code_from_generators(A_F2C3, [])
+    full = GroupCode.from_generators(A_F2C3, [A_F2C3.one()])
+    zero = GroupCode.from_generators(A_F2C3, [])
     res = check_dual_equivalence(full, zero)
     assert res.status == STATUS_FOUND
     assert res.permutation == (0, 1, 2)
@@ -273,7 +272,7 @@ def test_dual_check_walks_one_weight_enumerator(monkeypatch):
     D^perp share one weight walk also for a D that comes without its dual:
     here D rebuilt from its component forms."""
     algebra = GroupAlgebra(F2, cyclic(7))
-    C = code_from_generators(algebra, [ints(algebra, 1, 1, 0, 1, 0, 0, 0)])
+    C = GroupCode.from_generators(algebra, [ints(algebra, 1, 1, 0, 1, 0, 0, 0)])
     D = GroupCode.from_components(algebra, code_dual(code_involute(C)).components)
     walks = count_calls(monkeypatch, linalg._nonzero_flags)
     res = check_dual_equivalence(C, D)

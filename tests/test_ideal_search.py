@@ -273,12 +273,12 @@ def test_intersection_sizes_from_the_sum(searched):
             assert closed == [X.cardinality() for X in M.components]
             assert closed == [len(a & b) for a, b in zip(pc, pd)]
             assert rep.intersection_size == M.cardinality() == len(wc & wd)
-            assert rep.sum_is_full == S.is_full
+            assert rep.sum_is_full == (S.cardinality() == algebra.size)
             assert rep.component_verdicts == tuple(
                 X.cardinality() == 1 and T.cardinality() == cr.size**n
                 for X, T, cr in zip(M.components, S.components, comps)
             )
-            assert rep.is_lcp == (len(wc & wd) == 1 and S.is_full)
+            assert rep.is_lcp == (len(wc & wd) == 1 and S.cardinality() == algebra.size)
 
 
 def test_dsm_splitter_decides_as_lcp_check(searched):
