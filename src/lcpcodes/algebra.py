@@ -60,11 +60,6 @@ class GroupAlgebra:
     def one(self):
         return (self.ring.one,) + (self.ring.zero,) * (self.group.n - 1)
 
-    def basis(self, i: int):
-        """The basis element 1 * g_i."""
-        z = self.ring.zero
-        return tuple(self.ring.one if k == i else z for k in range(self.group.n))
-
     def check(self, a):
         if not isinstance(a, (tuple, list)):
             raise ValidationError(f"element {a!r} must be a tuple of coefficients")
@@ -130,26 +125,6 @@ class GroupAlgebra:
                 GroupAlgebra(ProductRing([c]), self.group) for c in self.ring.components
             )
         return self._components
-
-    def crt_project(self, a):
-        """Split an element into its per-component images."""
-        return tuple(tuple(zip(row)) for row in component_rows(a))
-
-    def crt_lift(self, parts):
-        """Reassemble an element from per-component images (inverse of the split)."""
-        if len(parts) != self.ring.s:
-            raise ValidationError(
-                f"need {self.ring.s} component elements, got {len(parts)}"
-            )
-        n = self.group.n
-        for part in parts:
-            if not isinstance(part, (tuple, list)) or len(part) != n:
-                raise ValidationError("component element has the wrong group order")
-            for x in part:
-                if not isinstance(x, (tuple, list)) or len(x) != 1:
-                    raise ValidationError(f"component coefficient {x!r} is not a 1-tuple")
-        rows = [row for part in parts for row in component_rows(part)]
-        return self.check(from_component_rows(rows))
 
     # -- display ------------------------------------------------------------------
 

@@ -212,6 +212,8 @@ def load_config(path: str) -> InstanceConfig:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise ValidationError(f"config {path} is nested too deeply") from exc
     if not isinstance(doc, dict) or "ring" not in doc or "group" not in doc:
         raise ValidationError("config must be an object with 'ring' and 'group'")
     base_dir = os.path.dirname(os.path.abspath(path))

@@ -41,7 +41,6 @@ from .linalg import (
     _field_width,
     _nonzero_flags,
     _scalars,
-    enumerate_codewords,
     intersect,
     kernel,
     membership,
@@ -82,17 +81,6 @@ class GroupCode:
 
     def __hash__(self):
         return hash((self.algebra, self.components))
-
-    @property
-    def generators(self) -> tuple:
-        """The component pivot rows embedded with zeros in the other
-        components, read off the forms on each call."""
-        zeros = [(P.ring.zero,) * P.ncols for P in self.components]
-        return tuple(
-            from_component_rows(zeros[:j] + [row] + zeros[j + 1 :])
-            for j, form in enumerate(self.components)
-            for row in form.rows
-        )
 
     # -- constructors -------------------------------------------------------
 
@@ -175,13 +163,6 @@ class GroupCode:
     def contains(self, a) -> bool:
         rows = component_rows(self.algebra.check(a))
         return all(membership(row, P) for row, P in zip(rows, self.components))
-
-    def codewords(self, cap: int = DEFAULT_ENUM_CAP):
-        """All codewords as algebra elements: the product of the component
-        spans, each walked by ``enumerate_codewords`` on every call."""
-        _check_enum_cap("code", self.cardinality(), cap)
-        for combo in itertools.product(*(enumerate_codewords(P, cap) for P in self.components)):
-            yield from_component_rows(combo)
 
     @property
     def key(self):

@@ -76,18 +76,6 @@ class RingMatrix:
     rows: tuple
     ncols: int
 
-    @classmethod
-    def make(cls, ring: ChainRing, rows, ncols: int | None = None) -> "RingMatrix":
-        rows = tuple(map(ring.check_row, rows))
-        if ncols is None:
-            if not rows:
-                raise ValidationError("ncols is required for an empty matrix")
-            ncols = len(rows[0])
-        for row in rows:
-            if len(row) != ncols:
-                raise ValidationError("rows of differing length")
-        return cls(ring, rows, ncols)
-
 
 @dataclass(frozen=True)
 class PivotForm:
@@ -339,8 +327,17 @@ def _howell(ring, rows, pivot_cols_limit, split=0):
 
 def _loaded(M: RingMatrix, engine_rows: bool):
     """M's rows in the engine's form: as they are when ``engine_rows`` says
-    they already are, else loaded by the ring's kit."""
-    return M.rows if engine_rows else list(map(_scalars(M.ring).load, M.rows))
+    they already are, else checked (``ncols`` entries of the ring each) and
+    loaded by the ring's kit."""
+    if engine_rows:
+        return M.rows
+    if not isinstance(M.ncols, int) or M.ncols < 0:
+        raise ValidationError(f"ncols {M.ncols!r} must be a non-negative integer")
+    for row in M.rows:
+        if len(row) != M.ncols:
+            raise ValidationError(f"row of length {len(row)} in a matrix of {M.ncols} columns")
+    load, check = _scalars(M.ring).load, M.ring.check_row
+    return [load(check(row)) for row in M.rows]
 
 
 def pivot_reduce(M: RingMatrix, *, _engine_rows=False) -> PivotForm:

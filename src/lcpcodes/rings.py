@@ -307,7 +307,6 @@ class ChainRing:
         self._mtail = modulus[:r]
         self.zero = (0,) * r
         self.one = (1,) + (0,) * (r - 1)
-        self.gamma = (p % self.pe,) + (0,) * (r - 1)
         self._key = (p, e, r, self.modulus)
         self._elements = None
         self._inv_cache: dict[tuple, tuple] = {}
@@ -643,12 +642,6 @@ class ProductRing:
         self._arity(a, b)
         return tuple(c.sub(x, y) for c, x, y in zip(self.components, a, b))
 
-    def neg(self, a):
-        return tuple(c.neg(x) for c, x in zip(self.components, a))
-
     def mul(self, a, b):
         self._arity(a, b)
         return tuple(c.mul(x, y) for c, x, y in zip(self.components, a, b))
-
-    def is_unit(self, a) -> bool:
-        return all(c.is_unit(x) for c, x in zip(self.components, a))

@@ -3,7 +3,9 @@
 Everything here enumerates: spans by trying every coefficient combination,
 kernels by scanning the whole ambient module, ideals by closing sets under
 the defining operations, products by the forward convolution formula.  None
-of it shares code paths with the library's pivot/kernel machinery.
+of it shares code paths with the library's pivot/kernel machinery, except
+``code_words`` and ``code_generators``: views of a code, read off its forms,
+that tests need and no command does.
 """
 
 import itertools
@@ -157,8 +159,34 @@ def brute_dual(algebra, words):
     return out
 
 
+def code_words(code, cap=1 << 20):
+    """The code's words as algebra elements, in the library's walk order:
+    the product of the component spans, each walked by
+    ``enumerate_codewords``."""
+    from lcpcodes.algebra import from_component_rows
+    from lcpcodes.linalg import _check_enum_cap, enumerate_codewords
+
+    _check_enum_cap("code", code.cardinality(), cap)
+    for combo in itertools.product(*(enumerate_codewords(P, cap) for P in code.components)):
+        yield from_component_rows(combo)
+
+
 def code_word_set(code, cap=1 << 20):
-    return set(code.codewords(cap))
+    return set(code_words(code, cap))
+
+
+def code_generators(code):
+    """The code's component pivot rows, each embedded with zeros in the
+    other components: generators that ``GroupCode.from_generators`` closes
+    to the code again."""
+    from lcpcodes.algebra import from_component_rows
+
+    zeros = [(P.ring.zero,) * P.ncols for P in code.components]
+    return tuple(
+        from_component_rows(zeros[:j] + [row] + zeros[j + 1 :])
+        for j, P in enumerate(code.components)
+        for row in P.rows
+    )
 
 
 def conjugacy_classes(group):

@@ -9,7 +9,7 @@ from lcpcodes.errors import ValidationError
 from lcpcodes.groups import cyclic, symmetric
 from lcpcodes.rings import ChainRing, ProductRing
 
-from oracles import naive_product
+from oracles import basis_element, naive_product
 
 F2 = ProductRing([ChainRing(2, 1, 1)])
 A_F2C3 = GroupAlgebra(F2, cyclic(3))
@@ -39,17 +39,16 @@ def random_element(algebra, rng):
 @pytest.mark.parametrize("algebra", [A_Z6C3, A_F4F3C2], ids=["Z6[C3]", "(F4xF3)[C2]"])
 def test_component_rows_invert_and_match_the_crt_maps(algebra):
     """Row j of an element holds the coefficients' parts in component j; the
-    two layout helpers are inverse, and agree with crt_project and crt_lift
-    on every element."""
+    two layout helpers are inverse, and row j alone is an element of the
+    component algebra R_j[G], on every element."""
     s, seen = algebra.ring.s, 0
     for a in algebra.elements():
         rows = component_rows(a)
         assert rows == tuple(tuple(c[j] for c in a) for j in range(s))
         assert from_component_rows(rows) == a
         assert component_rows(from_component_rows(rows)) == rows
-        parts = tuple(tuple((x,) for x in row) for row in rows)
-        assert algebra.crt_project(a) == parts
-        assert algebra.crt_lift(parts) == a
+        for comp, row in zip(algebra.components, rows):
+            assert comp.check(from_component_rows((row,))) == tuple((x,) for x in row)
         seen += 1
     assert s == 2 and seen == algebra.size
 
@@ -94,55 +93,18 @@ def test_mul_matches_oracle_on_random_pairs():
 
 def test_crt_project_example():
     a = ints(A_Z6C2, 3, 4)
-    p2, p3 = A_Z6C2.crt_project(a)
-    assert p2 == (((1,),), ((0,),))  # the element "1" over F2[C2]
-    assert p3 == (((0,),), ((1,),))  # the element "g" over F3[C2]
-    assert A_Z6C2.crt_project(A_Z6C2.zero()) == (
-        A_Z6C2.components[0].zero(),
-        A_Z6C2.components[1].zero(),
+    p2, p3 = component_rows(a)
+    assert p2 == ((1,), (0,))  # the element "1" over F2[C2]
+    assert p3 == ((0,), (1,))  # the element "g" over F3[C2]
+    assert component_rows(A_Z6C2.zero()) == tuple(
+        row for comp in A_Z6C2.components for row in component_rows(comp.zero())
     )
-    assert A_Z6C2.crt_lift((p2, p3)) == a
+    assert from_component_rows((p2, p3)) == a
 
 
-def test_crt_lift_validation():
-    a = ints(A_Z6C2, 3, 4)
-    parts = A_Z6C2.crt_project(a)
-    with pytest.raises(ValidationError):
-        A_Z6C2.crt_lift(parts[:1])
-    with pytest.raises(ValidationError):
-        A_Z6C2.crt_lift((parts[0][:1], parts[1]))
-
-
-A_F2C2 = GroupAlgebra(F2, cyclic(2))
-
-
-@pytest.mark.parametrize(
-    "algebra, parts",
-    [
-        (A_F2C2, [(1, 2)]),
-        (A_F2C2, [5]),
-        (A_F2C2, [(((1,), (0,)), ((0,),))]),  # a coefficient of two components
-        (A_Z6C2, [(1, 2), (1, 2)]),
-        (A_Z6C2, [(((1,),), ((0,),)), (1, 2)]),
-    ],
-    ids=["Z2-ints", "Z2-int-part", "Z2-two-parts", "Z6-ints", "Z6-second-ints"],
-)
-def test_crt_lift_refuses_parts_of_bare_ints(algebra, parts):
-    """A part must list n coefficients of its component's algebra, each a
-    1-tuple holding a ring element; bare ints are a ValidationError, not a
-    TypeError."""
-    with pytest.raises(ValidationError):
-        algebra.crt_lift(parts)
-
-
-def test_crt_lift_checks_every_component():
-    """Parts holding coefficients outside their component ring are refused
-    over a product ring as over a chain ring: 7 and 9 are not residues of
-    Z2 and Z3."""
-    with pytest.raises(ValidationError):
-        A_Z6C2.crt_lift(((((7,),), ((0,),)), (((9,),), ((1,),))))
-    with pytest.raises(ValidationError):
-        A_F2C3.crt_lift(((((7,),), ((0,),), ((0,),)),))
+def split(a):
+    """a as its elements of the component algebras R_j[G], one per row."""
+    return tuple(from_component_rows((row,)) for row in component_rows(a))
 
 
 def test_split_is_ring_homomorphism():
@@ -152,13 +114,13 @@ def test_split_is_ring_homomorphism():
         for _ in range(60):
             a = random_element(algebra, rng)
             b = random_element(algebra, rng)
-            pa, pb = algebra.crt_project(a), algebra.crt_project(b)
-            sum_parts = algebra.crt_project(algebra.add(a, b))
-            prod_parts = algebra.crt_project(algebra.mul(a, b))
+            pa, pb = split(a), split(b)
+            sum_parts = split(algebra.add(a, b))
+            prod_parts = split(algebra.mul(a, b))
             for j, comp in enumerate(comps):
                 assert sum_parts[j] == comp.add(pa[j], pb[j])
                 assert prod_parts[j] == comp.mul(pa[j], pb[j])
-            assert algebra.crt_lift(pa) == a
+            assert from_component_rows([row for part in pa for row in component_rows(part)]) == a
 
 
 def test_associativity_distributivity_exhaustive_f2c2():
@@ -195,7 +157,7 @@ def test_noncommutative_witness_over_s3():
     found = None
     for i in range(A.group.n):
         for j in range(A.group.n):
-            a, b = A.basis(i), A.basis(j)
+            a, b = basis_element(A.ring, A.group.n, i), basis_element(A.ring, A.group.n, j)
             if A.mul(a, b) != A.mul(b, a):
                 found = (i, j)
                 break

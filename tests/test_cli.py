@@ -14,6 +14,8 @@ import pytest
 
 from lcpcodes import cli, codes, equivalence
 
+from oracles import code_generators
+
 RUNNING_CONFIG = {
     "ring": [{"p": 2, "e": 1, "r": 1}],
     "group": {"family": "cyclic", "n": 3},
@@ -336,7 +338,7 @@ def test_product_ring_lcp_report_bytes_are_pinned(capsys, tmp_path, name):
     D = codes.code_dual(codes.code_involute(cli._get_code(cfg, "C")))
     doc["codes"]["D"] = [
         [[i, [list(part) for part in x]] for i, x in enumerate(g) if x != cfg.algebra.ring.zero]
-        for g in D.generators
+        for g in code_generators(D)
     ]
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, _ = run(capsys, "--config", str(path), "--json", "lcp", "C", "D")
@@ -827,6 +829,14 @@ def test_randrange_redraws_above_the_last_multiple():
     assert _Words([1, 3]).randrange(2**64 + 1) == (2**64 + 3) % (2**64 + 1)  # first word high
 
 
+def nested_products(depth):
+    """Config text whose group nests ``depth`` two-factor ``product`` groups."""
+    group = '{"family": "cyclic", "n": 1}'
+    for _ in range(depth):
+        group = f'{{"family": "product", "factors": [{group}, {{"family": "cyclic", "n": 1}}]}}'
+    return f'{{"ring": 6, "group": {group}}}'
+
+
 @pytest.mark.parametrize(
     "doc, word",
     [
@@ -844,17 +854,19 @@ def test_randrange_redraws_above_the_last_multiple():
         ({"ring": 6, "group": {"table": "c257.tbl"}}, "257"),
         (dict(RUNNING_CONFIG, seed=-1), "seed"),
         (dict(RUNNING_CONFIG, seed=2**64), "seed"),
+        ("[" * 100000 + "]" * 100000, "nested too deeply"),  # text: json.dumps would recurse as deep
+        (nested_products(600), "nested too deeply"),
     ],
     ids=["codes-list", "e-string", "p-string", "n-string", "modulus-string", "cyclic-no-n",
          "symmetric-no-m", "table-int", "factors-object", "index-bool", "table-missing",
-         "table-order", "seed-negative", "seed-2^64"],
+         "table-order", "seed-negative", "seed-2^64", "array-100000-deep", "product-600-deep"],
 )
 def test_malformed_config_exit_two(tmp_path, doc, word):
     # a valid Cayley table of C_257, one past the group order limit
     rows = (" ".join(str((i + j) % 257) for j in range(257)) for i in range(257))
     (tmp_path / "c257.tbl").write_text("\n".join(["257", *rows]) + "\n", encoding="utf-8")
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     proc = run_process("--config", str(path), "info")
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -38,6 +38,7 @@ from lcpcodes.rings import ChainRing, ProductRing
 
 from oracles import (
     all_elements_two_sided,
+    basis_element,
     code_word_set,
     coefficient_split,
     identity_images,
@@ -106,7 +107,8 @@ def test_two_sided_and_dsm_split_on_engine_rows(name):
     ideals = enumerate_ideals(A, A.size)
     for X in ideals:
         assert X.is_two_sided() and all_elements_two_sided(X)
-    n, rows = A.group.n, component_rows(A.basis(1))
+    n = A.group.n
+    rows = component_rows(basis_element(A.ring, n, 1))
     line = GroupCode.from_components(
         A, [pivot_reduce(RingMatrix(cr, (row,), n)) for cr, row in zip(A.ring.components, rows)]
     )
@@ -157,7 +159,7 @@ def reduce_style_pair(A, rng):
         j = rng.randrange(n)
         a = [ring.zero] * n
         a[j] = ring.one
-        a[A.group.table[j][h]] = ring.neg(ring.one)
+        a[A.group.table[j][h]] = ring.sub(ring.zero, ring.one)
         gens.append(tuple(a))
     return [GroupCode.from_generators(A, [a]) for a in gens]
 

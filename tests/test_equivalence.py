@@ -33,7 +33,7 @@ from lcpcodes.linalg import RingMatrix, enumerate_codewords, pivot_reduce
 from lcpcodes.rings import ChainRing, ProductRing
 
 from counting import count_calls
-from oracles import brute_span, scanned_lex_least_search
+from oracles import brute_span, code_words, scanned_lex_least_search
 
 F2 = ProductRing([ChainRing(2, 1, 1)])
 A_F2C3 = GroupAlgebra(F2, cyclic(3))
@@ -286,7 +286,7 @@ def test_search_leaves_no_reference_cycle():
     a collection right after a search finds nothing."""
     algebra = GroupAlgebra(F2, cyclic(7))
     C1, C2 = [I for I in enumerate_ideals(algebra) if I.cardinality() == 16]
-    w1 = list(C1.codewords())
+    w1 = list(code_words(C1))
     w2 = sorted(apply_permutation((1, 0, 2, 3, 4, 5, 6), w) for w in w1)
     was = gc.isenabled()
     gc.collect()

@@ -32,7 +32,7 @@ from lcpcodes.linalg import RingMatrix, pivot_reduce
 from lcpcodes.rings import ChainRing, ProductRing, _fp_divmod, _fp_gcd, _fp_is_irreducible
 
 from counting import count_calls
-from oracles import principal_closure_ideals
+from oracles import basis_element, principal_closure_ideals
 from test_output_identity import job_sets, load_perfbench
 
 
@@ -87,7 +87,7 @@ def sample(algebra, rng):
     its ideal is often proper (d = n gives zero)."""
     n = algebra.group.n
     d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
-    factor = algebra.sub(algebra.one(), algebra.basis(d % n))
+    factor = algebra.sub(algebra.one(), basis_element(algebra.ring, n, d % n))
     return algebra.mul(random_element(algebra, rng), factor)
 
 
@@ -278,7 +278,7 @@ def test_a_span_that_is_no_ideal_falls_back_to_howell(monkeypatch):
     (F2,) = algebra.ring.components
     one, zero = F2.one, F2.zero
     rows = [(one, zero, zero, one), (zero, one, zero, zero), (zero, zero, one, one)]
-    P = pivot_reduce(RingMatrix.make(F2, rows))
+    P = pivot_reduce(RingMatrix(F2, tuple(rows), 4))
     assert P.pivot_cols == (0, 1, 2)
     ideal = GroupCode.from_generators(algebra, [((one,), (one,), (zero,), (zero,))])  # <1 + x>
     assert ideal.components[0].engine_rows[0] == P.engine_rows[0] and ideal.components[0] != P

@@ -28,7 +28,7 @@ def M(ring, int_rows, ncols=None):
     rows = tuple(tuple((x,) for x in row) for row in int_rows)
     if ncols is None:
         ncols = len(int_rows[0]) if int_rows else 0
-    return RingMatrix.make(ring, rows, ncols)
+    return RingMatrix(ring, rows, ncols)
 
 
 def test_pivot_reduce_z4_example():
@@ -126,7 +126,7 @@ def _random_matrix(ring, rng):
         )
         for _ in range(m)
     )
-    return RingMatrix.make(ring, rows, n)
+    return RingMatrix(ring, rows, n)
 
 
 def _corpus(seed, count=100):
@@ -179,7 +179,7 @@ def test_canonical_form_is_generator_independent():
         mat = _random_matrix(ring, rng)
         span = brute_span(ring, mat.rows, mat.ncols)
         P1 = pivot_reduce(mat)
-        all_rows = RingMatrix.make(ring, sorted(span), mat.ncols)
+        all_rows = RingMatrix(ring, tuple(sorted(span)), mat.ncols)
         P2 = pivot_reduce(all_rows)
         assert P1.rows == P2.rows
         assert P1.pivot_cols == P2.pivot_cols
@@ -261,8 +261,33 @@ def test_span_solver_checks_the_target_length():
             solver.solve(target)
 
 
+BAD_MATRICES = {
+    "entry-outside-F2": RingMatrix(F2, (((1,), (3,)),), 2),
+    "entry-outside-Z4": RingMatrix(Z4, (((1,), (0,)), ((0,), (4,))), 2),
+    "entry-of-arity-1-in-F4": RingMatrix(F4, (((1, 0), (1,)),), 2),
+    "entry-not-a-tuple": RingMatrix(Z9, ((1, 2),), 2),
+    "ragged": RingMatrix(Z4, (((1,), (0,)), ((1,),)), 2),
+    "long-row": RingMatrix(Z9, (((1,), (0,), (2,)),), 2),
+    "no-ncols": RingMatrix(Z4, (), None),
+    "negative-ncols": RingMatrix(Z4, (), -1),
+}
+
+
 def test_ring_matrix_validation():
-    with pytest.raises(ValidationError):
-        RingMatrix.make(Z4, (((1,), (0,)), ((1,),)), 2)
-    with pytest.raises(ValidationError):
-        RingMatrix.make(Z4, (), None)
+    """``pivot_reduce``, ``kernel`` and ``SpanSolver`` check the matrices
+    they load: ``ncols`` a count, each entry an element of the ring, each
+    row ``ncols`` long.  An unchecked (1, 3) over F2 would reduce to a form
+    unequal to that of its residue (1, 1)."""
+    for name, bad in BAD_MATRICES.items():
+        ring, m = bad.ring, len(bad.rows)
+        zeros = RingMatrix(ring, ((ring.zero,),) * m, 1)
+        for make in (
+            pivot_reduce,
+            kernel,
+            lambda X: SpanSolver(X, identity_images(ring, m)),
+            lambda X: SpanSolver(zeros, X),
+        ):
+            with pytest.raises(ValidationError):
+                make(bad)
+                pytest.fail(f"{name} was loaded")
+    assert pivot_reduce(M(F2, [[1, 1]])).cardinality() == 2

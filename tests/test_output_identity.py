@@ -3,9 +3,10 @@
 The runs are every job that ``perfbench/gen.py::build`` makes for the
 ``reduce``, ``enumerate`` and ``search`` workloads at seeds 1 and 7, each
 with and without ``--json``, plus ``search-lcp`` (``--json``) on the four
-2^12-element algebras and ``lcp`` on the F2[C15] Hamming pair, the F2[C17]
+2^12-element algebras, ``lcp`` on the F2[C15] Hamming pair, the F2[C17]
 pair and the F2[C23] Golay pair (both past the search's length limit, so
-g -> g^-1 is the reported witness).  Each run
+g -> g^-1 is the reported witness), and the ``PATH_RUNS`` of the command
+paths no benchmark job reaches.  Every subcommand has a run.  Each run
 goes through ``cli.main`` in this process and is hashed as the sha256 of
 its stdout, stderr and exit code; ``output_manifest.json`` holds the
 digests.  A change meant to alter a report needs a new manifest, written by
@@ -55,6 +56,50 @@ LCP_PAIRS = {
 }
 
 
+# S3 with its identity at index 2, which the table loader moves to index 0
+S3_TABLE = "6\n2 3 0 1 5 4\n4 2 1 5 0 3\n0 1 2 3 4 5\n5 0 3 4 2 1\n1 5 4 2 3 0\n3 4 5 0 1 2\n"
+
+# Runs of the command paths no benchmark job reaches, each as text and as
+# --json: ``info`` on a modulus that Pollard-Brent splits (1009 * 1013, both
+# past trial division); ``code``, ``lcp`` and ``crt`` over a ``product`` group,
+# with C = <sum of G> and D the augmentation ideal; ``code`` and
+# ``search-lcp`` over ``S3_TABLE`` read from its file; and GR(9,2)[C4] and
+# F27[C2], rings past the Howell engine's table size, where it works on
+# coefficient tuples.  {name: (config, [command argv])}
+PATH_RUNS = {
+    "Z1022117[C3]": (
+        {"ring": 1009 * 1013, "group": {"family": "cyclic", "n": 3}, "codes": {"C": [[[0, 1], [1, 1]]]}},
+        [["info"]],
+    ),
+    "Z35[C2xD3]": (
+        {
+            "ring": 35,
+            "group": {"family": "product", "factors": [{"family": "cyclic", "n": 2}, {"family": "dihedral", "n": 3}]},
+            "codes": {"C": [[[i, 1] for i in range(12)]], "D": [[[0, 1], [i, 34]] for i in range(1, 12)]},
+        },
+        [["code", "C"], ["lcp", "C", "D"], ["crt", "D"]],
+    ),
+    "F2[S3 table]": (
+        {"ring": [{"p": 2}], "group": {"table": "s3.tbl"}, "codes": {"C": [[[0, 1], [1, 1]]]}},
+        [["code", "C"], ["search-lcp"]],
+    ),
+    "GR(9,2)[C4]": (
+        {
+            "ring": [{"p": 3, "e": 2, "r": 2}],
+            "group": {"family": "cyclic", "n": 4},
+            # C = <x * sum of G>, D = <1 - g>, E = <3 + 3x g>
+            "codes": {
+                "C": [[[i, [[0, 1]]] for i in range(4)]],
+                "D": [[[0, [1]], [1, [8]]]],
+                "E": [[[0, [3]], [1, [[0, 3]]]]],
+            },
+        },
+        [["code", "E"], ["dual", "E"], ["lcp", "C", "D"], ["mindist", "E"]],
+    ),
+    "F27[C2]": ({"ring": [{"p": 3, "r": 3}], "group": {"family": "cyclic", "n": 2}, "codes": {}}, [["search-lcp"]]),
+}
+
+
 def load_perfbench(stem):
     """``perfbench/<stem>.py``, which may import its siblings (``gen`` and
     ``polys``) by name."""
@@ -93,7 +138,9 @@ def job_sets(gen, directory):
         gen._search_job(b, gen.RINGS[ring], family, n)
     where = directory / "extra"
     pairs = {f"{name}.json": doc for name, (_, doc) in LCP_PAIRS.items()}
-    gen.write_configs(dict(b.configs, **pairs), str(where))
+    paths = {f"{name}.json": doc for name, (doc, _) in PATH_RUNS.items()}
+    gen.write_configs(dict(b.configs, **pairs, **paths), str(where))
+    (where / "s3.tbl").write_text(S3_TABLE, encoding="utf-8")
     extra = [
         (
             f"extra:{job['label']}:json",
@@ -107,6 +154,12 @@ def job_sets(gen, directory):
         for mode, flag in MODES:
             argv = ["--config", str(where / f"{name}.json")] + flag + ["lcp", "C", "D"]
             extra.append((f"extra:lcp {name}:{mode}", label, argv, doc))
+    for name, (doc, commands) in PATH_RUNS.items():
+        for command in commands:
+            label = f"{' '.join(command)} {name}"
+            for mode, flag in MODES:
+                argv = ["--config", str(where / f"{name}.json")] + flag + command
+                extra.append((f"extra:{label}:{mode}", label, argv, doc))
     sets["extra"] = extra
     return sets
 
@@ -140,6 +193,13 @@ def test_reports_match_the_manifest(sets, manifest, name):
         )
     prefix = name + ":"
     assert len([k for k in manifest if k.startswith(prefix)]) == len(runs)
+
+
+def test_every_subcommand_is_pinned(sets):
+    """Each ``cmd_*`` of the CLI is what some pinned run runs."""
+    parse = cli._parser().parse_args
+    pinned = {parse(argv).fn for runs in sets.values() for _, _, argv, _ in runs}
+    assert pinned == {name for name in vars(cli) if name.startswith("cmd_")}
 
 
 def test_a_one_byte_report_change_is_seen(sets, manifest, monkeypatch):

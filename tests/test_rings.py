@@ -140,7 +140,8 @@ def test_large_prime_extension_ring_builds(p, r):
     """The search and the irreducibility test cost log p, not p^(r-1)."""
     ring = ChainRing(p, 3, r)
     assert trial_division_irreducible(list(ring.modulus), p)
-    assert ring.mul(ring.one, ring.gamma) == ring.gamma
+    gamma = ring.gamma_power(1)
+    assert ring.mul(ring.one, gamma) == gamma
 
 
 @pytest.mark.parametrize("r", [2, 3, 6])
@@ -230,7 +231,7 @@ def _op_tables(ring):
 def test_ring_axioms_exhaustive(shape):
     ring = ChainRing(*shape)
     elems, add, mul = _op_tables(ring)
-    gamma = ring.gamma
+    gamma = ring.gamma_power(1)
     ge = gamma
     for _ in range(ring.e - 1):
         ge = mul[(ge, gamma)]
@@ -289,8 +290,6 @@ def test_product_componentwise_examples():
     five = R6.project(5)
     assert R6.mul(five, five) == ((1,), (1,))  # 5*5 = 25 = 1 mod 6
     assert R6.add(((0,), (1,)), ((1,), (0,))) == ((1,), (1,))
-    assert not R6.is_unit(((1,), (0,)))
-    assert R6.is_unit(five)
 
 
 def test_projection_is_ring_homomorphism():
