@@ -305,13 +305,14 @@ def cmd_dual(cfg: InstanceConfig, args) -> tuple[dict, int]:
 
 def cmd_mindist(cfg: InstanceConfig, args) -> tuple[dict, int]:
     C = _get_code(cfg, args.name)
-    d = min_distance(C, max_enum=args.max_enum)
+    dual = code_dual(C) if C.dual_is_smaller() else None  # walked in C's place
+    d = min_distance(C, args.max_enum, dual)
     report = {
         "command": "mindist",
         "name": args.name,
         "cardinality": C.cardinality(),
         "min_distance": d,
-        "weight_enumerator": list(weight_enumerator(C, max_enum=args.max_enum)),
+        "weight_enumerator": list(weight_enumerator(C, args.max_enum, dual)),
         "zero_code": C.is_zero,
     }
     return report, EXIT_OK
@@ -416,9 +417,10 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     pairs = []
     # D = iota(C)^perp is the only possible complement of C (the proof is on
     # check_dual_equivalence, which checks D^perp = iota(C) on the two codes
-    # cached here, with no new kernel), so one lcp_check per ideal decides.
+    # cached here, with no new kernel), so one lcp_check per ideal decides; D
+    # is the listed ideal, so the pair (D, C) reuses the weights walked here.
     for i, C in enumerate(ideals):
-        D = code_dual(code_involute(C))
+        D = ideals[index[code_dual(code_involute(C)).components]]
         if not lcp_check(C, D).is_lcp:
             continue
         eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
@@ -596,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=d, help="override the config seed")
         p.add_argument(
             "--max-enum", type=int, default=(argparse.SUPPRESS if suppress else DEFAULT_ENUM_CAP),
-            help="codeword enumeration cap",
+            help="codeword enumeration cap, on the side walked: C, or C^perp or D where smaller",
         )
         p.add_argument(
             "--max-ideals", type=int, default=(argparse.SUPPRESS if suppress else DEFAULT_IDEAL_CAP),

@@ -19,6 +19,8 @@ elements.  Duality uses the standard coordinatewise bilinear form on the
 coefficient vectors.
 ``lcp_check`` decides a pair from code sizes alone and lists no codeword;
 ``equivalence.check_dual_equivalence`` adds the distances of an LCP pair.
+Weights are walked on the smaller side, C or a partner with C^perp's
+weights, and the enumeration cap bounds that side (``weight_enumerator``).
 """
 
 from __future__ import annotations
@@ -159,6 +161,10 @@ class GroupCode:
     @property
     def is_zero(self) -> bool:
         return self.cardinality() == 1
+
+    def dual_is_smaller(self) -> bool:
+        """Whether |C|^2 > |R[G]|, so C^perp is the smaller (|C| |C^perp| = |R[G]|)."""
+        return self.cardinality() ** 2 > self.algebra.size
 
     def contains(self, a) -> bool:
         rows = component_rows(self.algebra.check(a))
@@ -341,19 +347,25 @@ def _component_verdict(P, Q, sum_size: int) -> tuple[int, bool]:
     return size, size == 1 and sum_size == P.ring.size**P.ncols
 
 
-def weight_enumerator(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> tuple:
-    """Codeword counts by Hamming weight 0..n, from the nonzero flags of
-    the packed walk (one guard bit per coordinate).  Over a chain ring a
-    word's weight is the popcount of its flags.  Over a product ring every
-    component is walked at one common field width, so the flags line up; a
-    codeword is nonzero where any of its components is, and flags a
-    (x words) and flags b (y words) give a | b (x * y words).  The counts
-    are cached on C."""
+def weight_enumerator(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP, _partner: GroupCode | None = None) -> tuple:
+    """Codeword counts by Hamming weight 0..n.  ``_partner``, a code with
+    the weights of C^perp (C^perp, or D of an LCP pair: C^perp = iota(D)),
+    is walked in C's place where it is smaller (``GroupCode.dual_is_smaller``),
+    and C's counts are its transform (``_macwilliams``); the cap bounds the
+    side walked.  A walk reads the nonzero flags of the packed words (one
+    guard bit per coordinate).  Over a chain ring a word's weight is the
+    popcount of its flags.  Over a product ring every component is walked
+    at one common field width, so the flags line up; a codeword is nonzero
+    where any of its components is, and flags a (x words) and flags b
+    (y words) give a | b (x * y words).  The counts are cached on C."""
+    side = _partner if _partner is not None and C.dual_is_smaller() else C
     # checked also when cached, so a cap means the same on every call
-    _check_enum_cap("code", C.cardinality(), max_enum)
+    _check_enum_cap("code" if side is C else "dual side", side.cardinality(), max_enum)
     if C._weights is None:
         n = C.algebra.group.n
-        if len(C.components) == 1:
+        if side is not C:
+            C._weights = _macwilliams(weight_enumerator(side, max_enum), C.algebra.ring.size, C.cardinality())
+        elif len(C.components) == 1:
             weights = Counter()
             for flags in _nonzero_flags(C.components[0], max_enum):
                 weights.update(map(int.bit_count, flags))
@@ -374,6 +386,28 @@ def weight_enumerator(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> tuple:
     return C._weights
 
 
+def _macwilliams(weights, q: int, size: int) -> tuple:
+    """The weight counts A_k = sum_i B_i K_k(i) / |C^perp| of a code C of
+    ``size`` words over a Frobenius ring of q elements, from those B_i of
+    C^perp (MacWilliams; Wood, Amer. J. Math. 121, 1999).  The Krawtchouk
+    values come from (k + 1) K_(k+1) = ((q - 1)(n - k) + k - q i) K_k -
+    (q - 1)(n - k + 1) K_(k-1), exact in integers: O(n) per nonzero B_i.
+    Counts that are not non-negative integers summing to ``size`` raise."""
+    n = len(weights) - 1
+    sums = [0] * (n + 1)
+    for i, b in enumerate(weights):
+        if b:
+            prev, cur = 0, 1
+            for k in range(n + 1):
+                sums[k] += b * cur
+                prev, cur = cur, (((q - 1) * (n - k) + k - q * i) * cur - (q - 1) * (n - k + 1) * prev) // (k + 1)
+    total = sum(weights)
+    counts = [divmod(s, total) for s in sums]
+    if any(rest or a < 0 for a, rest in counts) or sum(a for a, _ in counts) != size:
+        raise AssertionError(f"MacWilliams transform of {weights} is no weight enumerator of {size} words")
+    return tuple(a for a, _ in counts)
+
+
 def _tally(keys: Counter, n: int) -> tuple:
     """Word counts by weight 0..n from counts of nonzero-flag keys; a key's
     popcount is its weight at any field width."""
@@ -383,10 +417,10 @@ def _tally(keys: Counter, n: int) -> tuple:
     return tuple(weights)
 
 
-def min_distance(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP) -> int:
+def min_distance(C: GroupCode, max_enum: int = DEFAULT_ENUM_CAP, _partner: GroupCode | None = None) -> int:
     """Minimum Hamming weight of a nonzero codeword; n + 1 for the zero code."""
     n = C.algebra.group.n
-    wd = weight_enumerator(C, max_enum)
+    wd = weight_enumerator(C, max_enum, _partner)
     for w in range(1, n + 1):
         if wd[w]:
             return w

@@ -5,9 +5,10 @@ compares weight enumerators, then partitions coordinates by their column
 frequency signatures, and finally backtracks over signature-respecting
 assignments in increasing order, so a found permutation is always the
 lexicographically least valid one.  For an LCP pair (C, D) the dual-distance
-report gives d(C) = d(D^perp), since D^perp = iota(C), and looks for both
-per-component and whole-ring permutations carrying D^perp onto C: at most
-s walks, no kernel, and iota: g -> g^-1 itself, unsearched, above n = 16.
+report gives d(C) = d(D^perp), since D^perp = iota(C), from the walk of C
+or D, and looks for both per-component and whole-ring permutations carrying
+D^perp onto C: at most s more walks, no kernel, and iota: g -> g^-1
+itself, unsearched, above n = 16.
 """
 
 from __future__ import annotations
@@ -237,8 +238,9 @@ def check_dual_equivalence(
     central idempotents; <x, y> is the coefficient of 1 in x iota(y), so
     x in D^perp <=> x iota(D) = 0 <=> x in R[G] iota(e) = iota(C), and over
     a Frobenius ring (X^perp)^perp = X.  That is checked, not assumed; iota
-    permutes coordinates, so the one walk of C gives d(D^perp) = d(C), and
-    a search that finds no permutation of D^perp onto C is a fault.
+    permutes coordinates, so d(D^perp) = d(C), from the walk of C or, where
+    smaller, of D (C^perp = iota(D): ``weight_enumerator``'s ``_partner``),
+    and a search that finds no permutation of D^perp onto C is a fault.
     Permutations are searched per CRT component and once over the whole
     ring, and the block note records both.  When iota(C) != C, each
     component walks C_j, or D_j when that is smaller, and the other side is
@@ -254,7 +256,7 @@ def check_dual_equivalence(
     Dd = code_involute(C)
     if code_dual(Dd) != D:
         raise AssertionError("LCP pair with iota(C)^perp != D; D^perp must be iota(C)")
-    d = min_distance(C, max_enum)
+    d = min_distance(C, max_enum, D)  # C^perp = iota(D), so W_(C^perp) = W_D
     group = C.algebra.group
     n = group.n
     pairs = list(zip(Dd.components, C.components))

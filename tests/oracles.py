@@ -427,18 +427,24 @@ def dual_equivalence_reference(C, D, max_enum=1 << 20):
     ``tallied_weights``, then every component and the whole ring searched on
     their own by ``listed_permutation_search``, over word lists from the
     recursion; no listing or search of the library takes part.  The errors
-    come in the library's order: a cap on a distance first.  Past the
-    search's length limit the report is the witness g -> g^-1, checked on
-    the two word lists."""
+    come in the library's order: first the cap on the side a distance
+    walks, C or, when |C|^2 > |R[G]|, D; no side the library's search
+    walks is larger, so the lists here take no cap.  Past the search's
+    length limit the report is the witness g -> g^-1, checked on the two
+    word lists."""
     from lcpcodes.codes import code_dual, lcp_check
     from lcpcodes.equivalence import SEARCH_LENGTH_LIMIT, STATUS_FOUND, EquivalenceResult
+    from lcpcodes.errors import CapExceededError
 
     if not lcp_check(C, D).is_lcp:
         raise ValueError("not an LCP pair")
+    side, size = ("dual side", D.cardinality()) if C.cardinality() ** 2 > C.algebra.size else ("code", C.cardinality())
+    if size > max_enum:
+        raise CapExceededError(f"{side} of size {size} exceeds the enumeration cap {max_enum} (--max-enum)")
     Dd = code_dual(D)
     group = C.algebra.group
     n = group.n
-    weights = [tallied_weights(X, max_enum) for X in (C, Dd)]
+    weights = [tallied_weights(X) for X in (C, Dd)]
     d_c, d_dd = (next((w for w in range(1, n + 1) if counts[w]), n + 1) for counts in weights)
     if n > SEARCH_LENGTH_LIMIT:
         iota = group.inv
@@ -449,12 +455,12 @@ def dual_equivalence_reference(C, D, max_enum=1 << 20):
         return EquivalenceResult(STATUS_FOUND, iota, d_c, d_dd, note)
     notes = []
     for j, (Cj, Ddj) in enumerate(zip(C.crt_project(), Dd.crt_project())):
-        res = listed_permutation_search(Ddj, Cj, max_enum)
+        res = listed_permutation_search(Ddj, Cj)
         if res.status == STATUS_FOUND:
             notes.append(f"component {j}: found {list(res.permutation)}")
         else:
             notes.append(f"component {j}: {res.status}")
-    full = listed_permutation_search(Dd, C, max_enum)
+    full = listed_permutation_search(Dd, C)
     if full.status == STATUS_FOUND:
         notes.append(f"common permutation: found {list(full.permutation)}")
     else:

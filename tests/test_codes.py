@@ -266,8 +266,14 @@ def test_min_distance_examples(running_pair):
     zero = GroupCode.from_generators(A_F2C3, [])
     assert zero.is_zero
     assert min_distance(zero) == 4  # n + 1 convention for the zero code
-    with pytest.raises(CapExceededError):
-        min_distance(GroupCode.from_generators(A_F2C3, [A_F2C3.one()]), max_enum=4)
+    # the cap bounds the side walked: the [7, 4] Hamming code (16 words)
+    # with its dual (8 words) as partner walks the dual, and past both sizes
+    # it raises naming that side
+    A7 = GroupAlgebra(F2, cyclic(7))
+    hamming = GroupCode.from_generators(A7, [ints(A7, 1, 1, 0, 1, 0, 0, 0)])
+    with pytest.raises(CapExceededError, match="dual side of size 8 exceeds the enumeration cap 7"):
+        min_distance(hamming, 7, code_dual(hamming))
+    assert min_distance(hamming, 8, code_dual(hamming)) == 3
 
 
 def test_security_parameter_examples(running_pair):

@@ -268,16 +268,17 @@ def test_distance_equality_over_nonabelian_f2s3():
 
 
 def test_dual_check_walks_one_weight_enumerator(monkeypatch):
-    """For an LCP pair, D^perp = iota(C), and the check records it, so C and
-    D^perp share one weight walk also for a D that comes without its dual:
-    here D rebuilt from its component forms."""
+    """For an LCP pair, D^perp = iota(C), so C^perp = iota(D) and the
+    distances take one weight walk, of the smaller side, also for a D that
+    comes without its dual: here D rebuilt from its component forms.  C is
+    the [7, 4] Hamming code (16 words), so D (8 words) is walked."""
     algebra = GroupAlgebra(F2, cyclic(7))
     C = GroupCode.from_generators(algebra, [ints(algebra, 1, 1, 0, 1, 0, 0, 0)])
     D = GroupCode.from_components(algebra, code_dual(code_involute(C)).components)
     walks = count_calls(monkeypatch, linalg._nonzero_flags)
     res = check_dual_equivalence(C, D)
     assert res.status == STATUS_FOUND and res.d_c == res.d_d_dual == 3
-    assert walks == [C.components[0]]
+    assert walks == [D.components[0]]
 
 
 def test_search_leaves_no_reference_cycle():

@@ -195,7 +195,8 @@ def test_involute_shares_the_weight_enumerator(searched):
     enumerators.  Each code takes its own from its own walk: computed from C
     first or from iota(C) first, both equal the brute-force tallies, also
     for the CRT parts.  The cap still holds on an enumerator already
-    cached: |iota(C)| = |C|."""
+    cached, on the side walked: with its dual as partner, a code walks the
+    smaller of |C| = |iota(C)| and |C^perp|, and a cap below both raises."""
     _, algebra, ideals, _ = searched
     for ideal in ideals:
         for c_first in (True, False):
@@ -207,16 +208,17 @@ def test_involute_shares_the_weight_enumerator(searched):
             for X in pair:
                 parts = X.crt_project()
                 assert [weight_enumerator(Y) for Y in parts] == [tallied_weights(Y) for Y in parts]
-            if C.cardinality() > 1:
-                with pytest.raises(CapExceededError):
-                    min_distance(pair[1], C.cardinality() - 1)
+            walked = min(C.cardinality(), algebra.size // C.cardinality())
+            if walked > 1:
+                with pytest.raises(CapExceededError, match=f" of size {walked} exceeds"):
+                    min_distance(pair[1], walked - 1, code_dual(pair[1]))
 
 
 def test_check_dual_equivalence_walks_each_component_of_c_once(monkeypatch):
     """Over Z6[C4], for each LCP pair (C, iota(C)^perp) as search-lcp forms
-    it, the distances take one weight walk of each component of C and no
-    other: d(D^perp) = d(C), since D^perp = iota(C), so neither iota(C) nor
-    a CRT part is walked for its weights."""
+    it, the distances take one weight walk of each component of one side,
+    C or D, and no other: d(D^perp) = d(C), since D^perp = iota(C), so
+    neither iota(C) nor a CRT part is walked for its weights."""
     A = GroupAlgebra(ProductRing.from_modulus(6), cyclic(4))
     walked = []
     real = codes._nonzero_flags
@@ -401,9 +403,12 @@ def outcome(fn, *args, **kwargs):
 
 
 def test_check_dual_equivalence_errors_match_reference():
-    """Cap errors surface as before: over Z6[C3] with a cap of 2 words, and
-    at length 17.  Past the permutation search's limit a pair within the cap
-    reports g -> g^-1 as found, with no search."""
+    """Cap errors, on the side the distance walks, surface as in the
+    reference: over Z6[C3] with a cap of 2 words, and at length 17, where
+    C = <x^8 + x^5 + x^4 + x^3 + 1> (2^9 words) walks its partner D (2^8
+    words), so a cap of 255 is below both sides and 256 is not.  Past the
+    permutation search's limit a pair within the cap reports g -> g^-1 as
+    found, with no search."""
     A = GroupAlgebra(ProductRing.from_modulus(6), cyclic(3))
     ideals = enumerate_ideals(A)
     for i, j in full_scan_lcp_pairs(ideals):
@@ -414,14 +419,17 @@ def test_check_dual_equivalence_errors_match_reference():
     one = ((1,),)
     small = GroupCode.from_generators(A17, ((one,) * 17,))
     big = GroupCode.from_generators(A17, ((one, one) + (((0,),),) * 15,))
-    for C, D, cap in ((small, big, 1 << 20), (big, small, 4)):
+    nine = GroupCode.from_generators(A17, (tuple(one if i in (0, 3, 4, 5, 8) else ((0,),) for i in range(17)),))
+    eight = code_dual(code_involute(nine))
+    assert (nine.cardinality(), eight.cardinality()) == (512, 256)
+    for C, D, cap in ((small, big, 1 << 20), (nine, eight, 256), (nine, eight, 255)):
         got = outcome(check_dual_equivalence, C, D, max_enum=cap)
         assert got == outcome(dual_equivalence_reference, C, D, max_enum=cap)
-        if cap > 4:
+        if cap != 255:
             assert got.status == STATUS_FOUND and got.permutation == A17.group.inv
             assert "no search run" in got.block_note
         else:
-            assert got[0] is CapExceededError
+            assert got == (CapExceededError, "dual side of size 256 exceeds the enumeration cap 255 (--max-enum)")
 
 
 TINY = {

@@ -5,8 +5,10 @@ The runs are every job that ``perfbench/gen.py::build`` makes for the
 with and without ``--json``, plus ``search-lcp`` (``--json``) on the four
 2^12-element algebras, ``lcp`` on the F2[C15] Hamming pair, the F2[C17]
 pair and the F2[C23] Golay pair (both past the search's length limit, so
-g -> g^-1 is the reported witness), and the ``PATH_RUNS`` of the command
-paths no benchmark job reaches.  Every subcommand has a run.  Each run
+g -> g^-1 is the reported witness), ``lcp`` on the F2[C31], Z4[C15] and
+Z6[C35] pairs and ``mindist`` of the F2[C31] Hamming code (C past the
+enumeration cap, its distance taken from the smaller side), and the
+``PATH_RUNS`` of the command paths no benchmark job reaches.  Every subcommand has a run.  Each run
 goes through ``cli.main`` in this process and is hashed as the sha256 of
 its stdout, stderr and exit code; ``output_manifest.json`` holds the
 digests.  A change meant to alter a report needs a new manifest, written by
@@ -47,13 +49,33 @@ def pair_config(n, c, d):
     }
 
 
-# LCP pairs (C, D = iota(C)^perp), each D generated by its first pivot row:
-# {name: (label, config)}
+def rows_config(ring, n, c, d):
+    """Z_ring[C_n] with C and D generated by rows given as digit strings,
+    digit i the coefficient of group element i."""
+    def literal(row):
+        return [[i, int(a)] for i, a in enumerate(row) if a != "0"]
+
+    codes = {"C": [literal(row) for row in c], "D": [literal(row) for row in d]}
+    return {"ring": ring, "group": {"family": "cyclic", "n": n}, "codes": codes, "seed": 0}
+
+
+# LCP pairs (C, D = iota(C)^perp), the first three with D generated by its
+# first pivot row, the last three (C far past the enumeration cap, D within
+# it) by all its pivot rows: {name: (label, config)}
 LCP_PAIRS = {
     "F2[C15]": ("lcp F2[C15] Hamming pair", pair_config(15, (0, 1, 4), (0, 4, 5, 6, 7, 9, 11, 12))),
     "F2[C17]": ("lcp F2[C17] <1 + x>, <sum of G>", pair_config(17, (0, 1), range(17))),
     "F2[C23]": ("lcp F2[C23] Golay pair", pair_config(23, (0, 2, 4, 5, 6, 10, 11), (0, 11, 13, 16, 19, 20, 21, 22))),
+    "F2[C31]": ("lcp F2[C31] Hamming pair", rows_config(2, 31, ["1010010000000000000000000000000"], [
+        "1000010101110110001111100110100", "0100001010111011000111110011010", "0010000101011101100011111001101",
+        "0001010111011000111110011010010", "0000101011101100011111001101001"])),
+    "Z4[C15]": ("lcp Z4[C15] <1 + 3x + 2x^2 + x^4>", rows_config(4, 15, ["132010000000000"], [
+        "100033132103120", "010003313210312", "001022111123231", "000113123013203"])),
+    "Z6[C35]": ("lcp Z6[C35] <g - 1>, <sum of G>", rows_config(6, 35, ["5" + "1" + "0" * 33], ["3" * 35, "4" * 35])),
 }
+
+# mindist of C of an LCP pair, whose dual is walked in its place: {pair name: label}
+MINDIST_RUNS = {"F2[C31]": "mindist F2[C31] Hamming code"}
 
 
 # S3 with its identity at index 2, which the table loader moves to index 0
@@ -154,6 +176,10 @@ def job_sets(gen, directory):
         for mode, flag in MODES:
             argv = ["--config", str(where / f"{name}.json")] + flag + ["lcp", "C", "D"]
             extra.append((f"extra:lcp {name}:{mode}", label, argv, doc))
+    for name, label in MINDIST_RUNS.items():
+        for mode, flag in MODES:
+            argv = ["--config", str(where / f"{name}.json")] + flag + ["mindist", "C"]
+            extra.append((f"extra:mindist {name}:{mode}", label, argv, LCP_PAIRS[name][1]))
     for name, (doc, commands) in PATH_RUNS.items():
         for command in commands:
             label = f"{' '.join(command)} {name}"

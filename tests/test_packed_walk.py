@@ -328,11 +328,16 @@ def test_walks_past_one_table(ring, n, rows):
 
 
 def test_cap_applies_to_cached_weights():
-    algebra = GroupAlgebra(chain(2), cyclic(3))
-    C = GroupCode.from_generators(algebra, [algebra.one()])
-    assert weight_enumerator(C) == (1, 3, 3, 1)
-    with pytest.raises(CapExceededError, match="code of size 8 exceeds the enumeration cap 7"):
-        weight_enumerator(C, max_enum=7)
+    """The cap bounds the side walked, also once the weights are cached: the
+    [7, 4] Hamming code (16 words) with its dual (8 words) as partner is
+    walked on the dual, and a cap below both sizes names the side walked."""
+    algebra = GroupAlgebra(chain(2), cyclic(7))
+    C = GroupCode.from_generators(algebra, [tuple(map(algebra.ring.project, (1, 1, 0, 1, 0, 0, 0)))])
+    assert weight_enumerator(C, 8, code_dual(C)) == (1, 0, 0, 7, 7, 0, 0, 1)
+    with pytest.raises(CapExceededError, match="dual side of size 8 exceeds the enumeration cap 7"):
+        weight_enumerator(C, 7, code_dual(C))
+    with pytest.raises(CapExceededError, match="code of size 16 exceeds the enumeration cap 15"):
+        weight_enumerator(C, 15)
 
 
 def test_cap_applies_to_every_listing():
@@ -553,8 +558,9 @@ def _count_lcp_reductions(path, monkeypatch):
 
 def test_lcp_builds_the_dual_once(tmp_path, capsys, monkeypatch):
     """On an LCP pair the security parameter and the equivalence report share
-    one D^perp: one kernel, and one weight walk, of C, which serves D^perp
-    too: D^perp = iota(C) for an LCP pair, checked on the keys.  The pair
+    one D^perp: one kernel, and one weight walk, of D (4 words), the smaller
+    side, which serves C and D^perp too: D^perp = iota(C) for an LCP pair,
+    checked on the keys.  The pair
     <x - 1>, <1 + x + x^2> is over Z4, which the Howell engine reduces (a
     prime field with a cyclic group takes no kernel)."""
     path = tmp_path / "pair.json"
@@ -569,8 +575,9 @@ def test_lcp_builds_the_dual_once(tmp_path, capsys, monkeypatch):
 
 
 def test_lcp_walks_each_component_of_c_once_over_a_product_ring(tmp_path, capsys, monkeypatch):
-    """Over Z6 = F2 x F3 the one walk of C is one walk per CRT component,
-    and d(D^perp) is read off it.  Both components are prime fields with a
+    """Over Z6 = F2 x F3 the one weight walk, of D (6 words) as C (6^4
+    words) is the larger side, is one walk per CRT component, and d(C) =
+    d(D^perp) is read off it.  Both components are prime fields with a
     cyclic group, so the duals take no kernel."""
     path = tmp_path / "pair.json"
     path.write_text(
