@@ -23,7 +23,6 @@ from .codes import (
     GroupCode,
     code_crt_combine,
     code_dual,
-    code_involute,
     enumerate_ideals,
     lcp_check,
     min_distance,
@@ -415,14 +414,14 @@ def cmd_search_lcp(cfg: InstanceConfig, args) -> tuple[dict, int]:
     ideals = enumerate_ideals(cfg.algebra, max_size=args.max_ideals)
     index = {C.components: i for i, C in enumerate(ideals)}
     pairs = []
-    # D = iota(C)^perp is the only possible complement of C (the proof is on
-    # check_dual_equivalence, which checks D^perp = iota(C) on the two codes
-    # cached here, with no new kernel), so one lcp_check per ideal decides; D
-    # is the listed ideal, so the pair (D, C) reuses the weights walked here.
+    # enumerate_ideals read each complement off the listing, so an ideal with
+    # none takes no dual and no sum; check_dual_equivalence checks that D is
+    # iota(C)^perp, the only complement of C (the proof is on it), and the
+    # pair (D, C) reuses the weights walked here.
     for i, C in enumerate(ideals):
-        D = ideals[index[code_dual(code_involute(C)).components]]
-        if not lcp_check(C, D).is_lcp:
+        if C._complement is None:
             continue
+        D = ideals[index[C._complement]]
         eq = check_dual_equivalence(C, D, max_enum=args.max_enum, _assume_lcp=True)
         pairs.append(
             {

@@ -15,8 +15,10 @@ routes: the divisors on the gcd path; on any other separable component
 (p not dividing |G|) one closure per combination of its block idempotents,
 split from the orbit sums of the classes K under K -> K^q, as (sum K)^q =
 sum K^q there (``_block_idempotents``); on a modular one a walk of its
-elements.  Duality uses the standard coordinatewise bilinear form on the
-coefficient vectors.
+elements.  Each form comes with its complement, if any: read off the
+listing's exponents on the first two routes, tested once per walked form.
+Duality uses the standard coordinatewise bilinear form on the coefficient
+vectors.
 ``lcp_check`` decides a pair from code sizes alone and lists no codeword;
 ``equivalence.check_dual_equivalence`` adds the distances of an LCP pair.
 Weights are walked on the smaller side, C or a partner with C^perp's
@@ -29,7 +31,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from math import prod
+from math import gcd, prod
 
 from .algebra import GroupAlgebra, component_rows, from_component_rows
 from .errors import CapExceededError, NotLcpError, ValidationError
@@ -77,6 +79,8 @@ class GroupCode:
 
     algebra: GroupAlgebra
     components: tuple  # one pivot form per CRT component
+    # the complement's forms, where ``enumerate_ideals`` listed C and it has one
+    _complement: tuple | None = field(default=None, compare=False)
     _weights: tuple | None = field(default=None, init=False, compare=False)
     _dual: "GroupCode | None" = field(default=None, init=False, compare=False)
     _involute: "GroupCode | None" = field(default=None, init=False, compare=False)
@@ -500,36 +504,44 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
     which is already found.  Containment is read off generators: the
     smaller ideal lies in the larger when its generators are members (a
     principal ideal is generated by its orbit representative, a sum by the
-    union of its parts' generators).  Skipping those sums leaves the ideals found, and the order
-    in which they are found, unchanged.  The cap on |R[G]| is checked
-    before any route runs, so it bounds all three.
+    union of its parts' generators).  Skipping those sums leaves the ideals
+    found, and the order in which they are found, unchanged.  The cap on
+    |R[G]| is checked before any route runs, so it bounds all three.  An
+    ideal has a complement when each of its forms has one (``_complement``).
     """
     if algebra.size > max_size:
         raise CapExceededError(
             f"|R[G]| = {algebra.size} exceeds the ideal-enumeration cap {max_size} (--max-ideals)"
         )
-    parts = [_chain_ideals(A) for A in algebra.components]
-    ideals = [GroupCode.from_components(algebra, combo) for combo in itertools.product(*parts)]
+    combos = (zip(*combo) for combo in itertools.product(*[_chain_ideals(A) for A in algebra.components]))
+    ideals = [GroupCode(algebra, forms, None if None in mates else mates) for forms, mates in combos]
     return sorted(ideals, key=lambda c: (c.cardinality(), c.key))
 
 
 def _chain_ideals(algebra: GroupAlgebra) -> list:
-    """Every two-sided ideal of a chain-ring algebra as its pivot form, in
-    discovery order: on the gcd path (``_gcd_path``) the <g> in the order
-    of ``divisors``; on a separable component (``_separable``) the ideals
-    R[G] * sum_i gamma^(a_i) e_i over the block idempotents e_i
-    (``_block_idempotents``), one closure per exponent vector a in
-    {0..e}^b; on a modular one the walk of ``enumerate_ideals``."""
+    """Every two-sided ideal of a chain-ring algebra, in discovery order, as
+    (its pivot form P, that of its complement Q or None).  (P, Q) is LCP
+    exactly when P = R[G] e, Q = R[G] (1 - e) for a central idempotent e,
+    and then Q = iota(P)^perp (``check_dual_equivalence``).  On the gcd path
+    (``_gcd_path``) the <prod_i f_i^(a_i)> come in the order of
+    ``divisors``, 0 <= a_i <= p^t = gcd(n, p^n); on a separable component
+    (``_separable``) the closures of sum_i gamma^(a_i) e_i over the block
+    idempotents (``_block_idempotents``), 0 <= a_i <= e.  Either way P has a
+    complement when every a_i is an end value, and Q flips them
+    (``_flipped``).  A modular component is walked as ``enumerate_ideals``
+    says, and each form is tested once (``_component_verdict``)."""
     cr = algebra.ring.components[0]
     group = algebra.group
     if _gcd_path(algebra, cr):
-        return [generator_form(cr, group.n, g) for g in divisors(group.n, cr.p)]
+        forms = [generator_form(cr, group.n, g) for g in divisors(group.n, cr.p)]
+        return _flipped(forms, gcd(group.n, cr.p**group.n))
     if _separable(algebra, cr):
         gens = [algebra.zero()]
         for x in _block_idempotents(algebra):
             layer = [algebra.scale((cr.gamma_power(a),), x) for a in range(cr.e + 1)]
             gens = [algebra.add(z, y) for z in gens for y in layer]
-        return [GroupCode.from_generators(algebra, (z,), _canonical=True).components[0] for z in gens]
+        forms = [GroupCode.from_generators(algebra, (z,), _canonical=True).components[0] for z in gens]
+        return _flipped(forms, cr.e)
     conjs, shifts = group.conjugations, group.left_translations
     scalings = [
         {a: (cr.mul(u, a[0]),) for a in algebra.ring.elements()}.__getitem__
@@ -560,7 +572,26 @@ def _chain_ideals(algebra: GroupAlgebra) -> list:
             if S.components not in found:
                 found[S.components] = S, S.cardinality(), tuple(dict.fromkeys(gx + gy))
                 ideals.append(found[S.components])
-    return [X.components[0] for X, _, _ in ideals]
+    out = []
+    for X, _, _ in ideals:
+        (P,), (Q,) = X.components, code_dual(code_involute(X)).components
+        total = pivot_reduce(RingMatrix(cr, P.engine_rows + Q.engine_rows, group.n), _engine_rows=True)
+        out.append((P, Q if _component_verdict(P, Q, total.cardinality())[1] else None))
+    return out
+
+
+def _flipped(forms, top: int) -> list:
+    """(form, complement) for forms listed by exponent vectors a in
+    {0..top}^b, mixed radix: a form has a complement when every a_i is 0 or
+    top, and it is the form of top - a, the mirror position in the list."""
+    last = len(forms) - 1
+    out = []
+    for i, P in enumerate(forms):
+        x = i
+        while x and x % (top + 1) in (0, top):
+            x //= top + 1
+        out.append((P, None if x else forms[last - i]))
+    return out
 
 
 def _within(rows, X: GroupCode) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import add
 
 from .codes import GroupCode, _same_algebra, code_dual, code_involute, lcp_check, min_distance, weight_enumerator
 from .errors import CapExceededError, NotLcpError, ValidationError
@@ -86,35 +86,35 @@ def _carries(pairs, perm) -> bool:
     )
 
 
-def _column_signature(words, c):
-    return tuple(sorted(Counter(w[c] for w in words).items()))
-
-
 def _search_lex_least(words1, words2, n):
     """Lexicographically least coordinate permutation mapping set1 to set2.
 
-    A partial assignment perm[:k+1] survives when words2 projected onto those
-    columns gives the same multiset as words1 cut to its first k+1
-    coordinates.  words1's prefixes are numbered level by level, (id of
-    w[:k], w[k]) -> id of w[:k+1], so each DFS level maps words2's ids one
-    step further and compares counts of ids; a prefix words1 never has maps
-    to None, and the counts then differ.  The counts are compared as plain
+    Each distinct coordinate value is coded once as an int v < width, and
+    both sides are read as columns of those codes.  A partial assignment
+    perm[:k+1] survives when words2 projected onto those columns gives the
+    same multiset as words1 cut to its first k+1 coordinates.  words1's
+    prefixes are numbered level by level, id of w[:k] + w[k] -> id of
+    w[:k+1], each id a multiple of width, so each DFS level maps words2's
+    ids one step further and compares counts of ids; a prefix words1 never
+    has maps to None, and the counts then differ.  The counts are compared as plain
     dicts, whose equality runs in C.  At the last column the prefixes are
     whole words, so a full assignment maps words1 onto words2 as multisets.
     """
     if len(words1) != len(words2):
         return None
-    sig1 = [_column_signature(words1, c) for c in range(n)]
-    sig2 = [_column_signature(words2, c) for c in range(n)]
+    code = {}
+    cols1, cols2 = ([[code.setdefault(w[c], len(code)) for w in words] for c in range(n)] for words in (words1, words2))
+    sig1, sig2 = ([sorted(Counter(col).items()) for col in cols] for cols in (cols1, cols2))
     if sorted(sig1) != sorted(sig2):
         return None
     candidates = [[c2 for c2 in range(n) if sig2[c2] == sig1[c]] for c in range(n)]
+    width = len(code)
     steps, proj1 = [], []
     ids = [0] * len(words1)
-    for k in range(n):
+    for col in cols1:
         step = {}
-        ids = [step.setdefault((i, w[k]), len(step)) for i, w in zip(ids, words1)]
-        steps.append(step)
+        ids = [step.setdefault(i + v, len(step) * width) for i, v in zip(ids, col)]
+        steps.append(step.get)
         proj1.append(dict(Counter(ids)))
     perm = [0] * n
     used = [False] * n
@@ -134,7 +134,7 @@ def _search_lex_least(words1, words2, n):
             if used[c2]:
                 continue
             perm[k] = c2
-            ids2[k + 1] = list(map(steps[k].get, zip(ids2[k], map(itemgetter(c2), words2))))
+            ids2[k + 1] = list(map(steps[k], map(add, ids2[k], cols2[c2])))
             if dict.__eq__(proj1[k], Counter(ids2[k + 1])):
                 used[c2] = True
                 k += 1

@@ -586,6 +586,55 @@ def scanned_lex_least_search(words1, words2, n):
     return None
 
 
+def tuple_keyed_lex_least_search(words1, words2, n):
+    """The lex-least search as the library ran it with prefix ids keyed by
+    (id, coordinate value) tuples: words1's prefixes numbered level by level,
+    each DFS level mapping words2's ids one step further through those keys
+    and comparing counts of ids."""
+    from operator import itemgetter
+
+    if len(words1) != len(words2):
+        return None
+    sig1 = [_column_signature(words1, c) for c in range(n)]
+    sig2 = [_column_signature(words2, c) for c in range(n)]
+    if sorted(sig1) != sorted(sig2):
+        return None
+    candidates = [[c2 for c2 in range(n) if sig2[c2] == sig1[c]] for c in range(n)]
+    steps, proj1 = [], []
+    ids = [0] * len(words1)
+    for k in range(n):
+        step = {}
+        ids = [step.setdefault((i, w[k]), len(step)) for i, w in zip(ids, words1)]
+        steps.append(step)
+        proj1.append(dict(Counter(ids)))
+    perm = [0] * n
+    used = [False] * n
+    ids2 = [[0] * len(words2)] + [None] * n
+    pos = [0] * (n + 1)
+    k = 0
+    while k >= 0:
+        if k == n:
+            return tuple(perm)
+        cands = candidates[k]
+        while pos[k] < len(cands):
+            c2 = cands[pos[k]]
+            pos[k] += 1
+            if used[c2]:
+                continue
+            perm[k] = c2
+            ids2[k + 1] = list(map(steps[k].get, zip(ids2[k], map(itemgetter(c2), words2))))
+            if dict.__eq__(proj1[k], Counter(ids2[k + 1])):
+                used[c2] = True
+                k += 1
+                pos[k] = 0
+                break
+        else:
+            k -= 1
+            if k >= 0:
+                used[perm[k]] = False
+    return None
+
+
 def listed_permutation_search(C1, C2, max_enum=1 << 20):
     """``find_permutation`` the long way: both codes' word lists from the
     recursion, weights counted word by word, then the lex-least search by

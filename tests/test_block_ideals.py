@@ -98,7 +98,7 @@ def ideal_sets(A, *, gcd=True, blocks=True):
             mp.setattr(codes, "_gcd_path", lambda algebra, ring: False)
         if not blocks:
             mp.setattr(codes, "_separable", lambda algebra, ring: False)
-        ideals = codes._chain_ideals(A)
+        ideals = [P for P, _ in codes._chain_ideals(A)]
     found = set(ideals)
     assert len(found) == len(ideals)
     return found

@@ -347,24 +347,29 @@ def test_product_ring_lcp_report_bytes_are_pinned(capsys, tmp_path, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_search_lcp_checks_each_ideal_once(capsys, monkeypatch, tmp_path):
-    """One lcp_check per ideal: F2[C2xC2xC2] has 47 ideals, and scanning
-    every same-size candidate took 425 checks."""
+def test_search_lcp_makes_no_lcp_check(capsys, monkeypatch, tmp_path):
+    """No lcp_check: F2[C2xC2xC2] has 47 ideals, of which two have a
+    complement, read off the listing; one check per ideal took 47 calls,
+    and scanning every same-size candidate took 425."""
     calls = []
     real = cli.lcp_check
     monkeypatch.setattr(cli, "lcp_check", lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(codes, "lcp_check", lambda *a, **k: calls.append(1) or real(*a, **k))
     doc, _ = GOLDEN_SEARCH["F2[C2xC2xC2]"]
     path = tmp_path / "f2c2c2c2.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, report, _ = run_json(capsys, "--config", str(path), "--json", "search-lcp")
     assert code == 0
-    assert report["ideal_count"] == len(calls) == 47
+    assert report["ideal_count"] == 47 and report["lcp_pair_count"] == 2
+    assert calls == []
 
 
-def test_search_lcp_takes_each_dual_once(capsys, monkeypatch, tmp_path):
-    """One kernel per ideal, for its complement D = iota(C)^perp; the
-    comparison of C with D^perp reuses iota(C) instead of dualising D again
-    (which would make 49 kernels)."""
+def test_search_lcp_takes_one_dual_per_walked_form_and_pair(capsys, monkeypatch, tmp_path):
+    """F2[C2xC2xC2] is walked: each of its 47 forms P takes one kernel, for
+    iota(P)^perp, to decide whether it is complemented, and each of the two
+    LCP pairs one more, where check_dual_equivalence checks D =
+    iota(C)^perp; the comparison of C with D^perp reuses iota(C) instead of
+    dualising D again (which would make 51 kernels)."""
     calls = []
     real = codes.kernel
     monkeypatch.setattr(codes, "kernel", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -373,8 +378,8 @@ def test_search_lcp_takes_each_dual_once(capsys, monkeypatch, tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, report, _ = run_json(capsys, "--config", str(path), "--json", "search-lcp")
     assert code == 0
-    assert report["lcp_pair_count"] > 0
-    assert report["ideal_count"] == len(calls) == 47
+    assert report["lcp_pair_count"] == 2
+    assert len(calls) == report["ideal_count"] + report["lcp_pair_count"] == 49
 
 
 def test_crt(capsys, z6_path):

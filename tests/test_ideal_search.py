@@ -3,14 +3,15 @@
 ``enumerate_ideals`` (one closure per unit-and-translate orbit, per CRT
 component, sums of incomparable ideals by worklist) must give the same
 ideals in the same order as the principal-ideal fixed point in
-``oracles.py``; ``search-lcp`` (one check of each ideal C against its only
-candidate complement iota(C)^perp, where iota is the coordinate map
-g -> g^-1) the same pair list as the full scan;
+``oracles.py``; ``search-lcp`` (each complement read off the listing of
+the components, and checked to be iota(C)^perp, where iota is the
+coordinate map g -> g^-1) the same pair list as the full scan;
 ``check_dual_equivalence`` (each search walks each component of each side
 once) the same result as the report built the long way; ``find_permutation``
 (tagged component words) the same result as the search over product words;
-and the lex-least search (prefix ids per DFS level) the same permutation as
-the search that projects every word at each node.  ``lcp_check`` and ``DsmSplitter`` read each component's intersection
+and the lex-least search (int-coded coordinates, prefix ids per DFS level)
+the same permutation as the search that projects every word at each node
+and as the search keyed by (id, value) tuples it replaced.  ``lcp_check`` and ``DsmSplitter`` read each component's intersection
 size off the sum, |C meet D| = |C| |D| / |C + D|; on every ordered pair of
 ideals that must equal the Zassenhaus intersection and the brute force.
 C and iota(C) share one weight enumerator, whichever is walked first, and
@@ -28,7 +29,7 @@ import pytest
 from lcpcodes import cli
 from lcpcodes.algebra import GroupAlgebra, from_component_rows
 from lcpcodes import linalg
-from lcpcodes import codes
+from lcpcodes import codes, equivalence
 from lcpcodes.codes import (
     DsmSplitter,
     GroupCode,
@@ -65,7 +66,9 @@ from oracles import (
     scanned_lex_least_search,
     summed_worklist_ideals,
     tallied_weights,
+    tuple_keyed_lex_least_search,
 )
+from test_output_identity import LCP_PAIRS
 
 SEARCH_CORPUS = {
     "F2[C6]": ([{"p": 2}], {"family": "cyclic", "n": 6}),
@@ -135,7 +138,7 @@ def test_enumerate_ideals_sums_only_incomparable_ideals(name, monkeypatch):
     monkeypatch.setattr(codes, "_separable", lambda algebra, ring: False)
     if name in HOWELL_ONLY:
         monkeypatch.setattr(codes, "_gcd_path", lambda algebra, ring: False)
-    found = codes._chain_ideals(algebra)
+    found = [P for P, _ in codes._chain_ideals(algebra)]
     monkeypatch.undo()
     assert [(P.key(),) for P in found] == [X.key for X in order]
     words = [code_word_set(X) for X in order]
@@ -461,3 +464,49 @@ def test_lex_least_search_matches_the_scanning_search(searched):
         for words2 in words:
             if len(words1) == len(words2):
                 assert _search_lex_least(words1, words2, n) == scanned_lex_least_search(words1, words2, n)
+
+
+def test_lex_least_search_matches_the_tuple_keyed_search(searched):
+    """Every ordered pair of equal-size ideals, as plain words and as words
+    tagged as ``check_dual_equivalence`` tags them: the int-coded search
+    gives what the search keyed by (id, value) tuples gives."""
+    _, algebra, ideals, _ = searched
+    n = algebra.group.n
+    words = [list(code_words(C)) for C in ideals]
+    tagged = [[tuple((0, x) for x in w) for w in ws] for ws in words]
+    for side in (words, tagged):
+        for words1 in side:
+            for words2 in side:
+                if len(words1) == len(words2):
+                    assert _search_lex_least(words1, words2, n) == tuple_keyed_lex_least_search(words1, words2, n)
+
+
+# lcp F3[C8] of the seed-1 ``enumerate`` workload (81 words, 644 nodes)
+F3_C8_PAIR = {
+    "ring": 3,
+    "group": {"family": "cyclic", "n": 8},
+    "codes": {"C": [[[0, 1], [1, 1], [2, 1], [3, 2], [4, 1]]], "D": [[[0, 2], [1, 1], [3, 1], [4, 1]]]},
+}
+
+
+@pytest.mark.parametrize("name", ["F3[C8]", "Z4[C15]"])
+def test_lex_least_search_on_the_lcp_pairs(name, tmp_path, monkeypatch, capsys):
+    """Every search ``lcp`` runs on the F3[C8] pair and on the Z4[C15] pair
+    (an ``extra`` run of the output identity) gives the permutation of the
+    search keyed by (id, value) tuples."""
+    doc = F3_C8_PAIR if name == "F3[C8]" else LCP_PAIRS[name][1]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    searches = []
+    real = equivalence._search_lex_least
+
+    def recorded(words1, words2, n):
+        searches.append((words1, words2, n))
+        return real(words1, words2, n)
+
+    monkeypatch.setattr(equivalence, "_search_lex_least", recorded)
+    assert cli.main(["--config", str(path), "--json", "lcp", "C", "D"]) == 0
+    capsys.readouterr()
+    assert searches
+    for words1, words2, n in searches:
+        assert real(words1, words2, n) == tuple_keyed_lex_least_search(words1, words2, n)

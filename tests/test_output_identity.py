@@ -85,9 +85,11 @@ S3_TABLE = "6\n2 3 0 1 5 4\n4 2 1 5 0 3\n0 1 2 3 4 5\n5 0 3 4 2 1\n1 5 4 2 3 0\n
 # --json: ``info`` on a modulus that Pollard-Brent splits (1009 * 1013, both
 # past trial division); ``code``, ``lcp`` and ``crt`` over a ``product`` group,
 # with C = <sum of G> and D the augmentation ideal; ``code`` and
-# ``search-lcp`` over ``S3_TABLE`` read from its file; and GR(9,2)[C4] and
+# ``search-lcp`` over ``S3_TABLE`` read from its file; GR(9,2)[C4] and
 # F27[C2], rings past the Howell engine's table size, where it works on
-# coefficient tuples.  {name: (config, [command argv])}
+# coefficient tuples; and ``search-lcp`` on Z12[C2], a product ring whose
+# Z4 part is walked, and on F2[D4], walked and nonabelian.
+# {name: (config, [command argv])}
 PATH_RUNS = {
     "Z1022117[C3]": (
         {"ring": 1009 * 1013, "group": {"family": "cyclic", "n": 3}, "codes": {"C": [[[0, 1], [1, 1]]]}},
@@ -119,6 +121,8 @@ PATH_RUNS = {
         [["code", "E"], ["dual", "E"], ["lcp", "C", "D"], ["mindist", "E"]],
     ),
     "F27[C2]": ({"ring": [{"p": 3, "r": 3}], "group": {"family": "cyclic", "n": 2}, "codes": {}}, [["search-lcp"]]),
+    "Z12[C2]": ({"ring": 12, "group": {"family": "cyclic", "n": 2}, "codes": {}}, [["search-lcp"]]),
+    "F2[D4]": ({"ring": [{"p": 2}], "group": {"family": "dihedral", "n": 4}, "codes": {}}, [["search-lcp"]]),
 }
 
 
