@@ -12,13 +12,15 @@ and any form that carries no generator polynomial (``PivotForm.poly``),
 goes to the Howell engine of ``linalg``.  Both give the same canonical
 forms.  ``enumerate_ideals`` lists a component's ideals by one of three
 routes: the divisors on the gcd path; on any other separable component
-(p not dividing |G|) one closure per combination of its block idempotents,
-split from the orbit sums of the classes K under K -> K^q, as (sum K)^q =
-sum K^q there (``_block_idempotents``); on a modular one a walk of its
-elements.  Each form comes with its complement, if any: read off the
-listing's exponents on the first two routes, tested once per walked form.
-Duality uses the standard coordinatewise bilinear form on the coefficient
-vectors.
+(p not dividing |G|) one closure per combination of its block idempotents;
+on a modular one a walk of each block, and one sum per combination of the
+blocks' ideals.  The block idempotents (``_block_idempotents``) are split
+from the cycle sums of the classes K under K -> K^q, as (sum K)^q =
+sum K^q when p does not divide |G| or G is abelian, and otherwise from the
+kernel of z -> z^q - z on the class sums.  Each form comes with its
+complement, if any, read off the listing's exponents on every route: a sum
+of whole blocks is complemented by the other blocks.  Duality uses the
+standard coordinatewise bilinear form on the coefficient vectors.
 ``lcp_check`` decides a pair from code sizes alone and lists no codeword;
 ``equivalence.check_dual_equivalence`` adds the distances of an LCP pair.
 Weights are walked on the smaller side, C or a partner with C^perp's
@@ -45,6 +47,7 @@ from .linalg import (
     _field_width,
     _nonzero_flags,
     _scalars,
+    enumerate_codewords,
     intersect,
     kernel,
     membership,
@@ -491,23 +494,15 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
     the closures of sum_i gamma^(a_i) e_i over its primitive central
     idempotents e_i, those of the residue field's algebra lifted as
     x -> x^(p^(e-1)) (``_block_idempotents``), with no walk and no sum.
-    Every modular component visits its |R_j|^n elements, so the walks cost
-    the sum of |R_j|^n over those components, not the product.  Within such
-    an R_j[G] every ideal is a sum of principal ideals, and <a> = <u g a h>
-    for every unit u of R_j and all g, h in G, so one closure is taken per
-    orbit of that action.  The orbit of a is marked as the unit multiples
-    of the left translates of its conjugates, since g a h = (g h) (h^-1 a h),
-    through the group's kept index maps.  The principal ideals are then
-    closed under sums by a worklist: each ideal is summed only with the
-    ideals found before it, so every pair is summed once, and only when
-    neither ideal lies in the other; otherwise the sum is the larger one,
-    which is already found.  Containment is read off generators: the
-    smaller ideal lies in the larger when its generators are members (a
-    principal ideal is generated by its orbit representative, a sum by the
-    union of its parts' generators).  Skipping those sums leaves the ideals
-    found, and the order in which they are found, unchanged.  The cap on
-    |R[G]| is checked before any route runs, so it bounds all three.  An
-    ideal has a complement when each of its forms has one (``_complement``).
+    A modular component is the product of its blocks too, but they are not
+    semisimple, so each block R_j[G] e_i is walked on its own
+    (``_walked``: one closure per orbit of units and translates, and sums
+    by a worklist), and each choice of one ideal per block is one ideal, a
+    reduction of their rows.  So the walks cost sum_i |R_j[G] e_i| elements
+    per component, and the sum of those over the components, not the
+    product.  The cap on |R[G]| is checked before any route runs, so it
+    bounds all three.  An ideal has a complement when each of its forms has
+    one (``_complement``).
     """
     if algebra.size > max_size:
         raise CapExceededError(
@@ -519,29 +514,70 @@ def enumerate_ideals(algebra: GroupAlgebra, max_size: int = DEFAULT_IDEAL_CAP):
 
 
 def _chain_ideals(algebra: GroupAlgebra) -> list:
-    """Every two-sided ideal of a chain-ring algebra, in discovery order, as
-    (its pivot form P, that of its complement Q or None).  (P, Q) is LCP
-    exactly when P = R[G] e, Q = R[G] (1 - e) for a central idempotent e,
-    and then Q = iota(P)^perp (``check_dual_equivalence``).  On the gcd path
-    (``_gcd_path``) the <prod_i f_i^(a_i)> come in the order of
-    ``divisors``, 0 <= a_i <= p^t = gcd(n, p^n); on a separable component
-    (``_separable``) the closures of sum_i gamma^(a_i) e_i over the block
-    idempotents (``_block_idempotents``), 0 <= a_i <= e.  Either way P has a
-    complement when every a_i is an end value, and Q flips them
-    (``_flipped``).  A modular component is walked as ``enumerate_ideals``
-    says, and each form is tested once (``_component_verdict``)."""
+    """Every two-sided ideal of a chain-ring algebra, as (its pivot form P,
+    that of its complement Q or None).  (P, Q) is LCP exactly when
+    P = R[G] e, Q = R[G] (1 - e) for a central idempotent e, a sum of block
+    idempotents, and then Q = iota(P)^perp (``check_dual_equivalence``
+    checks it).  Each route lists the forms by exponent vectors in mixed
+    radix, a_0 slowest, where P has a complement when every a_i is an end
+    value, and Q flips them (``_flipped``).  On the gcd path (``_gcd_path``)
+    the <prod_i f_i^(a_i)> come in the order of ``divisors``,
+    0 <= a_i <= p^t = gcd(n, p^n); on a separable component (``_separable``)
+    the closures of sum_i gamma^(a_i) e_i over the block idempotents
+    (``_block_idempotents``), 0 <= a_i <= e.  A modular component walks each
+    of its blocks R[G] e_i on its own (``_walked``), its words and no more,
+    so sum_i |R[G] e_i| elements, and lists the ideal sum_i I_i for each
+    choice of an ideal I_i of each block, a_i being the place of I_i in its
+    block's list sorted by size then key (0 first, R[G] e_i last).  A
+    one-block component so walks all |R|^n elements, in the order of
+    ``GroupAlgebra.elements``, and only 0 and R[G] have complements."""
     cr = algebra.ring.components[0]
-    group = algebra.group
+    n = algebra.group.n
     if _gcd_path(algebra, cr):
-        forms = [generator_form(cr, group.n, g) for g in divisors(group.n, cr.p)]
-        return _flipped(forms, gcd(group.n, cr.p**group.n))
+        forms = [generator_form(cr, n, g) for g in divisors(n, cr.p)]
+        radix = gcd(n, cr.p**n) + 1  # a_i in 0..p^t, for each of k factors f_i
+        k = next(k for k in itertools.count() if radix**k == len(forms))
+        return _flipped(forms, [radix] * k)
+    blocks = _block_idempotents(algebra)
     if _separable(algebra, cr):
         gens = [algebra.zero()]
-        for x in _block_idempotents(algebra):
+        for x in blocks:
             layer = [algebra.scale((cr.gamma_power(a),), x) for a in range(cr.e + 1)]
             gens = [algebra.add(z, y) for z in gens for y in layer]
         forms = [GroupCode.from_generators(algebra, (z,), _canonical=True).components[0] for z in gens]
-        return _flipped(forms, cr.e)
+        return _flipped(forms, [cr.e + 1] * len(blocks))
+    if len(blocks) == 1:  # all of R[G], with no words to decode (2 ms of a 6 ms walk on F3[S3])
+        walks = [algebra.elements()]
+    else:
+        spans = [GroupCode.from_generators(algebra, (x,), _canonical=True).components[0] for x in blocks]
+        walks = [(from_component_rows((w,)) for w in enumerate_codewords(B, B.cardinality())) for B in spans]
+    parts = [sorted(_walked(algebra, walk), key=lambda P: (P.cardinality(), P.key())) for walk in walks]
+    forms = []
+    for combo in itertools.product(*parts):
+        rows = sum((P.engine_rows for P in combo), ())
+        forms.append(combo[0] if len(combo) == 1 else pivot_reduce(RingMatrix(cr, rows, n), _engine_rows=True))
+    return _flipped(forms, [len(part) for part in parts])
+
+
+def _walked(algebra: GroupAlgebra, elements) -> list:
+    """The pivot forms of the two-sided ideals of a chain-ring algebra that
+    lie in the span of ``elements``, in the order found, where ``elements``
+    lists a two-sided ideal (a block of the algebra, or all of it).  Every
+    such ideal is a sum of principal ideals, and <a> = <u g a h> for every
+    unit u of R and all g, h in G, so one closure is taken per orbit of that
+    action.  The orbit of a is marked as the unit multiples of the left
+    translates of its conjugates, since g a h = (g h) (h^-1 a h), through
+    the group's kept index maps.  The principal ideals are then
+    closed under sums by a worklist: each ideal is summed only with the
+    ideals found before it, so every pair is summed once, and only when
+    neither ideal lies in the other; otherwise the sum is the larger one,
+    which is already found.  Containment is read off generators: the
+    smaller ideal lies in the larger when its generators are members (a
+    principal ideal is generated by its orbit representative, a sum by the
+    union of its parts' generators).  Skipping those sums leaves the ideals
+    found, and the order in which they are found, unchanged."""
+    cr = algebra.ring.components[0]
+    group = algebra.group
     conjs, shifts = group.conjugations, group.left_translations
     scalings = [
         {a: (cr.mul(u, a[0]),) for a in algebra.ring.elements()}.__getitem__
@@ -551,7 +587,7 @@ def _chain_ideals(algebra: GroupAlgebra) -> list:
     load = _scalars(cr).load
     visited = set()
     found = {}  # components -> (ideal, |ideal|, its generators as engine rows)
-    for a in algebra.elements():
+    for a in elements:
         if a in visited:
             continue
         visited.update(
@@ -572,25 +608,23 @@ def _chain_ideals(algebra: GroupAlgebra) -> list:
             if S.components not in found:
                 found[S.components] = S, S.cardinality(), tuple(dict.fromkeys(gx + gy))
                 ideals.append(found[S.components])
-    out = []
-    for X, _, _ in ideals:
-        (P,), (Q,) = X.components, code_dual(code_involute(X)).components
-        total = pivot_reduce(RingMatrix(cr, P.engine_rows + Q.engine_rows, group.n), _engine_rows=True)
-        out.append((P, Q if _component_verdict(P, Q, total.cardinality())[1] else None))
-    return out
+    return [X.components[0] for X, _, _ in ideals]
 
 
-def _flipped(forms, top: int) -> list:
-    """(form, complement) for forms listed by exponent vectors a in
-    {0..top}^b, mixed radix: a form has a complement when every a_i is 0 or
-    top, and it is the form of top - a, the mirror position in the list."""
+def _flipped(forms, radices) -> list:
+    """(form, complement) for forms listed by exponent vectors a,
+    0 <= a_i < radices[i], in mixed radix with a_0 slowest: a form has a
+    complement when every a_i is 0 or radices[i] - 1, and it is the form of
+    the flipped vector, a_i -> radices[i] - 1 - a_i, which is the mirror
+    position in the list."""
     last = len(forms) - 1
     out = []
     for i, P in enumerate(forms):
-        x = i
-        while x and x % (top + 1) in (0, top):
-            x //= top + 1
-        out.append((P, None if x else forms[last - i]))
+        ends, x = True, i
+        for radix in reversed(radices):
+            x, a = divmod(x, radix)
+            ends = ends and a in (0, radix - 1)
+        out.append((P, forms[last - i] if ends else None))
     return out
 
 
@@ -611,54 +645,75 @@ def _separable(algebra: GroupAlgebra, ring) -> bool:
 
 
 def _block_idempotents(algebra: GroupAlgebra) -> list:
-    """The primitive central idempotents e_i of a separable chain-ring
-    algebra GR(p^e, r)[G], as algebra elements; a modular one is refused.
+    """The primitive central idempotents e_i of a chain-ring algebra
+    GR(p^e, r)[G], as algebra elements.
 
     Over the residue field F_q, z -> z^q is F_q-linear on the center of
-    A = F_q[G] and fixes exactly the F_q-span of the e_i.  For each class K,
-    (sum K)^q = sum K^q, K^q = {g^q : g in K} (a class of |K| elements, as
-    gcd(q, |G|) = 1): (x + y)^p = x^p + y^p mod the commutators [A, A], and
-    Z(A) meets [A, A] in 0, as a block M_d(E) of A has d dividing |G| and so
-    no traceless scalar but 0.  So the sums of the orbits of the classes
-    under K -> K^q are a basis of that span, and their number b is the
-    number of blocks (Witt-Berman).  The split starts from {1}, the
-    identity's orbit: for each other orbit sum v and each idempotent f found
-    so far, f - (v f - c f)^(q-1) is the part of f on which v takes the
-    value c in F_q; it stops once b idempotents are found.  Each residue x,
-    its digits read in GR(p^e, r), is central, and x = u + p y there with
-    u the central idempotent it lifts to and y central; so its lift is
-    x^(p^(e-1)) = u, as the k-th binomial term, k >= 1, of
-    (u + p y)^(p^(e-1)) has p-adic valuation at least
-    e - 1 - v_p(k) + k >= e.  The lifts are checked central,
+    A = F_q[G] (a commutative F_q-algebra) and fixes exactly the F_q-span of
+    the e_i: a fixed z is c + x in each block, c in F_q and x nilpotent, and
+    x^q = x gives x = x^(q^m) = 0.  So b, the dimension of that span, is the
+    number of blocks, for every group.  Its basis comes one of two ways.
+    (sum K)^q = sum K^q, K^q = {g^q : g in K}, holds for every class K in
+    two cases.  When p does not divide |G| (``_separable``), K^q is a class
+    of |K| elements, as gcd(q, |G|) = 1, and (x + y)^p = x^p + y^p mod the
+    commutators [A, A], while Z(A) meets [A, A] in 0, as a block M_d(E) of
+    A has d dividing |G| and so no traceless scalar but 0.  When G is
+    abelian, A is commutative and the classes are the {g}.  Then z -> z^q
+    moves the coefficient of each class K onto the class K^q, so a fixed z
+    is constant on each cycle of K -> K^q and zero off the cycles (iterated,
+    every class lands on a cycle).  The cycle sums are then a basis: with
+    p not dividing |G| every class lies on a cycle (Witt-Berman), over an
+    abelian group exactly the p-regular elements do.  Otherwise (p dividing
+    |G| and G not abelian) the identity fails: over F_2[S_3] the sum of the
+    three transpositions squares to 1 + r + r^2, r a 3-cycle.  Such a
+    component takes the kernel of z -> z^q - z on the class sums, a basis
+    of Z(A), and b is its dimension.  The split starts from {1}: for each
+    basis vector v and each idempotent f found so far, f - (v f - c f)^(q-1)
+    is the part of f on which v takes the value c in F_q; it stops once b
+    idempotents are found.  Each residue x, its digits read in GR(p^e, r),
+    is central, and x = u + p y there with u the central idempotent it
+    lifts to and y central; so its lift is x^(p^(e-1)) = u, as the k-th
+    binomial term, k >= 1, of (u + p y)^(p^(e-1)) has p-adic valuation at
+    least e - 1 - v_p(k) + k >= e.  The lifts are checked central,
     orthogonal and summing to 1, which makes each idempotent
     (x = x * sum_y y = x^2)."""
     cr = algebra.ring.components[0]
     group = algebra.group
-    n, q, t, classes = group.n, cr.q, group.table, group.classes
-    if not _separable(algebra, cr):  # K -> K^q would not permute the classes
-        raise ValidationError(f"block idempotents need p = {cr.p} not dividing |G| = {n}")
+    n, q, classes = group.n, cr.q, group.classes
     where = {g: k for k, cls in enumerate(classes) for g in cls}
-    frobenius = []  # class k -> the class of g^q, g in class k; g^n = 1
-    for cls in classes:
-        x = 0
-        for _ in range(q % n):
-            x = t[x][cls[0]]
-        frobenius.append(where[x])
-    orbits = []
-    for k in range(len(classes)):
-        if all(k not in orbit for orbit in orbits):
-            orbit = [k]
-            while frobenius[orbit[-1]] != k:
-                orbit.append(frobenius[orbit[-1]])
-            orbits.append(orbit)
     field = cr if cr.e == 1 else ChainRing(cr.p, 1, cr.r, [c % cr.p for c in cr.modulus])
     F = GroupAlgebra(ProductRing([field]), group)
     zero, one, nil = F.zero(), F.ring.one, F.ring.zero
+    if _separable(algebra, cr) or group.is_abelian():
+        frobenius = []  # class k -> the class of g^q, g in class k; g^n = 1
+        for cls in classes:
+            x = 0
+            for _ in range(q % n):
+                x = group.table[x][cls[0]]
+            frobenius.append(where[x])
+        cycles = set(range(len(classes)))  # the classes on a cycle of K -> K^q
+        while (image := {frobenius[k] for k in cycles}) != cycles:
+            cycles = image
+        orbits = []
+        for k in sorted(cycles):  # the identity's {0} first: 1 starts the split
+            if all(k not in orbit for orbit in orbits):
+                orbit = [k]
+                while frobenius[orbit[-1]] != k:
+                    orbit.append(frobenius[orbit[-1]])
+                orbits.append(orbit)
+        b = len(orbits)
+        basis = [tuple(one if where[g] in orbit else nil for g in range(n)) for orbit in orbits[1:]]
+    else:
+        sums = [tuple(one if where[g] == k else nil for g in range(n)) for k in range(len(classes))]
+        images = [F.sub(_power(F.mul, z, q), z) for z in sums]
+        rows = tuple(tuple(z[cls[0]][0] for z in images) for cls in classes)
+        fixed = kernel(RingMatrix(field, rows, len(classes)))
+        b = len(fixed.rows)
+        basis = [tuple((x[where[g]],) for g in range(n)) for x in fixed.rows]
     found = [F.one()]
-    for orbit in orbits[1:]:
-        if len(found) == len(orbits):
+    for v in basis:
+        if len(found) == b:
             break
-        v = tuple(one if where[g] in orbit else nil for g in range(n))
         split = []
         for f in found:
             vf, rest = F.mul(v, f), f
@@ -672,8 +727,8 @@ def _block_idempotents(algebra: GroupAlgebra) -> list:
             if rest != zero:
                 split.append(rest)
         found = split
-    if len(found) != len(orbits):
-        raise AssertionError(f"split gave {len(found)} block idempotents, Witt-Berman counts {len(orbits)}")
+    if len(found) != b:
+        raise AssertionError(f"split gave {len(found)} block idempotents, the fixed space has dimension {b}")
     blocks = []
     for x in found:  # the residues' digits, read in GR(p^e, r)
         x = _power(algebra.mul, x, cr.p ** (cr.e - 1))

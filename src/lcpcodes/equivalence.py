@@ -8,7 +8,8 @@ lexicographically least valid one.  For an LCP pair (C, D) the dual-distance
 report gives d(C) = d(D^perp), since D^perp = iota(C), from the walk of C
 or D, and looks for both per-component and whole-ring permutations carrying
 D^perp onto C: at most s more walks, no kernel, and iota: g -> g^-1
-itself, unsearched, above n = 16.
+itself, unsearched, above n = 16.  D = iota(C)^perp itself is checked by
+sizes and inner products of pivot rows (``_is_dual``), not by a dual.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import add
 from .codes import GroupCode, _same_algebra, code_dual, code_involute, lcp_check, min_distance, weight_enumerator
 from .errors import CapExceededError, NotLcpError, ValidationError
 from .groups import _permuter
-from .linalg import DEFAULT_ENUM_CAP, enumerate_codewords, membership
+from .linalg import DEFAULT_ENUM_CAP, _orthogonal, enumerate_codewords, membership
 
 __all__ = [
     "EquivalenceResult",
@@ -225,6 +226,18 @@ def find_permutation(C1: GroupCode, C2: GroupCode, max_enum: int = DEFAULT_ENUM_
     return EquivalenceResult(STATUS_FOUND, perm, d1, d2, "")
 
 
+def _is_dual(X: GroupCode, D: GroupCode) -> bool:
+    """Whether D = X^perp, with no kernel: per component, |X_j| |D_j| =
+    |R_j|^n and every pivot row of D_j is orthogonal to every pivot row of
+    X_j.  Over a Frobenius ring |X_j^perp| = |R_j|^n / |X_j| (Wood, Amer. J.
+    Math. 121, 1999), so D_j, inside X_j^perp and of its size, is all of
+    it."""
+    return all(
+        P.cardinality() * Q.cardinality() == P.ring.size**P.ncols and _orthogonal(Q, P.engine_rows)
+        for P, Q in zip(X.components, D.components)
+    )
+
+
 def check_dual_equivalence(
     C: GroupCode,
     D: GroupCode,
@@ -237,10 +250,13 @@ def check_dual_equivalence(
     if R[G] = C + D with C meet D = 0, then 1 = e + f with e in C, f in D
     central idempotents; <x, y> is the coefficient of 1 in x iota(y), so
     x in D^perp <=> x iota(D) = 0 <=> x in R[G] iota(e) = iota(C), and over
-    a Frobenius ring (X^perp)^perp = X.  That is checked, not assumed; iota
-    permutes coordinates, so d(D^perp) = d(C), from the walk of C or, where
-    smaller, of D (C^perp = iota(D): ``weight_enumerator``'s ``_partner``),
-    and a search that finds no permutation of D^perp onto C is a fault.
+    a Frobenius ring (X^perp)^perp = X.  That is checked, not assumed, with
+    no kernel and no dual: D = iota(C)^perp by sizes and inner products of
+    pivot rows (``_is_dual``), and a pair that fails raises AssertionError.
+    iota permutes coordinates, so d(D^perp) = d(C), from the walk of C or,
+    where smaller, of D (C^perp = iota(D): ``weight_enumerator``'s
+    ``_partner``), and a search that finds no permutation of D^perp onto C
+    is a fault.
     Permutations are searched per CRT component and once over the whole
     ring, and the block note records both.  When iota(C) != C, each
     component walks C_j, or D_j when that is smaller, and the other side is
@@ -254,7 +270,7 @@ def check_dual_equivalence(
     if not _assume_lcp and not lcp_check(C, D).is_lcp:
         raise NotLcpError("dual-equivalence comparison needs an LCP pair")
     Dd = code_involute(C)
-    if code_dual(Dd) != D:
+    if not _is_dual(Dd, D):
         raise AssertionError("LCP pair with iota(C)^perp != D; D^perp must be iota(C)")
     d = min_distance(C, max_enum, D)  # C^perp = iota(D), so W_(C^perp) = W_D
     group = C.algebra.group

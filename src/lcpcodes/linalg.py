@@ -376,6 +376,23 @@ def membership(v, P: PivotForm, *, _engine_rows=False) -> bool:
     return _reduce_against(s, v, pivots) and not s.nonzero(v)
 
 
+def _orthogonal(P: PivotForm, rows) -> bool:
+    """Whether every row (in the engine's form) has inner product 0 with
+    every row of P.  Each row v gives the products with all of P's rows at
+    once, as minus the sum of v_k times P's column k (``submul`` on the
+    column's support)."""
+    s = _scalars(P.ring)
+    columns = [_support(s, col, 0) for col in zip(*P.engine_rows)]
+    for v in rows:
+        acc = [s.zero] * len(P.engine_rows)
+        for x, col in zip(v, columns):
+            if x != s.zero:
+                s.submul(acc, x, col)
+        if s.nonzero(acc):
+            return False
+    return True
+
+
 def _field_width(ring):
     """Bits per packed field: one bit when p^e = 2, where fields are added
     with XOR, the sum mod 2, which carries into no other field; else the

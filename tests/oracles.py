@@ -1083,3 +1083,34 @@ def tuple_product_table(tg, th):
         for a in range(ng)
         for b in range(nh)
     ]
+
+
+def partitions(m, largest=None):
+    """Every partition of m as a non-increasing tuple of parts."""
+    largest = m if largest is None else largest
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest), 0, -1):
+        for rest in partitions(m - first, first):
+            yield (first,) + rest
+
+
+def is_p_core(shape, p):
+    """Whether no hook of the Young diagram has length divisible by p
+    (arm + leg + 1, read off the shape and its conjugate)."""
+    conjugate = [sum(part > j for part in shape) for j in range(shape[0])] if shape else []
+    return all(
+        ((shape[i] - j - 1) + (conjugate[j] - i - 1) + 1) % p
+        for i in range(len(shape))
+        for j in range(shape[i])
+    )
+
+
+def symmetric_group_block_count(n, p):
+    """The number of p-blocks of S_n: by the Nakayama conjecture (Brauer and
+    Robinson, 1947) two irreducible characters lie in one block exactly
+    when their partitions have the same p-core, and every p-core of size
+    n - p w, w >= 0, is the core of some partition of n.  So it is the
+    number of p-cores of those sizes."""
+    return sum(is_p_core(shape, p) for w in range(n // p + 1) for shape in partitions(n - p * w))

@@ -9,9 +9,10 @@ central idempotents e), where b is the number of orbits of the conjugacy
 classes under g -> g^q, q = p^r (Witt-Berman).  ``codes._chain_ideals``
 lists such a component that way (``codes._separable``), with no walk of
 R_j[G] and no sum.  These tests hold that listing to the walk it replaced
-(forced by refusing the route), the idempotents to a brute-force search of
-the algebra, their span to the kernel of z -> z^q - z on the class sums
-that the orbit sums replaced, their lift x^(p^(e-1)) to the Newton steps it
+(forced by refusing the route, which then walks each block of the
+component on its own), the idempotents to a brute-force search of the
+algebra, their span to the kernel of z -> z^q - z on the class sums that
+the orbit sums replaced, their lift x^(p^(e-1)) to the Newton steps it
 replaced, and the counts to the theorem.
 """
 
@@ -23,7 +24,6 @@ import pytest
 from lcpcodes import cli, codes, linalg
 from lcpcodes.algebra import GroupAlgebra
 from lcpcodes.codes import GroupCode, code_sum, enumerate_ideals
-from lcpcodes.errors import ValidationError
 from lcpcodes.groups import cyclic, dihedral, direct_product, group_from_table, symmetric
 from lcpcodes.linalg import RingMatrix, pivot_reduce
 from lcpcodes.rings import ChainRing, ProductRing
@@ -192,10 +192,16 @@ def test_block_idempotents_take_no_kernel(monkeypatch):
 )
 def test_block_idempotents_refuse_a_modular_component(ring, group, p, n):
     """With p dividing |G|, K -> K^q need not permute the classes (on F2[C4]
-    g -> g^2 sends the four onto two), so an orbit would never close: the
-    split is refused before it starts, naming p and |G|."""
-    with pytest.raises(ValidationError, match=rf"^block idempotents need p = {p} not dividing \|G\| = {n}$"):
-        codes._block_idempotents(GroupAlgebra(ring, group))
+    g -> g^2 sends the four onto two), so the orbits of all the classes span
+    no fixed space.  Such a component is now handled, not refused: over an
+    abelian group (F2[C4], Z4[C2]) by the orbits of the p-regular elements
+    only, over any other (F2[S3], F3[S3]) by the kernel of z -> z^q - z on
+    the class sums.  Either way the idempotents are the brute force's."""
+    A = GroupAlgebra(ring, group)
+    assert n % p == 0
+    found = codes._block_idempotents(A)
+    assert len(set(found)) == len(found)
+    assert set(found) == primitive_central_idempotents(A)
 
 
 # Separable chain-ring algebras with e >= 2, for the lift: the first six

@@ -126,11 +126,12 @@ COUNTED = {
 
 @pytest.mark.parametrize("name", sorted(COUNTED))
 def test_search_lcp_computes_nothing_for_an_ideal_without_a_complement(name, tmp_path, capsys, monkeypatch):
-    """No ``lcp_check``, and no dual of any ideal but the involute of a
-    reported C; on F5[C4], GR(4,2)[C3] and Z6[C4], whose components are all
-    on the gcd path or the block route, at most one kernel per reported pair
-    and component.  Z12[C2]'s Z4 part is walked: each of its forms is tested
-    once, by ``_component_verdict``, and no form of its Z3 part is."""
+    """No ``lcp_check``, no ``_component_verdict`` and no dual: a complement
+    is read off the listing's exponents, also on Z12[C2]'s walked Z4 part
+    (one block, so only 0 and all of Z4[C2] have complements), and each
+    reported pair is checked by sizes and inner products.  No kernel runs,
+    as the Z4 part's block count comes from the orbit sums of the
+    2-regular elements of the abelian C2."""
     algebra = GroupAlgebra(*COUNTED[name])
     checks = count_calls(monkeypatch, lcp_check)
     duals = count_calls(monkeypatch, code_dual)
@@ -147,10 +148,5 @@ def test_search_lcp_computes_nothing_for_an_ideal_without_a_complement(name, tmp
         for A in algebra.components
         if not (codes._gcd_path(A, A.ring.components[0]) or codes._separable(A, A.ring.components[0]))
     ]
-    if name == "Z12[C2]":
-        (A,) = walked
-        assert verdicts == [P for P, _ in codes._chain_ideals(A)]
-    else:
-        assert walked == [] and verdicts == []
-        assert all(X in {code_involute(C) for C in lcp} for X in duals)
-        assert len(kernels) <= len(lcp) * algebra.ring.s
+    assert len(walked) == (name == "Z12[C2]")
+    assert verdicts == duals == kernels == []
